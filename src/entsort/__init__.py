@@ -3,8 +3,7 @@
 Sorts a length-m sequence with n distinct elements using about
 (H_k + O(1)) * m binary comparisons, where H_k is the order-k empirical
 entropy, and instruments every comparison so the bounds are checked on each
-run. Hot tree kernels are compiled when the C extension is available; a
-pure-Python twin is selected automatically otherwise.
+run. The statistics-tree kernel is pure Python (`entsort.kernel`).
 """
 
 from .comparator import (ComparisonLedger, CountingComparator, PHASES,

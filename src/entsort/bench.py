@@ -4,7 +4,7 @@ Generators are deterministic for a fixed spec + seed: the PRNG is CPython's
 Mersenne Twister (random.Random(seed)), whose float and integer streams are
 stable across platforms. The corpora defined at the bottom are the frozen
 inputs of the acceptance suite; their size mix is chosen so each criterion
-meets its runtime budget on either kernel.
+meets its runtime budget on the pure-Python kernel.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from typing import Iterator, Optional, Sequence
 
 from . import entropy
 from .comparator import PHASE_BASELINE, CountingComparator
+from .kernel import KERNEL_NAME
 from .msort import mergesort_perm
 from .sort0 import SortOutcome, comparison_budget
 from .sortk import budget_breakdown, context_sequences, sortk
@@ -199,14 +200,12 @@ def outcome_checks(seq: Sequence, outcome: SortOutcome) -> tuple[bool, bool]:
     return sorted_ok, stable
 
 
-def run_spec(spec: SourceSpec, order: int = 0, include_baseline: bool = False,
-             kernel_name: Optional[str] = None) -> RunRecord:
+def run_spec(spec: SourceSpec, order: int = 0,
+             include_baseline: bool = False) -> RunRecord:
     """Generate, sort, and reconcile one spec into a RunRecord."""
-    from .kernel import KERNEL_NAME, get_kernel
-
     seq = generate(spec)
     start = time.perf_counter()
-    outcome = sortk(seq, order, kernel_name=kernel_name)
+    outcome = sortk(seq, order)
     wall_ms = (time.perf_counter() - start) * 1e3
     sorted_ok, stable = outcome_checks(seq, outcome)
     baseline = None
@@ -214,14 +213,13 @@ def run_spec(spec: SourceSpec, order: int = 0, include_baseline: bool = False,
         cmp = CountingComparator()
         baseline_mergesort(seq, cmp)
         baseline = cmp.phase_count(PHASE_BASELINE)
-    kern = get_kernel(kernel_name)
     return RunRecord(
         spec=spec.to_dict(),
         m=len(seq),
         n=len(set(seq)),
         order=order,
         entropy_bits=[entropy.h_order(seq, k) for k in range(order + 1)],
-        kernel=kern.KERNEL_NAME if kernel_name else KERNEL_NAME,
+        kernel=KERNEL_NAME,
         comparisons=outcome.ledger.as_report(),
         budget_lemma1=outcome.budget,
         budget_per_context=outcome.context_budget,

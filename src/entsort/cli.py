@@ -17,7 +17,6 @@ from typing import Optional, Sequence
 from . import bench, entropy
 from .comparator import PHASE_BASELINE, PHASE_SEARCH, PHASE_VERIFY, \
     CountingComparator
-from .kernel import KERNEL_NAME, available_kernels
 from .sortk import sortk
 
 MODES = ("bytes", "chars", "tokens", "ints")
@@ -83,10 +82,10 @@ def _emit(record: dict, fmt: str, out: Optional[str]) -> None:
     _write_out(buf.getvalue().encode("utf-8"), out)
 
 
-def _sort_report(seq: list, order: int, include_baseline: bool,
-                 kernel: Optional[str]) -> tuple[dict, object]:
+def _sort_report(seq: list, order: int,
+                 include_baseline: bool) -> tuple[dict, object]:
     start = time.perf_counter()
-    outcome = sortk(seq, order, kernel_name=kernel)
+    outcome = sortk(seq, order)
     wall_ms = (time.perf_counter() - start) * 1e3
     sorted_ok, stable = bench.outcome_checks(seq, outcome)
     report = {
@@ -124,8 +123,7 @@ def _cmd_sort(args) -> int:
     if not seq:
         print("error: empty input", file=sys.stderr)
         return 2
-    report, outcome = _sort_report(seq, args.order, args.baseline,
-                                   args.kernel)
+    report, outcome = _sort_report(seq, args.order, args.baseline)
     if args.sorted_output:
         _write_out(_encode_symbols(outcome.sorted_values(seq), args.mode),
                    args.out)
@@ -186,20 +184,15 @@ def _cmd_bench(args) -> int:
     if args.limit:
         specs = specs[:args.limit]
     orders = [int(x) for x in args.orders.split(",") if x != ""]
-    kernels = [None] if args.kernels == "auto" else \
-        list(available_kernels())
     rows = []
     failed = False
     for spec in specs:
         for order in orders:
-            for kern in kernels:
-                rec = bench.run_spec(spec, order, args.baseline,
-                                     kernel_name=kern)
-                row = rec.to_dict()
-                rows.append(row)
-                total_ok = row["comparisons"]["total"] <= row["budget_lemma1"]
-                if not (row["sorted_ok"] and row["stable"] and total_ok):
-                    failed = True
+            row = bench.run_spec(spec, order, args.baseline).to_dict()
+            rows.append(row)
+            total_ok = row["comparisons"]["total"] <= row["budget_lemma1"]
+            if not (row["sorted_ok"] and row["stable"] and total_ok):
+                failed = True
     payload = "\n".join(json.dumps(r) for r in rows).encode()
     if args.format == "csv":
         buf = io.StringIO()
@@ -226,8 +219,7 @@ def _cmd_bench(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="entsort",
-        description="Entropy-adaptive sorting with exact comparison counts "
-                    f"(active kernel: {KERNEL_NAME})")
+        description="Entropy-adaptive sorting with exact comparison counts")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, with_order=True):
@@ -250,8 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="emit the permutation 0-based")
     p_sort.add_argument("--sorted-output", action="store_true",
                         help="write the sorted sequence instead of a report")
-    p_sort.add_argument("--kernel", choices=("auto", "python", "c"),
-                        default=None)
 
     p_ent = sub.add_parser("entropy", help="print entropy at orders 0..L")
     p_ent.add_argument("file", nargs="?", default="-",
@@ -281,9 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--orders", default="0,1")
     p_bench.add_argument("--limit", type=int, default=0,
                          help="run only the first N specs")
-    p_bench.add_argument("--kernels", choices=("auto", "both"),
-                         default="auto",
-                         help="'both' times every available kernel")
     p_bench.add_argument("--baseline", action="store_true")
     p_bench.add_argument("--check-bounds", action="store_true")
     p_bench.add_argument("--format", choices=("json", "csv"), default="json")

@@ -1,4 +1,4 @@
-"""Exceptions shared by both kernel implementations."""
+"""Exceptions raised by the statistics-tree kernel and the ledger."""
 
 
 class NavigationError(ValueError):

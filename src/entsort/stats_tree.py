@@ -3,15 +3,14 @@
 A balanced search tree over a positional list of quadruples
 (key, weight, index list, next-context handle) that supports cumulative-
 weight search, prefix sums, and positional insert — all in O(log t) and all
-without comparing keys. See `entsort.kernel` for the backing implementation.
+without comparing keys. The implementation lives in `entsort.kernel`.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .kernel import (KERNEL_NAME, MAX_TOTAL_WEIGHT, StatsTree,  # noqa: F401
-                     from_pairs, get_kernel)
+from .kernel import MAX_TOTAL_WEIGHT, StatsTree, from_pairs  # noqa: F401
 
 
 class Quadruple(NamedTuple):

@@ -1,9 +1,9 @@
 """Acceptance suite: every criterion at its stated tolerance.
 
 Run with `pytest tests/test_acceptance.py -v -s` for one pass/fail line per
-criterion. Runtime limits hold on either kernel. Criterion 3 has the least
-slack: on a 2-vCPU Intel Xeon VM (CPython 3.11) its sweep took 42-50 s on the
-pure-Python kernel against the 60 s bound, and 19 s on the compiled one.
+criterion. Runtime limits hold on the pure-Python kernel. Criterion 3 has
+the least slack: on a 2-vCPU Intel Xeon VM (CPython 3.11) its sweep took
+42-50 s against the 60 s bound.
 """
 
 import random

@@ -10,6 +10,7 @@ from entsort.bench import (SourceSpec, TORONTO, baseline_mergesort,
                            outcome_checks, run_spec, stable_sort_oracle)
 from entsort.comparator import PHASE_BASELINE, CountingComparator
 from entsort.sort0 import sort0
+from entsort.sortk import sortk
 
 
 def test_generate_deterministic():
@@ -126,11 +127,23 @@ def test_stable_sort_oracle_and_checks():
     assert sorted_ok and stable
 
 
+def test_non_total_order_gives_permutation():
+    # NaN makes the order partial: the result is still a permutation of
+    # 1..m, but it is sorted only for total preorders, and the oracle says so.
+    nan = float("nan")
+    seq = [nan, 1.0, nan, 0.5, 2.0]
+    for out in (sort0(seq), sortk(seq, order=1)):
+        assert sorted(out.permutation) == list(range(1, len(seq) + 1))
+        sorted_ok, _ = outcome_checks(seq, out)
+        assert not sorted_ok
+
+
 def test_run_spec_record():
     rec = run_spec(SourceSpec(kind="zipf", n=16, m=400, seed=5), order=1,
                    include_baseline=True)
     d = rec.to_dict()
     assert d["schema"] == 1
+    assert d["kernel"] == "python"
     assert d["m"] == 400
     assert d["sorted_ok"] and d["stable"]
     assert d["comparisons"]["total"] <= d["budget_lemma1"]

@@ -198,23 +198,14 @@ def test_check_bounds_violation_exit_1(tmp_path, capsys, monkeypatch):
     assert code == 0
 
 
-def test_bench_both_kernels(capsys):
-    from entsort.kernel import available_kernels
-    code, out, _ = run_cli(capsys, "bench", "--limit", "1", "--orders", "0",
-                           "--kernels", "both")
-    assert code == 0
-    rows = [json.loads(line) for line in out.strip().splitlines()]
-    assert len(rows) == len(available_kernels())
-    kernels = {row["kernel"] for row in rows}
-    assert kernels == set(available_kernels())
-    totals = {row["comparisons"]["total"] for row in rows}
-    assert len(totals) == 1  # kernels agree on counts
-
-
-def test_sort_explicit_kernel(tmp_path, capsys):
-    f = tmp_path / "d.bin"
-    f.write_bytes(b"mississippi")
-    code, out, _ = run_cli(capsys, "sort", str(f), "--kernel", "python")
-    assert code == 0
-    rec = json.loads(out)
-    assert rec["sorted_ok"] and rec["stable"]
+@pytest.mark.parametrize("command,option", [("sort", "kernel"),
+                                            ("bench", "kernels")])
+def test_kernel_options_removed_exit_2(capsys, command, option):
+    # There is one kernel, so there is nothing to select: the old options
+    # are unknown flags, a usage error rather than a traceback.
+    with pytest.raises(SystemExit) as exc:
+        main([command, f"--{option}", "c"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err
+    assert "Traceback" not in err

@@ -8,7 +8,7 @@ from entsort.comparator import (PHASE_SEARCH, PHASE_VERIFY,
                                 CountingComparator)
 from entsort.errors import NavigationError
 from entsort.intmath import ceil_div, ceil_log2
-from entsort.kernel import get_kernel
+from entsort import kernel as kernel_module
 from entsort.lbst import (PathCode, Relation, build_explicit, classify,
                           descend, leaf_code, sigma)
 
@@ -234,7 +234,7 @@ def _classify_descend(tree, kernel, s, comparator):
     """Reference descent driven by `classify` at every virtual node.
 
     Compares at two-child nodes only, then verifies at the leaf; this is the
-    walk the kernels' one-walk `descend` must reproduce call for call.
+    walk the kernel's one-walk `descend` must reproduce call for call.
     """
     sig = depth = nsearch = 0
     while True:
@@ -292,9 +292,8 @@ def test_descend_matches_classify_walk(kernel):
 def test_descend_inconsistent_tree_raises():
     # A root weight sum that disagrees with the leaf weights must end the
     # walk with NavigationError instead of looping or answering.
-    kp = get_kernel("python")
     for bad_total in (1, 6):
-        tree = kp.from_pairs(["a", "b", "c"], [1, 1, 1])
+        tree = kernel_module.from_pairs(["a", "b", "c"], [1, 1, 1])
         tree._wsum[tree._root] = bad_total
         for key in "abc":
             with pytest.raises(NavigationError):

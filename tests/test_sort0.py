@@ -8,6 +8,7 @@ from conftest import stable_perm
 from entsort.comparator import (PHASE_SEARCH, PHASE_VERIFY,
                                 CountingComparator)
 from entsort.intmath import ceil_log2
+from entsort.kernel import available_kernels, get_kernel
 from entsort.sort0 import comparison_budget, invert, sort0
 
 TORONTO = list("TORONTO")
@@ -128,3 +129,29 @@ def test_skewed_and_markov_style_budgets(kernel):
         out = sort0(seq, kernel_name=kernel.KERNEL_NAME)
         assert out.permutation == stable_perm(seq)
         assert out.ledger.binary_count <= out.budget
+
+
+def test_one_kernel_surface(monkeypatch):
+    assert available_kernels() == ("python",)
+    module = get_kernel()
+    assert get_kernel("python") is module
+    assert get_kernel("auto") is module
+    # Wrapping the module's StatsTree, as the layer profiler does, must
+    # reach the trees that sort0 builds.
+    seen = []
+    descend = module.StatsTree.descend
+
+    def spy(tree, s, comparator):
+        seen.append(s)
+        return descend(tree, s, comparator)
+
+    monkeypatch.setattr(module.StatsTree, "descend", spy)
+    sort0(TORONTO)
+    assert seen == TORONTO[1:]
+
+
+def test_unknown_kernel_raises():
+    with pytest.raises(ValueError):
+        get_kernel("c")
+    with pytest.raises(ValueError):
+        sort0(TORONTO, kernel_name="c")
