@@ -1,11 +1,10 @@
-"""Balanced dictionaries used by the order-k sorter.
+"""The two dictionaries used by the order-k sorter.
 
 RankDictionary maps elements to first-appearance ranks; its lookups are the
 only dictionary operations that compare elements, and every comparison is
-charged to the b1-dictionary phase. CodeDictionary maps gamma-coded rank
-tuples (bit strings) to statistics trees and compares raw bit strings only.
-
-Both are plain AVL trees; height <= AVL_HEIGHT_FACTOR * log2(t + 2).
+charged to the b1-dictionary phase. It is a plain AVL tree; height <=
+AVL_HEIGHT_FACTOR * log2(t + 2). CodeDictionary maps rank tuples to
+statistics trees; it is a hash map and compares no elements.
 """
 
 from __future__ import annotations
@@ -138,45 +137,16 @@ class RankDictionary:
         return _inorder(self._root)
 
 
-class CodeDictionary:
-    """Bit-string keys -> statistics-tree handles; never touches elements."""
+class CodeDictionary(dict):
+    """Rank tuples -> statistics-tree handles; never touches elements.
 
-    def __init__(self):
-        self._root: Optional[_Node] = None
-        self._count = 0
+    A dict whose `insert` refuses a key that is already present. Iteration
+    follows insertion order; the sorter orders contexts by the gamma codes
+    of their rank tuples itself.
+    """
 
-    def __len__(self) -> int:
-        return self._count
-
-    @property
-    def height(self) -> int:
-        return _h(self._root)
-
-    def get(self, code: str):
-        v = self._root
-        while v is not None:
-            if code == v.key:
-                return v.value
-            v = v.left if code < v.key else v.right
-        return None
-
-    def insert(self, code: str, value) -> None:
+    def insert(self, ranks: tuple, value) -> None:
         """Insert a new key; the key must not be present."""
-
-        def rec(v: Optional[_Node]) -> _Node:
-            if v is None:
-                return _Node(code, value)
-            if code == v.key:
-                raise KeyError(f"duplicate code {code!r}")
-            if code < v.key:
-                v.left = rec(v.left)
-            else:
-                v.right = rec(v.right)
-            return _balance(v)
-
-        self._root = rec(self._root)
-        self._count += 1
-
-    def __iter__(self) -> Iterator[tuple]:
-        """(code, value) pairs in lexicographic code order."""
-        return _inorder(self._root)
+        if ranks in self:
+            raise KeyError(f"duplicate key {ranks!r}")
+        self[ranks] = value

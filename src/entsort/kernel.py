@@ -109,6 +109,8 @@ class StatsTree:
         return self._keys[self._node_at(j)]
 
     def handle_at(self, j: int):
+        """The j-th next-context handle. No sorter calls it (`append`
+        returns the handle on a hit); it is kept for the layer tracer."""
         self._check_pos(j)
         return self._next[self._node_at(j)]
 
@@ -205,13 +207,16 @@ class StatsTree:
                 pos -= ls + 1
                 v = right[v]
 
-    def append(self, i: int, j: int) -> None:
-        """Append sequence position i to the j-th index list."""
+    def append(self, i: int, j: int):
+        """Append sequence position i to the j-th index list and return
+        the j-th next-context handle, read off the node the walk reached."""
         self._check_pos(j)
-        lst = self._idx[self._node_at(j)]
+        v = self._node_at(j)
+        lst = self._idx[v]
         if lst and i <= lst[-1]:
             raise ValueError("indices must be appended in increasing order")
         lst.append(i)
+        return self._next[v]
 
     def insert(self, a, i: int, j: int, next=None) -> None:
         """Insert quadruple (a, 1, [i], next) at position j, shifting
@@ -390,6 +395,8 @@ class StatsTree:
         (leaf key > s). One comparison per two-child node on the way down;
         one-child nodes are free; at the leaf, `a <= s` then `s <= a` decide
         the relation, stopping early only if the first answer is strict.
+        On an empty tree it returns (1, SUCCESSOR, 0, 0) without calling
+        the comparator: insertion at position 1 is then the only move.
 
         The walk keeps the leaf range [lo, hi] under the current virtual
         node and the p-bit codes c = floor(F * 2^p / 2W) of f_lo and f_hi,
@@ -403,7 +410,7 @@ class StatsTree:
         root = self._root
         t = self._size[root]
         if t == 0:
-            raise NavigationError("descend on empty tree")
+            return (1, SUCCESSOR, 0, 0)
         left, right, size = self._left, self._right, self._size
         weight, wsum = self._weight, self._wsum
         two_w = 2 * wsum[root]

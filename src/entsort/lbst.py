@@ -4,97 +4,18 @@ The tree for leaf weights w_1..w_t (total W) places leaf j at the path given
 by the first ceil(log2(W/w_j)) + 1 fraction bits of
 f_j = (sum of earlier weights + w_j/2) / W; zero bits go left, one bits go
 right. The codes are prefix-free and lexicographically increasing, so the
-structure exists implicitly: `classify` answers node queries straight off
-the statistics tree, and `descend` searches with one counted comparison per
-two-child node. `build_explicit` materializes the same tree as linked nodes
-and exists as a test oracle.
+structure exists implicitly: `StatsTree.classify` answers node queries
+straight off the statistics tree, and `StatsTree.descend` searches with one
+counted comparison per two-child node. This module is the explicit-tree
+oracle for both: `leaf_code` computes a leaf's code from the definition,
+and `build_explicit` materializes the same tree as linked nodes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import IntEnum
 from typing import Optional
 
 from .intmath import ceil_div, ceil_log2
-from .kernel import StatsTree
-
-
-class Relation(IntEnum):
-    EQUAL = 0
-    PREDECESSOR = 1
-    SUCCESSOR = 2
-
-
-@dataclass(frozen=True)
-class PathCode:
-    """Root-to-node path: '0' = left edge, '1' = right edge."""
-
-    bits: str
-
-    @property
-    def depth(self) -> int:
-        return len(self.bits)
-
-    def as_int(self) -> int:
-        return int(self.bits, 2) if self.bits else 0
-
-    @classmethod
-    def from_int(cls, sig: int, depth: int) -> "PathCode":
-        if depth == 0:
-            return cls("")
-        return cls(format(sig, "b").zfill(depth))
-
-    def child(self, bit: str) -> "PathCode":
-        return PathCode(self.bits + bit)
-
-
-@dataclass(frozen=True)
-class NodeView:
-    is_leaf: bool
-    leaf_position: Optional[int]
-    has_left: bool
-    has_right: bool
-    split_position: Optional[int]
-
-
-@dataclass(frozen=True)
-class SearchResult:
-    position: int
-    relation: Relation
-    search_comparisons: int
-    verify_comparisons: int
-
-    @property
-    def comparisons_used(self) -> int:
-        return self.search_comparisons + self.verify_comparisons
-
-
-def sigma(j: int, tree: StatsTree) -> PathCode:
-    """Path code of leaf j."""
-    sig, depth = tree.sigma(j)
-    return PathCode.from_int(sig, depth)
-
-
-def classify(code: PathCode, tree: StatsTree) -> NodeView:
-    """Node classification for the node addressed by *code*."""
-    leaf, j, has_left, has_right, split = tree.classify(code.as_int(),
-                                                        code.depth)
-    return NodeView(
-        is_leaf=bool(leaf),
-        leaf_position=j if leaf else None,
-        has_left=bool(has_left),
-        has_right=bool(has_right),
-        split_position=split if (has_left and has_right) else None,
-    )
-
-
-def descend(s, tree: StatsTree, comparator) -> SearchResult:
-    """Search for s; see StatsTree.descend for the comparison discipline."""
-    j, rel, nsearch, nverify = tree.descend(s, comparator)
-    return SearchResult(position=j, relation=Relation(rel),
-                        search_comparisons=nsearch,
-                        verify_comparisons=nverify)
 
 
 class ExplicitNode:

@@ -5,7 +5,8 @@ weighted tree over everything seen so far, then updating the tree in place
 (weight bump on a hit, positional insert next to the arrival leaf on a miss).
 The concatenated index lists give a stable sorting permutation, and the
 measured comparison count never exceeds an exactly computable per-input
-budget.
+budget. The loop, `scan`, is shared with the order-k sorter, which moves
+between one tree per context.
 """
 
 from __future__ import annotations
@@ -74,27 +75,40 @@ def comparison_budget(seq: Sequence) -> int:
     return total
 
 
+def scan(seq: Sequence, first: int, current, cmp: CountingComparator,
+         successor) -> None:
+    """The main loop of both sorters, from 1-based position *first* on.
+
+    Each element is searched in *current*. On a hit, the leaf gains the
+    element's position and the scan moves to the leaf's next-context handle;
+    on a miss, the element is inserted next to the leaf the search reached,
+    with handle successor(current, s), and the scan moves to that tree.
+    """
+    for i in range(first, len(seq) + 1):
+        s = seq[i - 1]
+        j, rel, _, _ = current.descend(s, cmp)
+        if rel == EQUAL:
+            current.increment(j)
+            current = current.append(i, j)
+        else:
+            nxt = successor(current, s)
+            current.insert(s, i, j + 1 if rel == PREDECESSOR else j, nxt)
+            current = nxt
+
+
 def sort0(seq: Sequence, comparator: Optional[CountingComparator] = None,
           kernel_name: Optional[str] = None) -> SortOutcome:
-    """Stable-sort *seq* with entropy-adaptive comparison count."""
+    """Stable-sort *seq* with entropy-adaptive comparison count.
+
+    The one-context case of `scan`: every handle is the single tree.
+    """
     m = len(seq)
     if m == 0:
         raise ValueError("sequence must be non-empty")
     cmp = comparator if comparator is not None else CountingComparator()
     before = cmp.snapshot()
-    kern = get_kernel(kernel_name)
-    tree = kern.StatsTree()
-    tree.insert(seq[0], 1, 1)
-    for i in range(2, m + 1):
-        s = seq[i - 1]
-        j, rel, _, _ = tree.descend(s, cmp)
-        if rel == EQUAL:
-            tree.increment(j)
-            tree.append(i, j)
-        elif rel == PREDECESSOR:
-            tree.insert(s, i, j + 1)
-        else:
-            tree.insert(s, i, j)
+    tree = get_kernel(kernel_name).StatsTree()
+    scan(seq, 1, tree, cmp, lambda current, s: tree)
     permutation: list[int] = []
     for _, _, indices, _ in tree.quadruples():
         permutation.extend(indices)

@@ -2,16 +2,18 @@
 
 Maintains a statistics tree per distinct k-tuple of preceding elements. Each
 element is searched only in its context's tree, so search costs track the
-order-k entropy rather than the order-0 entropy. Two dictionaries realize
-the context lookup: RankDictionary (element -> first-appearance rank, the
-only dictionary that compares elements) and CodeDictionary (gamma-coded rank
-tuple -> tree, bit-string comparisons only). A repeat (k+1)-tuple never
-touches either dictionary: the quadruple found by the search carries a
-handle to the successor context's tree.
+order-k entropy rather than the order-0 entropy. The element loop is
+`sort0.scan`. Two dictionaries realize the context lookup on a miss:
+RankDictionary (element -> first-appearance rank, the only dictionary that
+compares elements) and CodeDictionary (rank tuple -> tree, a hash map that
+compares no elements). A repeat (k+1)-tuple never touches either dictionary:
+the quadruple found by the search carries a handle to the successor
+context's tree.
 
-Finalization collects every quadruple plus one dummy per warm-up position,
-sorts the groups by key with the instrumented merge sort, and concatenates
-index lists; equal keys' lists are merged in increasing index order so the
+Finalization visits the contexts in the order of their gamma-coded rank
+tuples, collects every quadruple plus one dummy per warm-up position, sorts
+the groups by key with the instrumented merge sort, and concatenates index
+lists; equal keys' lists are merged in increasing index order so the
 permutation is stable.
 """
 
@@ -27,9 +29,9 @@ from .bst import CodeDictionary, RankDictionary, avl_height_bound
 from .comparator import (PHASE_MERGE, CountingComparator, delta)
 from .gamma import encode_tuple
 from .intmath import ceil_log2
-from .kernel import EQUAL, PREDECESSOR, get_kernel
+from .kernel import get_kernel
 from .msort import mergesort_perm
-from .sort0 import SortOutcome, comparison_budget, invert
+from .sort0 import SortOutcome, comparison_budget, invert, scan
 
 
 @dataclass(frozen=True)
@@ -130,50 +132,32 @@ def sortk(seq: Sequence, order: int = 0,
         raise ValueError("order must be >= 0")
     cmp = comparator if comparator is not None else CountingComparator()
     before = cmp.snapshot()
-    kern = get_kernel(kernel_name)
-    tree_cls = kern.StatsTree
+    tree_cls = get_kernel(kernel_name).StatsTree
 
     b1 = RankDictionary(cmp)
     b2 = CodeDictionary()
 
-    def tree_for(ranks: list[int]) -> object:
-        code = encode_tuple(ranks)
-        tree = b2.get(code)
+    def tree_for(ranks: tuple) -> object:
+        tree = b2.get(ranks)
         if tree is None:
             tree = tree_cls(context_ranks=ranks[1:])
-            b2.insert(code, tree)
+            b2.insert(ranks, tree)
         return tree
 
     def query_black_box(current, s):
         """Rank s via the element dictionary, then fetch or create the
-        successor context's tree via the code dictionary."""
+        successor context's tree via the context dictionary."""
         rank, _ = b1.lookup_or_insert(s)
         if order == 0:
-            return tree_for([])
-        return tree_for(list(current.context_ranks) + [rank])
+            return tree_for(())
+        return tree_for(current.context_ranks + (rank,))
 
     if m > order:
-        boot_ranks = [b1.lookup_or_insert(seq[k])[0] for k in range(order)]
-        current = tree_for(boot_ranks)
-        for i in range(order + 1, m + 1):
-            s = seq[i - 1]
-            if len(current) == 0:
-                nxt = query_black_box(current, s)
-                current.insert(s, i, 1, nxt)
-                current = nxt
-                continue
-            j, rel, _, _ = current.descend(s, cmp)
-            if rel == EQUAL:
-                current.increment(j)
-                current.append(i, j)
-                current = current.handle_at(j)
-            else:
-                nxt = query_black_box(current, s)
-                current.insert(s, i, j + 1 if rel == PREDECESSOR else j, nxt)
-                current = nxt
+        boot = tuple(b1.lookup_or_insert(seq[k])[0] for k in range(order))
+        scan(seq, order + 1, tree_for(boot), cmp, query_black_box)
 
     groups: list[tuple] = []
-    for _, tree in b2:
+    for _, tree in sorted(b2.items(), key=lambda kv: encode_tuple(kv[0])):
         for key, _, indices, _ in tree.quadruples():
             groups.append((key, indices))
     for k in range(min(order, m)):

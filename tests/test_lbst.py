@@ -9,23 +9,28 @@ from entsort.comparator import (PHASE_SEARCH, PHASE_VERIFY,
 from entsort.errors import NavigationError
 from entsort.intmath import ceil_div, ceil_log2
 from entsort import kernel as kernel_module
-from entsort.lbst import (PathCode, Relation, build_explicit, classify,
-                          descend, leaf_code, sigma)
+from entsort.lbst import build_explicit, leaf_code
 
 TORONTO_KEYS = list("NORT")
 TORONTO_WEIGHTS = [1, 3, 1, 2]
 
 
+def code_bits(tree, j):
+    """Leaf j's path code as a bit string."""
+    sig, depth = tree.sigma(j)
+    return format(sig, f"0{depth}b")
+
+
 def test_toronto_depths(kernel):
     tree = kernel.from_pairs(TORONTO_KEYS, TORONTO_WEIGHTS)
-    depths = [sigma(j, tree).depth for j in range(1, 5)]
+    depths = [tree.sigma(j)[1] for j in range(1, 5)]
     assert depths == [4, 3, 4, 3]
 
 
 def test_single_leaf_code(kernel):
     tree = kernel.from_pairs(["x"], [9])
-    code = sigma(1, tree)
-    assert code.bits == "1" and code.depth == 1
+    assert tree.sigma(1) == (1, 1)
+    assert code_bits(tree, 1) == "1"
 
 
 def test_codes_lexicographically_increase(kernel):
@@ -34,7 +39,7 @@ def test_codes_lexicographically_increase(kernel):
         t = rng.randrange(1, 40)
         weights = [rng.randrange(1, 60) for _ in range(t)]
         tree = kernel.from_pairs(list(range(t)), weights)
-        codes = [sigma(j, tree).bits for j in range(1, t + 1)]
+        codes = [code_bits(tree, j) for j in range(1, t + 1)]
         assert codes == sorted(codes)
         assert len(set(codes)) == t
         for a in codes:
@@ -51,9 +56,9 @@ def test_depth_formula_exact(kernel):
         tree = kernel.from_pairs(list(range(t)), weights)
         big_w = sum(weights)
         for j in range(1, t + 1):
-            assert sigma(j, tree).depth == \
-                ceil_log2(ceil_div(big_w, weights[j - 1])) + 1
-            assert sigma(j, tree).depth <= ceil_log2(big_w) + 1
+            depth = tree.sigma(j)[1]
+            assert depth == ceil_log2(ceil_div(big_w, weights[j - 1])) + 1
+            assert depth <= ceil_log2(big_w) + 1
 
 
 def test_sigma_matches_definition_oracle(kernel):
@@ -72,25 +77,26 @@ def test_sigma_matches_definition_oracle(kernel):
             assert tree.sigma(j) == leaf_code(j, weights)
 
 
-def _walk_and_compare(tree, node, code: PathCode):
-    view = classify(code, tree)
+def _walk_and_compare(tree, node, sig: int, depth: int):
+    leaf, j, has_left, has_right, split = tree.classify(sig, depth)
     if node.leaf_count() == 1:
-        assert view.is_leaf
+        assert leaf
         v = node
         while not v.is_leaf:
             v = v.left if v.left is not None else v.right
-        assert view.leaf_position == v.leaf_position
+        assert j == v.leaf_position
         return 1
-    assert not view.is_leaf
-    assert view.has_left == (node.left is not None)
-    assert view.has_right == (node.right is not None)
+    assert not leaf
+    assert has_left == (node.left is not None)
+    assert has_right == (node.right is not None)
     visited = 1
-    if view.has_left and view.has_right:
-        assert view.split_position == node.split_position
+    if has_left and has_right:
+        assert split == node.split_position
     if node.left is not None:
-        visited += _walk_and_compare(tree, node.left, code.child("0"))
+        visited += _walk_and_compare(tree, node.left, 2 * sig, depth + 1)
     if node.right is not None:
-        visited += _walk_and_compare(tree, node.right, code.child("1"))
+        visited += _walk_and_compare(tree, node.right, 2 * sig + 1,
+                                     depth + 1)
     return visited
 
 
@@ -102,7 +108,7 @@ def test_classify_matches_explicit_tree(kernel):
         keys = list(range(t))
         tree = kernel.from_pairs(keys, weights)
         explicit = build_explicit(keys, weights)
-        _walk_and_compare(tree, explicit, PathCode(""))
+        _walk_and_compare(tree, explicit, 0, 0)
 
 
 def test_classify_matches_flat_oracle(kernel):
@@ -126,42 +132,41 @@ def test_classify_matches_flat_oracle(kernel):
 
 def test_classify_single_leaf(kernel):
     tree = kernel.from_pairs(["x"], [5])
-    assert classify(PathCode(""), tree).is_leaf
-    view = classify(PathCode("1"), tree)
-    assert view.is_leaf and view.leaf_position == 1
+    assert tree.classify(0, 0)[0]  # the root is the only leaf
+    assert tree.classify(1, 1) == (1, 1, 0, 0, 0)
     with pytest.raises(NavigationError):
         tree.classify(0, 1)  # "0" prefixes no code (f = 1/2 starts with 1)
 
 
 def test_classify_root_of_multi_leaf(kernel):
     tree = kernel.from_pairs(TORONTO_KEYS, TORONTO_WEIGHTS)
-    view = classify(PathCode(""), tree)
-    assert not view.is_leaf
-    assert view.has_left or view.has_right
+    leaf, _, has_left, has_right, _ = tree.classify(0, 0)
+    assert not leaf
+    assert has_left or has_right
 
 
 def test_classify_toronto_shared_prefix(kernel):
     # N and O codes share their first bit; that node is internal and its
     # split names the rightmost leaf of its left subtree.
     tree = kernel.from_pairs(TORONTO_KEYS, TORONTO_WEIGHTS)
-    code_n = sigma(1, tree).bits
-    code_o = sigma(2, tree).bits
+    code_n = code_bits(tree, 1)
+    code_o = code_bits(tree, 2)
     assert code_n[0] == code_o[0]
-    view = classify(PathCode(code_n[0]), tree)
-    assert not view.is_leaf
+    leaf, _, has_left, has_right, split = tree.classify(int(code_n[0]), 1)
+    assert not leaf
     explicit = build_explicit(TORONTO_KEYS, TORONTO_WEIGHTS)
     node = explicit.left if code_n[0] == "0" else explicit.right
-    if view.has_left and view.has_right:
-        assert view.split_position == node.split_position
+    if has_left and has_right:
+        assert split == node.split_position
 
 
 def test_descend_toronto_costs(kernel):
     tree = kernel.from_pairs(TORONTO_KEYS, TORONTO_WEIGHTS)
     cmp = CountingComparator()
-    res = descend("O", tree, cmp)
-    assert res.relation == Relation.EQUAL
-    assert res.position == 2
-    assert res.search_comparisons <= 3  # ceil(log2(7/3)) + 1
+    j, rel, nsearch, _ = tree.descend("O", cmp)
+    assert rel == kernel.EQUAL
+    assert j == 2
+    assert nsearch <= 3  # ceil(log2(7/3)) + 1
 
 
 def test_classify_rejects_bad_inputs(kernel):
@@ -183,15 +188,14 @@ def test_descend_finds_each_key(kernel):
         cmp = CountingComparator()
         for j, key in enumerate(keys, start=1):
             before = cmp.snapshot()
-            res = descend(key, tree, cmp)
-            assert res.relation == Relation.EQUAL
-            assert res.position == j
+            pos, rel, nsearch, nverify = tree.descend(key, cmp)
+            assert rel == kernel.EQUAL
+            assert pos == j
             d = cmp.snapshot()
             spent = d.binary_count - before.binary_count
-            assert spent == res.comparisons_used
-            assert res.search_comparisons <= \
-                ceil_log2(ceil_div(big_w, weights[j - 1])) + 1
-            assert res.verify_comparisons == 2
+            assert spent == nsearch + nverify
+            assert nsearch <= ceil_log2(ceil_div(big_w, weights[j - 1])) + 1
+            assert nverify == 2
 
 
 def test_descend_absent_keys(kernel):
@@ -204,16 +208,17 @@ def test_descend_absent_keys(kernel):
         big_w = sum(weights)
         cmp = CountingComparator()
         for probe in range(-1, 2 * t, 2):  # all gaps
-            res = descend(probe, tree, cmp)
-            assert res.relation != Relation.EQUAL
-            found = keys[res.position - 1]
-            if res.relation == Relation.PREDECESSOR:
+            j, rel, nsearch, _ = tree.descend(probe, cmp)
+            assert rel != kernel.EQUAL
+            found = keys[j - 1]
+            if rel == kernel.PREDECESSOR:
                 assert found < probe
-                assert res.position == t or keys[res.position] > probe
+                assert j == t or keys[j] > probe
             else:
+                assert rel == kernel.SUCCESSOR
                 assert found > probe
-                assert res.position == 1 or keys[res.position - 2] < probe
-            assert res.search_comparisons <= ceil_log2(big_w) + 1
+                assert j == 1 or keys[j - 2] < probe
+            assert nsearch <= ceil_log2(big_w) + 1
 
 
 class RecordingComparator(CountingComparator):
@@ -228,6 +233,16 @@ class RecordingComparator(CountingComparator):
     def leq(self, x, y, phase):
         self.calls.append((phase, x, y))
         return super().leq(x, y, phase)
+
+
+def test_descend_empty_tree_is_free():
+    # An empty tree answers "insert at position 1" without a comparison.
+    cmp = RecordingComparator()
+    for s in ("x", 0, None):
+        assert kernel_module.StatsTree().descend(s, cmp) == \
+            (1, kernel_module.SUCCESSOR, 0, 0)
+    assert cmp.calls == []
+    assert cmp.snapshot().binary_count == 0
 
 
 def _classify_descend(tree, kernel, s, comparator):
@@ -303,14 +318,9 @@ def test_descend_inconsistent_tree_raises():
 def test_descend_single_leaf_costs(kernel):
     tree = kernel.from_pairs([10], [4])
     cmp = CountingComparator()
-    res = descend(10, tree, cmp)
-    assert res.relation == Relation.EQUAL
-    assert res.search_comparisons == 0
-    assert res.verify_comparisons == 2
-    res = descend(5, tree, cmp)  # smaller than the key: one strict answer
-    assert res.relation == Relation.SUCCESSOR
-    assert res.search_comparisons == 0
-    assert res.verify_comparisons == 1
+    assert tree.descend(10, cmp) == (1, kernel.EQUAL, 0, 2)
+    # Smaller than the key: one strict answer.
+    assert tree.descend(5, cmp) == (1, kernel.SUCCESSOR, 0, 1)
     assert cmp.phase_count(PHASE_SEARCH) == 0
     assert cmp.phase_count(PHASE_VERIFY) == 3
 
@@ -323,7 +333,7 @@ def test_weighted_descent_cost_bound(kernel):
         weights = [rng.randrange(1, 50) for _ in range(t)]
         tree = kernel.from_pairs(list(range(t)), weights)
         big_w = sum(weights)
-        total = sum(w * sigma(j, tree).depth
+        total = sum(w * tree.sigma(j)[1]
                     for j, w in enumerate(weights, start=1))
         entropy_bits = sum(w / big_w * math.log2(big_w / w) for w in weights)
         assert total < (entropy_bits + 2) * big_w
@@ -369,11 +379,3 @@ def test_build_explicit_validation():
     with pytest.raises(ValueError):
         build_explicit([1, 2], [1, 0])
 
-
-def test_path_code_roundtrip():
-    code = PathCode("0101")
-    assert code.depth == 4
-    assert code.as_int() == 5
-    assert PathCode.from_int(5, 4) == code
-    assert PathCode.from_int(0, 0) == PathCode("")
-    assert code.child("1").bits == "01011"

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import Spy, stable_perm
+from entsort.bench import SourceSpec, generate
 from entsort.bst import RankDictionary, avl_height_bound
 from entsort.comparator import (PHASE_B1, PHASE_MERGE, PHASE_SEARCH,
                                 PHASE_VERIFY)
@@ -13,6 +14,20 @@ from entsort.sortk import (budget_breakdown, context_budget_sum,
                            context_sequences, sortk)
 
 TORONTO = list("TORONTO")
+
+
+MARKOV = generate(SourceSpec(kind="markov", n=16, m=3000, seed=5))
+
+# (sequence, order or None for sort0) -> search, verify, b1, merge, total.
+GOLDEN_LEDGERS = [
+    (TORONTO, None, (7, 9, 0, 0, 16)),
+    (TORONTO, 0, (7, 9, 8, 7, 31)),
+    (TORONTO, 1, (0, 3, 14, 16, 33)),
+    (TORONTO, 2, (0, 0, 18, 19, 37)),
+    (TORONTO, 3, (0, 0, 18, 19, 37)),
+    (MARKOV, 1, (2609, 5937, 295, 350, 9191)),
+    (MARKOV, 2, (2564, 5845, 522, 704, 9635)),
+]
 
 
 def distinct_tuples(seq, order):
@@ -46,6 +61,18 @@ def test_order_zero_matches_sort0_exactly(kernel):
         groups = n
         merge_cap = groups * ceil_log2(groups) + groups if groups > 1 else 0
         assert b.ledger.count(PHASE_MERGE) <= merge_cap
+
+
+def test_golden_ledgers():
+    """Exact phase counts, pinned. The order in which contexts are visited
+    at finalization fixes the final merge's input order, so a change to it
+    moves the merge count here even when the permutation stays right."""
+    for seq, order, want in GOLDEN_LEDGERS:
+        out = sort0(seq) if order is None else sortk(seq, order)
+        report = out.ledger.as_report()
+        got = tuple(report[phase]
+                    for phase in ("search", "verify", "b1", "merge", "total"))
+        assert got == want, (len(seq), order)
 
 
 def test_periodic_advantage():

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from conftest import FlatStatsTree, Spy, random_op_mix
+from entsort import kernel as kernel_module
 from entsort.comparator import CountingComparator
 from entsort.stats_tree import Quadruple, quadruple
 
@@ -68,6 +69,27 @@ def test_increment_and_append(kernel):
         tree.append(98, 2)  # not increasing
     with pytest.raises(IndexError):
         tree.increment(5)
+
+
+def test_append_and_handle_at_return_inserted_handle():
+    tree = kernel_module.StatsTree()
+    handles = {}
+    rng = random.Random(12)
+    for i, key in enumerate(rng.sample(range(200), 60), start=1):
+        # A handle may be the tree itself, as in the one-context sorter.
+        handles[key] = tree if key % 7 == 0 else ("handle", key)
+        pos = sum(1 for k in handles if k < key)
+        tree.insert(key, i, pos + 1, handles[key])
+    tree.insert(500, 61, 61)  # no handle given
+    keys = sorted(handles)
+    for j, key in enumerate(keys, start=1):
+        assert tree.handle_at(j) is handles[key]
+        tree.increment(j)
+        assert tree.append(100 + j, j) is handles[key]
+    assert tree.handle_at(61) is None
+    tree.increment(61)
+    assert tree.append(200, 61) is None
+    tree._validate()
 
 
 def test_quadruple_view(kernel):

@@ -1,0 +1,71 @@
+"""The layer tracer in perfbench/spans.py finds every callable it wraps.
+
+The tracer patches sorter internals by name, so renaming or removing one of
+them breaks `perfbench/run.py --trace 1`. This test loads spans.py from its
+source without writing anything under perfbench/, runs both sorters inside
+`Tracer().patched()`, and checks that the named callables record spans and
+are restored afterwards.
+"""
+
+import importlib
+import types
+from pathlib import Path
+
+from entsort import bst, entropy
+from entsort.bench import SourceSpec, generate
+from entsort.kernel import get_kernel
+from entsort.sort0 import sort0
+from entsort.sortk import sortk
+
+SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def load_spans():
+    module = types.ModuleType("perfbench_spans")
+    module.__file__ = str(SPANS_PATH)
+    exec(compile(SPANS_PATH.read_text(), str(SPANS_PATH), "exec"),
+         module.__dict__)
+    return module
+
+
+def patch_targets(spans):
+    """(owner, attribute) for every span name the tracer knows, plus the
+    tree constructor it wraps to count trees."""
+    owners = {
+        "StatsTree": get_kernel().StatsTree,
+        "RankDictionary": bst.RankDictionary,
+        "CodeDictionary": bst.CodeDictionary,
+        # The package exports functions under these two module names.
+        "sortk": importlib.import_module("entsort.sortk"),
+        "sort0": importlib.import_module("entsort.sort0"),
+        "entropy": entropy,
+    }
+    targets = [(owners["StatsTree"], "__init__")]
+    for name in spans.LAYER_OF:
+        if name != "call":
+            owner, attr = name.split(".")
+            targets.append((owners[owner], attr))
+    return targets
+
+
+def test_tracer_wraps_the_sorter_surface():
+    spans = load_spans()
+    targets = patch_targets(spans)
+    originals = [getattr(owner, attr) for owner, attr in targets]
+    seq = generate(SourceSpec(kind="markov", n=6, m=400, seed=11))
+    tracer = spans.Tracer()
+    with tracer.patched():
+        for (owner, attr), original in zip(targets, originals):
+            assert getattr(owner, attr) is not original, attr
+        a = sort0(seq)
+        b = sortk(seq, order=1)
+    assert a.permutation == b.permutation
+    assert tracer.unmeasured == set()
+    recorded = {tracer.names[code] for code, *_ in tracer.spans}
+    for name in ("StatsTree.descend", "StatsTree.append",
+                 "CodeDictionary.get", "CodeDictionary.insert",
+                 "sortk.encode_tuple"):
+        assert name in recorded, name
+    assert tracer.trees  # tree construction was counted
+    for (owner, attr), original in zip(targets, originals):
+        assert getattr(owner, attr) is original, attr
