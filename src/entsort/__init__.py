@@ -13,7 +13,7 @@ from .entropy import EntropyProfile, h0, h_order, profile
 from .gamma import decode_all, encode_tuple, gamma_decode, gamma_encode
 from .kernel import KERNEL_NAME, available_kernels, get_kernel
 from .sort0 import SortOutcome, comparison_budget, invert, sort0
-from .sortk import budget_breakdown, context_budget_sum, sortk
+from .sortk import budget_breakdown, sortk
 from .stats_tree import Quadruple, StatisticsTree, from_pairs, quadruple
 
 __version__ = "0.1.0"
@@ -26,7 +26,7 @@ __all__ = [
     "gamma_encode", "gamma_decode", "encode_tuple", "decode_all",
     "KERNEL_NAME", "available_kernels", "get_kernel",
     "SortOutcome", "sort0", "sortk", "comparison_budget",
-    "context_budget_sum", "budget_breakdown", "invert",
+    "budget_breakdown", "invert",
     "StatisticsTree", "Quadruple", "quadruple", "from_pairs",
     "__version__",
 ]

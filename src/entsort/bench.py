@@ -12,16 +12,16 @@ from __future__ import annotations
 import random
 import time
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import ceil, log2
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from . import entropy
 from .comparator import PHASE_BASELINE, CountingComparator
 from .kernel import KERNEL_NAME
 from .msort import mergesort_perm
 from .sort0 import SortOutcome, comparison_budget
-from .sortk import budget_breakdown, context_sequences, sortk
+from .sortk import budget_breakdown, sortk
 
 KINDS = ("uniform", "zipf", "markov", "periodic")
 
@@ -125,9 +125,8 @@ def evaluate_bounds(seq: Sequence, order: int) -> dict:
     m = len(seq)
     n = len(set(seq))
     breakdown = budget_breakdown(seq, order)
-    contexts = context_sequences(seq, order)
+    contexts = entropy.context_sequences(seq, order)
     h0_bits = entropy.h_order(seq, 0)
-    hk_bits = entropy.h_order(seq, order)
     return {
         "m": m,
         "n": n,
@@ -140,56 +139,14 @@ def evaluate_bounds(seq: Sequence, order: int) -> dict:
         "merge_budget": breakdown.merge,
         "total_budget": breakdown.total,
         "h0": h0_bits,
-        "h_order": hk_bits,
+        "h_order": breakdown.h_order,
         "envelope0": (h0_bits + 6.0) * m,
-        "envelope_order": (hk_bits + 6.0) * m,
+        "envelope_order": (breakdown.h_order + 6.0) * m,
         # Envelope preconditions: n*ceil(log2 m) <= m for the order-0
         # envelope; n^(order+1)*log2(n) <= m for the order-k one.
         "envelope0_applicable": n * max(1, ceil(log2(m))) <= m if m > 1 else True,
         "premise_ok": (n ** (order + 1)) * log2(n) <= m if n > 1 else True,
     }
-
-
-@dataclass
-class RunRecord:
-    """One benchmark run: spec, entropy, per-sorter counts, budgets, times."""
-
-    spec: dict
-    m: int
-    n: int
-    order: int
-    entropy_bits: list[float]
-    kernel: str
-    comparisons: dict
-    budget_lemma1: int
-    budget_per_context: int
-    wall_ms: float
-    stable: bool
-    sorted_ok: bool
-    baseline_comparisons: Optional[int] = None
-    warnings: tuple = field(default=())
-
-    def to_dict(self) -> dict:
-        out = {
-            "schema": 1,
-            "spec": self.spec,
-            "m": self.m,
-            "n": self.n,
-            "order": self.order,
-            "entropy": self.entropy_bits,
-            "kernel": self.kernel,
-            "comparisons": self.comparisons,
-            "budget_lemma1": self.budget_lemma1,
-            "budget_per_context": self.budget_per_context,
-            "wall_ms": self.wall_ms,
-            "stable": self.stable,
-            "sorted_ok": self.sorted_ok,
-        }
-        if self.baseline_comparisons is not None:
-            out["baseline"] = self.baseline_comparisons
-        if self.warnings:
-            out["warnings"] = list(self.warnings)
-        return out
 
 
 def outcome_checks(seq: Sequence, outcome: SortOutcome) -> tuple[bool, bool]:
@@ -200,35 +157,50 @@ def outcome_checks(seq: Sequence, outcome: SortOutcome) -> tuple[bool, bool]:
     return sorted_ok, stable
 
 
-def run_spec(spec: SourceSpec, order: int = 0,
-             include_baseline: bool = False) -> RunRecord:
-    """Generate, sort, and reconcile one spec into a RunRecord."""
-    seq = generate(spec)
+def sort_report(seq: Sequence, order: int = 0,
+                include_baseline: bool = False) -> tuple[dict, SortOutcome]:
+    """Sort *seq* with sortk and reconcile the run into a report.
+
+    H0, H_order and the budgets come from the outcome; only the entropies
+    of the orders in between are computed here.
+    """
     start = time.perf_counter()
     outcome = sortk(seq, order)
     wall_ms = (time.perf_counter() - start) * 1e3
     sorted_ok, stable = outcome_checks(seq, outcome)
-    baseline = None
+    entropy_bits = [outcome.h0]
+    entropy_bits += [entropy.h_order(seq, k) for k in range(1, order)]
+    if order > 0:
+        entropy_bits.append(outcome.h_order)
+    report = {
+        "schema": 1,
+        "m": len(seq),
+        "n": len(set(seq)),
+        "order": order,
+        "entropy": entropy_bits,
+        "kernel": KERNEL_NAME,
+        "comparisons": outcome.ledger.as_report(),
+        "budget_lemma1": outcome.budget,
+        "budget_per_context": outcome.context_budget,
+        "wall_ms": wall_ms,
+        "stable": stable,
+        "sorted_ok": sorted_ok,
+    }
     if include_baseline:
         cmp = CountingComparator()
         baseline_mergesort(seq, cmp)
-        baseline = cmp.phase_count(PHASE_BASELINE)
-    return RunRecord(
-        spec=spec.to_dict(),
-        m=len(seq),
-        n=len(set(seq)),
-        order=order,
-        entropy_bits=[entropy.h_order(seq, k) for k in range(order + 1)],
-        kernel=KERNEL_NAME,
-        comparisons=outcome.ledger.as_report(),
-        budget_lemma1=outcome.budget,
-        budget_per_context=outcome.context_budget,
-        wall_ms=wall_ms,
-        stable=stable,
-        sorted_ok=sorted_ok,
-        baseline_comparisons=baseline,
-        warnings=outcome.warnings,
-    )
+        report["baseline"] = cmp.phase_count(PHASE_BASELINE)
+    if outcome.warnings:
+        report["warnings"] = list(outcome.warnings)
+    return report, outcome
+
+
+def run_spec(spec: SourceSpec, order: int = 0,
+             include_baseline: bool = False) -> dict:
+    """Generate one spec's sequence and report its sort, spec included."""
+    report, _ = sort_report(generate(spec), order, include_baseline)
+    report["spec"] = spec.to_dict()
+    return report
 
 
 def default_suite(seed: int = 1) -> list[SourceSpec]:

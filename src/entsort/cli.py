@@ -11,13 +11,9 @@ import csv
 import io
 import json
 import sys
-import time
 from typing import Optional, Sequence
 
 from . import bench, entropy
-from .comparator import PHASE_BASELINE, PHASE_SEARCH, PHASE_VERIFY, \
-    CountingComparator
-from .sortk import sortk
 
 MODES = ("bytes", "chars", "tokens", "ints")
 
@@ -82,40 +78,13 @@ def _emit(record: dict, fmt: str, out: Optional[str]) -> None:
     _write_out(buf.getvalue().encode("utf-8"), out)
 
 
-def _sort_report(seq: list, order: int,
-                 include_baseline: bool) -> tuple[dict, object]:
-    start = time.perf_counter()
-    outcome = sortk(seq, order)
-    wall_ms = (time.perf_counter() - start) * 1e3
-    sorted_ok, stable = bench.outcome_checks(seq, outcome)
-    report = {
-        "schema": 1,
-        "m": len(seq),
-        "n": len(set(seq)),
-        "order": order,
-        "entropy": [entropy.h_order(seq, k) for k in range(order + 1)],
-        "comparisons": outcome.ledger.as_report(),
-        "budget_lemma1": outcome.budget,
-        "budget_per_context": outcome.context_budget,
-        "wall_ms": wall_ms,
-        "stable": stable,
-        "sorted_ok": sorted_ok,
-    }
-    if outcome.warnings:
-        report["warnings"] = list(outcome.warnings)
-    if include_baseline:
-        cmp = CountingComparator()
-        bench.baseline_mergesort(seq, cmp)
-        report["baseline"] = cmp.phase_count(PHASE_BASELINE)
-    return report, outcome
-
-
-def _bounds_ok(report: dict, outcome) -> bool:
-    searches = outcome.ledger.count(PHASE_SEARCH) \
-        + outcome.ledger.count(PHASE_VERIFY)
+def _bounds_ok(report: dict) -> bool:
+    """The --check-bounds verdict on one sort report."""
+    counts = report["comparisons"]
     return (report["sorted_ok"] and report["stable"]
-            and report["comparisons"]["total"] <= report["budget_lemma1"]
-            and searches <= report["budget_per_context"])
+            and counts["total"] <= report["budget_lemma1"]
+            and counts["search"] + counts["verify"]
+            <= report["budget_per_context"])
 
 
 def _cmd_sort(args) -> int:
@@ -123,7 +92,7 @@ def _cmd_sort(args) -> int:
     if not seq:
         print("error: empty input", file=sys.stderr)
         return 2
-    report, outcome = _sort_report(seq, args.order, args.baseline)
+    report, outcome = bench.sort_report(seq, args.order, args.baseline)
     if args.sorted_output:
         _write_out(_encode_symbols(outcome.sorted_values(seq), args.mode),
                    args.out)
@@ -133,7 +102,7 @@ def _cmd_sort(args) -> int:
         else:
             report["permutation"] = outcome.permutation
         _emit(report, args.format, args.out)
-    if args.check_bounds and not _bounds_ok(report, outcome):
+    if args.check_bounds and not _bounds_ok(report):
         print("bound violation detected", file=sys.stderr)
         return 1
     return 0
@@ -188,10 +157,9 @@ def _cmd_bench(args) -> int:
     failed = False
     for spec in specs:
         for order in orders:
-            row = bench.run_spec(spec, order, args.baseline).to_dict()
+            row = bench.run_spec(spec, order, args.baseline)
             rows.append(row)
-            total_ok = row["comparisons"]["total"] <= row["budget_lemma1"]
-            if not (row["sorted_ok"] and row["stable"] and total_ok):
+            if not _bounds_ok(row):
                 failed = True
     payload = "\n".join(json.dumps(r) for r in rows).encode()
     if args.format == "csv":

@@ -23,13 +23,20 @@ def h0(counts: Iterable[int]) -> float:
     return sum(c / m * log2(m / c) for c in counts)
 
 
-def _context_counts(seq: Sequence, order: int) -> dict[tuple, Counter]:
-    """Successor frequency table per order-length context tuple."""
-    table: dict[tuple, Counter] = defaultdict(Counter)
-    m = len(seq)
-    for i in range(order, m):
-        table[tuple(seq[i - order:i])][seq[i]] += 1
-    return table
+def context_sequences(seq: Sequence, order: int) -> dict[tuple, list]:
+    """Successor sequence per order-tuple context, in occurrence order.
+
+    This is the one per-context table: H_order sums |part| * H0(part) over
+    its parts, and the order-k budgets sum per-part sort0 budgets. A
+    context that only occurs as the sequence's suffix has no entry.
+    """
+    if order == 0:
+        return {(): list(seq)} if len(seq) else {}
+    table: dict[tuple, list] = defaultdict(list)
+    contexts = zip(*(seq[j:] for j in range(order)))
+    for ctx, s in zip(contexts, seq[order:]):
+        table[ctx].append(s)
+    return dict(table)
 
 
 def h_order(seq: Sequence, order: int) -> float:
@@ -43,10 +50,8 @@ def h_order(seq: Sequence, order: int) -> float:
         raise ValueError("order must be >= 0")
     if order == 0:
         return h0(Counter(seq).values())
-    if order >= m:
-        return 0.0
-    table = _context_counts(seq, order)
-    return sum(sum(c.values()) * h0(c.values()) for c in table.values()) / m
+    return sum(len(part) * h0(Counter(part).values())
+               for part in context_sequences(seq, order).values()) / m
 
 
 @dataclass
@@ -82,17 +87,14 @@ def profile(seq: Sequence, max_order: int) -> EntropyProfile:
         raise ValueError("sequence must be non-empty")
     if not 0 <= max_order <= m:
         raise ValueError("max_order must be in [0, len(seq)]")
-    freqs = Counter(seq)
     h: list[float] = []
     tables: list[dict[tuple, tuple[int, float]]] = []
     for k in range(max_order + 1):
-        if k == 0:
-            tables.append({(): (m, h0(freqs.values()))})
-            h.append(tables[0][()][1])
-            continue
-        table = _context_counts(seq, k)
-        entry = {ctx: (sum(c.values()), h0(c.values()))
-                 for ctx, c in table.items()}
+        entry = {ctx: (len(part), h0(Counter(part).values()))
+                 for ctx, part in context_sequences(seq, k).items()}
         tables.append(entry)
-        h.append(sum(size * bits for size, bits in entry.values()) / m)
-    return EntropyProfile(m=m, n=len(freqs), h=h, context_tables=tables)
+        # At order 0 the one context is the whole input; its H0 is taken
+        # as is, because m * H0 / m can differ from H0 in the last bit.
+        h.append(entry[()][1] if k == 0 else
+                 sum(size * bits for size, bits in entry.values()) / m)
+    return EntropyProfile(m=m, n=len(set(seq)), h=h, context_tables=tables)

@@ -19,7 +19,7 @@ permutation is stable.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from math import log2
 from typing import Optional, Sequence
@@ -38,8 +38,10 @@ from .sort0 import SortOutcome, comparison_budget, invert, scan
 class BudgetBreakdown:
     """Exactly computable comparison bounds for one (sequence, order) run.
 
-    All fields are derived from the input alone by direct scans, independent
-    of the sorter. total = context_total + b1 + merge bounds binary_count.
+    All fields are derived from the input alone, independent of the sorter,
+    in one pass over its context table (`entropy.context_sequences`).
+    total = context_total + b1 + merge bounds binary_count; h_order is the
+    input's order-k entropy.
     """
 
     order: int
@@ -48,47 +50,48 @@ class BudgetBreakdown:
     b1: int
     merge_groups: int
     merge: int
+    h_order: float
 
     @property
     def total(self) -> int:
         return self.context_total + self.b1 + self.merge
 
 
-def context_sequences(seq: Sequence, order: int) -> dict[tuple, list]:
-    """Successor sequence per order-tuple context, in occurrence order."""
-    table: dict[tuple, list] = defaultdict(list)
-    for i in range(order, len(seq)):
-        table[tuple(seq[i - order:i])].append(seq[i])
-    return dict(table)
-
-
-def context_budget_sum(seq: Sequence, order: int) -> int:
-    """Sum of per-context sort0 budgets; bounds search+verify comparisons."""
-    return sum(comparison_budget(part)
-               for part in context_sequences(seq, order).values())
-
-
 def budget_breakdown(seq: Sequence, order: int) -> BudgetBreakdown:
+    """Budgets and H_order from one context table.
+
+    Each context's successor sequence gives its sort0 budget (the
+    search+verify bound in that context's tree), its number of distinct
+    successors (the new (order+1)-tuples, each one B1 lookup and one merge
+    group) and its |part| * H0 term.
+    """
     m = len(seq)
-    distinct = len(set(seq))
-    new_tuples = 0
-    if m > order:
-        seen: set = set()
-        for i in range(order, m):
-            seen.add(tuple(seq[i - order:i + 1]))
-        new_tuples = len(seen)
+    if m == 0:
+        raise ValueError("sequence must be non-empty")
+    context_total = new_tuples = 0
+    terms: list[tuple[int, float]] = []  # (|part|, H0(part)) per context
+    for part in entropy.context_sequences(seq, order).values():
+        counts = Counter(part)
+        context_total += comparison_budget(part)
+        new_tuples += len(counts)
+        terms.append((len(part), entropy.h0(counts.values())))
+    # At order 0 the one context is the whole input; its H0 is taken as
+    # is, because m * H0 / m can differ from H0 in the last bit.
+    h_order = terms[0][1] if order == 0 else \
+        sum(size * bits for size, bits in terms) / m
     dummies = min(order, m)
     b1_ops = (order if m > order else 0) + new_tuples
-    per_op = avl_height_bound(distinct) + 1
+    per_op = avl_height_bound(len(set(seq))) + 1
     groups = new_tuples + dummies
     merge = groups * ceil_log2(groups) + groups if groups > 1 else 0
     return BudgetBreakdown(
         order=order,
-        context_total=context_budget_sum(seq, order),
+        context_total=context_total,
         b1_ops=b1_ops,
         b1=b1_ops * per_op,
         merge_groups=groups,
         merge=merge,
+        h_order=h_order,
     )
 
 
@@ -180,6 +183,6 @@ def sortk(seq: Sequence, order: int = 0,
         h0=entropy.h_order(seq, 0),
         order=order,
         context_budget=breakdown.context_total,
-        h_order=entropy.h_order(seq, order),
+        h_order=breakdown.h_order,
         warnings=warnings,
     )

@@ -3,7 +3,8 @@
 Run with `pytest tests/test_acceptance.py -v -s` for one pass/fail line per
 criterion. Runtime limits hold on the pure-Python kernel. Criterion 3 has
 the least slack: on a 2-vCPU Intel Xeon VM (CPython 3.11) its sweep took
-42-50 s against the 60 s bound.
+32-33 s against the 60 s bound, and up to 59 s on other days on the same
+kind of VM.
 """
 
 import random

@@ -7,7 +7,8 @@ from entsort import entropy
 from entsort.bench import (SourceSpec, TORONTO, baseline_mergesort,
                            bounds_corpus, correctness_corpus, default_suite,
                            envelope_corpus, evaluate_bounds, generate,
-                           outcome_checks, run_spec, stable_sort_oracle)
+                           outcome_checks, run_spec, sort_report,
+                           stable_sort_oracle)
 from entsort.comparator import PHASE_BASELINE, CountingComparator
 from entsort.sort0 import sort0
 from entsort.sortk import sortk
@@ -139,10 +140,10 @@ def test_non_total_order_gives_permutation():
 
 
 def test_run_spec_record():
-    rec = run_spec(SourceSpec(kind="zipf", n=16, m=400, seed=5), order=1,
-                   include_baseline=True)
-    d = rec.to_dict()
+    spec = SourceSpec(kind="zipf", n=16, m=400, seed=5)
+    d = run_spec(spec, order=1, include_baseline=True)
     assert d["schema"] == 1
+    assert d["spec"] == spec.to_dict()
     assert d["kernel"] == "python"
     assert d["m"] == 400
     assert d["sorted_ok"] and d["stable"]
@@ -150,6 +151,19 @@ def test_run_spec_record():
     assert len(d["entropy"]) == 2
     assert d["baseline"] > 0
     assert d["wall_ms"] >= 0
+
+
+def test_sort_report_entropies():
+    # H0 and H_order come from the outcome, the orders in between from
+    # entropy.h_order; all of them equal a fresh computation exactly.
+    seq = generate(SourceSpec(kind="markov", n=5, m=600, order=2, seed=8))
+    for order in (0, 1, 2, 3):
+        report, outcome = sort_report(seq, order)
+        assert report["entropy"] == [entropy.h_order(seq, k)
+                                     for k in range(order + 1)]
+        assert report["entropy"][0] == outcome.h0
+        assert report["entropy"][-1] == outcome.h_order
+        assert report["budget_per_context"] == outcome.context_budget
 
 
 def test_default_suite_shape():

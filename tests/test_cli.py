@@ -47,6 +47,7 @@ def test_sort_report_and_bounds(tmp_path, capsys):
                   "stable", "sorted_ok", "permutation"):
         assert field in rec
     assert rec["schema"] == 1
+    assert rec["kernel"] == "python"
     assert rec["stable"] and rec["sorted_ok"]
     assert rec["comparisons"]["total"] <= rec["budget_lemma1"]
     assert set(rec["comparisons"]) == {"search", "verify", "b1", "merge",
@@ -188,13 +189,31 @@ def test_empty_input_exit_2(tmp_path, capsys):
 def test_check_bounds_violation_exit_1(tmp_path, capsys, monkeypatch):
     # Bounds hold on every real input, so force the checker to fail to
     # exercise the exit path.
-    monkeypatch.setattr(cli, "_bounds_ok", lambda report, outcome: False)
+    monkeypatch.setattr(cli, "_bounds_ok", lambda report: False)
     f = tmp_path / "d.bin"
     f.write_bytes(b"data")
     code, _, err = run_cli(capsys, "sort", str(f), "--check-bounds")
     assert code == 1
     assert "violation" in err
     code, _, _ = run_cli(capsys, "sort", str(f))  # without the flag: fine
+    assert code == 0
+
+
+def test_bench_check_bounds_violation_exit_1(capsys, monkeypatch):
+    # bench applies the same check as sort, search+verify against the
+    # per-context budget included.
+    args = ("bench", "--limit", "1", "--orders", "1")
+    code, out, _ = run_cli(capsys, *args, "--check-bounds")
+    assert code == 0
+    row = json.loads(out)
+    assert cli._bounds_ok(row)
+    row["comparisons"]["search"] = row["budget_per_context"] + 1
+    assert not cli._bounds_ok(row)
+    monkeypatch.setattr(cli, "_bounds_ok", lambda report: False)
+    code, _, err = run_cli(capsys, *args, "--check-bounds")
+    assert code == 1
+    assert "violation" in err
+    code, _, _ = run_cli(capsys, *args)  # without the flag: fine
     assert code == 0
 
 

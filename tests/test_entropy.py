@@ -4,7 +4,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from entsort.entropy import h0, h_order, profile
+from entsort.entropy import context_sequences, h0, h_order, profile
+from entsort.sort0 import comparison_budget
+from entsort.sortk import budget_breakdown
 
 TORONTO = list("TORONTO")
 
@@ -99,6 +101,24 @@ def test_profile_decomposition():
                         for size, bits in prof.context_tables[k].values())
             assert prof.m * prof.h[k] == pytest.approx(total, rel=1e-9,
                                                        abs=1e-9)
+
+
+def test_context_budget_decomposition():
+    # Per-context budgets sum over the contexts' successor sequences.
+    seqs = context_sequences(TORONTO, 1)
+    assert {k[0]: "".join(v) for k, v in seqs.items()} == \
+        {"T": "OO", "O": "RN", "R": "O", "N": "T"}
+    total = budget_breakdown(TORONTO, 1).context_total
+    assert total == sum(comparison_budget(v) for v in seqs.values())
+
+
+def test_context_sequences_edges():
+    assert context_sequences(TORONTO, 0) == {(): TORONTO}
+    assert context_sequences("TORONTO", 2)[("O", "R")] == ["O"]
+    for order in (0, 3, 4):
+        assert context_sequences([], order) == {}
+    assert context_sequences([1, 2, 3], 3) == {}
+    assert context_sequences([1, 2, 3], 5) == {}
 
 
 def test_profile_validation():

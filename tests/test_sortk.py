@@ -4,14 +4,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import Spy, stable_perm
+from entsort import entropy
 from entsort.bench import SourceSpec, generate
 from entsort.bst import RankDictionary, avl_height_bound
 from entsort.comparator import (PHASE_B1, PHASE_MERGE, PHASE_SEARCH,
                                 PHASE_VERIFY)
 from entsort.intmath import ceil_log2
 from entsort.sort0 import comparison_budget, sort0
-from entsort.sortk import (budget_breakdown, context_budget_sum,
-                           context_sequences, sortk)
+from entsort.sortk import budget_breakdown, sortk
 
 TORONTO = list("TORONTO")
 
@@ -85,15 +85,6 @@ def test_periodic_advantage():
         assert out.h_order == 0.0
 
 
-def test_context_budget_decomposition():
-    # Per-context budgets sum over the contexts' successor sequences.
-    seqs = context_sequences(TORONTO, 1)
-    assert {k[0]: "".join(v) for k, v in seqs.items()} == \
-        {"T": "OO", "O": "RN", "R": "O", "N": "T"}
-    total = context_budget_sum(TORONTO, 1)
-    assert total == sum(comparison_budget(v) for v in seqs.values())
-
-
 def test_budget_breakdown_fields():
     bd = budget_breakdown(TORONTO, 1)
     assert bd.order == 1
@@ -102,6 +93,42 @@ def test_budget_breakdown_fields():
     assert bd.total == bd.context_total + bd.b1 + bd.merge
     bd0 = budget_breakdown(["z"], 0)
     assert bd0.merge_groups == 1 and bd0.merge == 0
+    with pytest.raises(ValueError):
+        budget_breakdown([], 1)
+
+
+def successor_lists(seq, order):
+    """Oracle context table: successors of each order-tuple, in order."""
+    table = {}
+    for i in range(order, len(seq)):
+        table.setdefault(tuple(seq[i - order:i]), []).append(seq[i])
+    return table
+
+
+def test_budget_breakdown_matches_oracle():
+    """Every breakdown field against its definition, on random inputs:
+    per-context sort0 budgets over the successor lists, one B1 lookup and
+    one merge group per distinct (order+1)-tuple, and H_order exactly."""
+    rng = random.Random(61)
+    for _ in range(150):
+        m = rng.randrange(1, 160)
+        n = rng.choice([1, 2, 3, 7, 40])
+        seq = [rng.randrange(n) for _ in range(m)]
+        for order in (0, 1, 2, 3):
+            bd = budget_breakdown(seq, order)
+            parts = successor_lists(seq, order).values()
+            tuples = distinct_tuples(seq, order)
+            groups = tuples + min(order, m)
+            assert bd.order == order
+            assert bd.context_total == sum(comparison_budget(p)
+                                           for p in parts)
+            assert bd.b1_ops == (order if m > order else 0) + tuples
+            assert bd.b1 == bd.b1_ops * (avl_height_bound(len(set(seq)))
+                                         + 1)
+            assert bd.merge_groups == groups
+            assert bd.merge == (groups * ceil_log2(groups) + groups
+                                if groups > 1 else 0)
+            assert bd.h_order == entropy.h_order(seq, order)
 
 
 def test_black_box_query_count(kernel, monkeypatch):
@@ -183,7 +210,7 @@ def test_per_context_budget_inequality(kernel):
             out = sortk(seq, order, kernel_name=kernel.KERNEL_NAME)
             sv = out.ledger.count(PHASE_SEARCH) \
                 + out.ledger.count(PHASE_VERIFY)
-            assert sv <= context_budget_sum(seq, order)
+            assert sv <= budget_breakdown(seq, order).context_total
             assert out.ledger.binary_count <= out.budget
 
 
@@ -197,20 +224,29 @@ def test_property_stable_across_orders(seq, order):
     assert out.ledger.binary_count <= out.budget
 
 
-def test_context_tree_count_bound(kernel):
-    """Number of context trees never exceeds the number of distinct
-    order-tuples occurring in the sequence."""
+def test_context_tree_count_bound(kernel, monkeypatch):
+    """sortk builds exactly one tree per distinct order-tuple context that
+    occurs at positions order..m, and none when m <= order."""
+    built = []
+    original = kernel.StatsTree.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(kernel.StatsTree, "__init__", counting)
     rng = random.Random(90)
-    for order in (1, 2):
+    for order in (0, 1, 2, 3):
         for _ in range(20):
-            m = rng.randrange(order + 1, 150)
+            m = rng.randrange(1, 150)
             n = rng.choice([2, 3, 6])
             seq = [rng.randrange(n) for _ in range(m)]
             distinct_ctx = len({tuple(seq[i - order:i])
                                 for i in range(order, m + 1)})
-            # reach inside: run and count trees via the merge groups
+            built.clear()
             out = sortk(seq, order, kernel_name=kernel.KERNEL_NAME)
             assert out.permutation == stable_perm(seq)
+            assert len(built) == (distinct_ctx if m > order else 0)
             assert distinct_ctx <= n ** order + 1
 
 

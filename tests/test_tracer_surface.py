@@ -63,8 +63,11 @@ def test_tracer_wraps_the_sorter_surface():
     assert tracer.unmeasured == set()
     recorded = {tracer.names[code] for code, *_ in tracer.spans}
     for name in ("StatsTree.descend", "StatsTree.append",
+                 "StatsTree.insert", "RankDictionary.lookup_or_insert",
                  "CodeDictionary.get", "CodeDictionary.insert",
-                 "sortk.encode_tuple"):
+                 "sortk.encode_tuple", "sortk.mergesort_perm",
+                 "sortk.budget_breakdown", "sort0.comparison_budget",
+                 "entropy.h_order"):
         assert name in recorded, name
     assert tracer.trees  # tree construction was counted
     for (owner, attr), original in zip(targets, originals):
