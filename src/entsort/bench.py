@@ -125,15 +125,12 @@ def evaluate_bounds(seq: Sequence, order: int) -> dict:
     m = len(seq)
     n = len(set(seq))
     breakdown = budget_breakdown(seq, order)
-    contexts = entropy.context_sequences(seq, order)
     h0_bits = entropy.h_order(seq, 0)
     return {
         "m": m,
         "n": n,
         "order": order,
         "budget_lemma1": comparison_budget(seq),
-        "context_budgets": {ctx: comparison_budget(part)
-                            for ctx, part in contexts.items()},
         "budget_per_context": breakdown.context_total,
         "b1_budget": breakdown.b1,
         "merge_budget": breakdown.merge,

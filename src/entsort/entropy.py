@@ -19,7 +19,12 @@ def h0(counts: Iterable[int]) -> float:
         raise ValueError("at least one frequency is required")
     if any(c < 1 for c in counts):
         raise ValueError("frequencies must be positive integers")
-    m = sum(counts)
+    return h0_bits(counts, sum(counts))
+
+
+def h0_bits(counts: Iterable[int], m: int) -> float:
+    """The H0 formula over positive counts summing to m, unchecked: for
+    callers that built the counts themselves."""
     return sum(c / m * log2(m / c) for c in counts)
 
 

@@ -16,12 +16,3 @@ def ceil_log2(x: int) -> int:
         raise ValueError("ceil_log2 requires x >= 1")
     return (x - 1).bit_length()
 
-
-def ceil_log2_ratio(p: int, q: int) -> int:
-    """Smallest k with 2**k >= p/q, for p, q >= 1.
-
-    Exact: since 2**k is an integer, 2**k >= p/q iff 2**k >= ceil(p/q).
-    """
-    if p < 1 or q < 1:
-        raise ValueError("ceil_log2_ratio requires positive integers")
-    return ceil_log2(ceil_div(p, q))

@@ -15,11 +15,15 @@ gets the code formed by the first ceil(log2(W/w_j)) + 1 fraction bits of
 f_j = (2*S_{j-1} + w_j) / (2W). Codes are extracted with exact integer
 arithmetic (f_j may be a non-terminating binary fraction, so floating point
 is unsound). `descend` walks that implicit tree for an element, spending one
-counted comparison per two-child node and up to two verification comparisons
-at the leaf. It tracks the leaf range under the current node, skips chains of
-one-child nodes by arithmetic on the range's end codes, and pays one AVL walk
-per counted comparison. `sigma` and `classify` answer single-node queries off
-the same definitions; the tests use them as oracles for `descend`.
+counted comparison per two-child node and 0, 1 or 2 verification comparisons
+at the leaf. Each split between leaves j and j+1 asks either `s <= key[j]` or
+`key[j+1] <= s`, whichever names the heavier leaf, so that the answer which
+moves an end of the leaf range can also settle the leaf's relation to s; the
+leaf then asks only what is still open. The walk tracks the leaf range under
+the current node, skips chains of one-child nodes by arithmetic on the range's
+end codes, and pays one AVL walk per counted comparison. `sigma` and
+`classify` answer single-node queries off the same definitions; the tests use
+them as oracles for `descend`.
 """
 
 from __future__ import annotations
@@ -393,8 +397,22 @@ class StatsTree:
         Returns (position, relation, search_comparisons, verify_comparisons)
         where relation is EQUAL, PREDECESSOR (leaf key < s) or SUCCESSOR
         (leaf key > s). One comparison per two-child node on the way down;
-        one-child nodes are free; at the leaf, `a <= s` then `s <= a` decide
-        the relation, stopping early only if the first answer is strict.
+        one-child nodes are free.
+
+        A split between leaves j and j+1 compares s with the heavier of the
+        two (with leaf j on a tie): the left form `s <= key[j]` sends s left
+        when true, the right form `key[j+1] <= s` sends it right when true.
+        Two flags remember whether the answer that last moved hi was
+        `s <= key[hi]` and whether the one that last moved lo was
+        `key[lo] <= s`; each is reassigned whenever its bound moves. At the
+        leaf a, both flags set give EQUAL with no verification; one flag
+        set leaves one question (`a <= s` or `s <= a`) and one comparison;
+        with neither, `a <= s` then `s <= a` decide, stopping early only if
+        the first answer is strict. An inner leaf heavier than both of its
+        neighbours always gets both flags on a hit; the leftmost and the
+        rightmost leaf have one boundary split only, so a hit there costs at
+        least one verification comparison. A miss between two keys may stop
+        at either neighbour; the insert position is the same.
         On an empty tree it returns (1, SUCCESSOR, 0, 0) without calling
         the comparator: insertion at position 1 is then the only move.
 
@@ -425,6 +443,8 @@ class StatsTree:
         c_lo = (weight[lo_node] << p) // two_w
         c_hi = ((two_w - weight[v]) << p) // two_w
         nsearch = 0
+        lo_le = hi_ge = False  # key[lo] <= s, s <= key[hi] already answered
+        keys = self._keys
         while lo < hi:
             if c_hi <= c_lo:  # no split within p bits: inconsistent tree
                 raise NavigationError("descent exceeded maximum depth")
@@ -449,16 +469,31 @@ class StatsTree:
             if not lo <= rank < hi:
                 raise NavigationError("split outside the descent's leaf range")
             nsearch += 1
-            if comparator.leq(s, self._keys[pred], _PHASE_SEARCH):
-                hi, c_hi = rank, (f_pred << p) // two_w
+            # The heavier leaf beside the split is the likelier destination.
+            if weight[succ] > weight[pred]:
+                if comparator.leq(keys[succ], s, _PHASE_SEARCH):
+                    lo, lo_node, lo_le = rank + 1, succ, True
+                    c_lo = (f_succ << p) // two_w
+                else:
+                    hi, c_hi, hi_ge = rank, (f_pred << p) // two_w, False
+            elif comparator.leq(s, keys[pred], _PHASE_SEARCH):
+                hi, c_hi, hi_ge = rank, (f_pred << p) // two_w, True
             else:
-                lo, lo_node, c_lo = rank + 1, succ, (f_succ << p) // two_w
-        a = self._keys[lo_node]
-        if comparator.leq(a, s, _PHASE_VERIFY):
-            if comparator.leq(s, a, _PHASE_VERIFY):
-                return (lo, EQUAL, nsearch, 2)
-            return (lo, PREDECESSOR, nsearch, 2)
-        return (lo, SUCCESSOR, nsearch, 1)
+                lo, lo_node, lo_le = rank + 1, succ, False
+                c_lo = (f_succ << p) // two_w
+        # Ask only what the search left open: `a <= s`, then, if it holds,
+        # `s <= a`.
+        a = keys[lo_node]
+        nverify = 0
+        if not lo_le:
+            nverify = 1
+            lo_le = comparator.leq(a, s, _PHASE_VERIFY)
+        if not lo_le:
+            return (lo, SUCCESSOR, nsearch, nverify)
+        if not hi_ge:
+            nverify += 1
+            hi_ge = comparator.leq(s, a, _PHASE_VERIFY)
+        return (lo, EQUAL if hi_ge else PREDECESSOR, nsearch, nverify)
 
     # -- whole-structure helpers -------------------------------------------
 

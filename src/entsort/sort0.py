@@ -16,7 +16,6 @@ from typing import Optional, Sequence
 
 from . import entropy
 from .comparator import ComparisonLedger, CountingComparator, delta
-from .intmath import ceil_log2, ceil_log2_ratio
 from .kernel import EQUAL, PREDECESSOR, get_kernel
 
 
@@ -59,20 +58,34 @@ def comparison_budget(seq: Sequence) -> int:
     Each first occurrence after the first element charges
     ceil(log2(i-1)) + 3; each repeat charges ceil(log2((i-1)/c)) + 3 where c
     is the element's count so far.
+
+    The +3 covers the descent in a tree of total weight W = i-1. A hit on
+    a leaf of weight w = c spends at most ceil(log2(W/w)) + 1 search
+    comparisons, one per two-child node on the leaf's code path, and a miss
+    at most ceil(log2 W) + 1, the longest code. Verification adds at most 2:
+    the leaf asks only what the search left open, but the leftmost and
+    rightmost leaves have a single boundary split, and an inner leaf whose
+    two boundary splits both compare with its neighbours (each at least as
+    heavy as it) has neither answered, so 2 can still occur.
+    """
+    return budget_and_counts(seq)[0]
+
+
+def budget_and_counts(seq: Sequence) -> tuple[int, dict]:
+    """(comparison_budget(seq), element -> count in first-appearance order).
+
+    Both come from the same scan, so that per-context accounting pays one
+    pass per context. With p elements before s and c of them equal to it,
+    ceil(log2(p / max(c, 1))) is ((p - 1) // max(c, 1)).bit_length().
     """
     total = 0
     counts: dict = {}
-    for i, s in enumerate(seq, start=1):
-        if i == 1:
-            counts[s] = 1
-            continue
+    for p, s in enumerate(seq):
         c = counts.get(s, 0)
-        if c == 0:
-            total += ceil_log2(i - 1) + 3
-        else:
-            total += ceil_log2_ratio(i - 1, c) + 3
+        if p:
+            total += ((p - 1) // (c or 1)).bit_length() + 3
         counts[s] = c + 1
-    return total
+    return total, counts
 
 
 def scan(seq: Sequence, first: int, current, cmp: CountingComparator,

@@ -19,7 +19,6 @@ permutation is stable.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from math import log2
 from typing import Optional, Sequence
@@ -31,7 +30,7 @@ from .gamma import encode_tuple
 from .intmath import ceil_log2
 from .kernel import get_kernel
 from .msort import mergesort_perm
-from .sort0 import SortOutcome, comparison_budget, invert, scan
+from .sort0 import SortOutcome, budget_and_counts, invert, scan
 
 
 @dataclass(frozen=True)
@@ -60,8 +59,9 @@ class BudgetBreakdown:
 def budget_breakdown(seq: Sequence, order: int) -> BudgetBreakdown:
     """Budgets and H_order from one context table.
 
-    Each context's successor sequence gives its sort0 budget (the
-    search+verify bound in that context's tree), its number of distinct
+    One scan of each context's successor sequence (`budget_and_counts`)
+    gives its sort0 budget (the search+verify bound in that context's
+    tree) and its successor counts, which give its number of distinct
     successors (the new (order+1)-tuples, each one B1 lookup and one merge
     group) and its |part| * H0 term.
     """
@@ -71,10 +71,11 @@ def budget_breakdown(seq: Sequence, order: int) -> BudgetBreakdown:
     context_total = new_tuples = 0
     terms: list[tuple[int, float]] = []  # (|part|, H0(part)) per context
     for part in entropy.context_sequences(seq, order).values():
-        counts = Counter(part)
-        context_total += comparison_budget(part)
+        budget, counts = budget_and_counts(part)
+        context_total += budget
         new_tuples += len(counts)
-        terms.append((len(part), entropy.h0(counts.values())))
+        size = len(part)
+        terms.append((size, entropy.h0_bits(counts.values(), size)))
     # At order 0 the one context is the whole input; its H0 is taken as
     # is, because m * H0 / m can differ from H0 in the last bit.
     h_order = terms[0][1] if order == 0 else \

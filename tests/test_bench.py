@@ -95,8 +95,6 @@ def test_evaluate_bounds_toronto():
     assert bounds["h0"] == pytest.approx(1.84237099, abs=1e-6)
     bounds1 = evaluate_bounds(TORONTO, 1)
     assert bounds1["h_order"] == pytest.approx(2 / 7)
-    assert set(bounds1["context_budgets"]) == {("T",), ("O",), ("R",),
-                                               ("N",)}
     assert bounds1["total_budget"] == (bounds1["budget_per_context"]
                                        + bounds1["b1_budget"]
                                        + bounds1["merge_budget"])

@@ -106,6 +106,7 @@ def test_profile_decomposition():
 def test_context_budget_decomposition():
     # Per-context budgets sum over the contexts' successor sequences.
     seqs = context_sequences(TORONTO, 1)
+    assert set(seqs) == {("T",), ("O",), ("R",), ("N",)}
     assert {k[0]: "".join(v) for k, v in seqs.items()} == \
         {"T": "OO", "O": "RN", "R": "O", "N": "T"}
     total = budget_breakdown(TORONTO, 1).context_total

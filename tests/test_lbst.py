@@ -195,7 +195,8 @@ def test_descend_finds_each_key(kernel):
             spent = d.binary_count - before.binary_count
             assert spent == nsearch + nverify
             assert nsearch <= ceil_log2(ceil_div(big_w, weights[j - 1])) + 1
-            assert nverify == 2
+            want = _classify_descend(tree, kernel, key, CountingComparator())
+            assert nverify == want[3]
 
 
 def test_descend_absent_keys(kernel):
@@ -248,22 +249,49 @@ def test_descend_empty_tree_is_free():
 def _classify_descend(tree, kernel, s, comparator):
     """Reference descent driven by `classify` at every virtual node.
 
-    Compares at two-child nodes only, then verifies at the leaf; this is the
-    walk the kernel's one-walk `descend` must reproduce call for call.
+    Compares at two-child nodes only, with the heavier of the two leaves
+    beside the split (the left one on a tie): `s <= key[split]` or
+    `key[split + 1] <= s`. The answer that last moved each end of the leaf
+    range is remembered when it compared s with the leaf at that end, and
+    the leaf asks only the rest; this is the walk the kernel's one-walk
+    `descend` must reproduce call for call.
     """
     sig = depth = nsearch = 0
+    knows_le = knows_ge = False  # key[lo] <= s, s <= key[hi]
     while True:
         leaf, j, has_left, has_right, split = tree.classify(sig, depth)
         if leaf:
             break
         if has_left and has_right:
             nsearch += 1
-            bit = 0 if comparator.leq(s, tree.key_at(split),
-                                      PHASE_SEARCH) else 1
+            if tree.weight_at(split + 1) > tree.weight_at(split):
+                bit = 1 if comparator.leq(tree.key_at(split + 1), s,
+                                          PHASE_SEARCH) else 0
+                if bit:
+                    knows_le = True
+                else:
+                    knows_ge = False
+            else:
+                bit = 0 if comparator.leq(s, tree.key_at(split),
+                                          PHASE_SEARCH) else 1
+                if bit:
+                    knows_le = False
+                else:
+                    knows_ge = True
         else:
             bit = 0 if has_left else 1
         sig, depth = 2 * sig + bit, depth + 1
     a = tree.key_at(j)
+    if knows_le and knows_ge:
+        return (j, kernel.EQUAL, nsearch, 0)
+    if knows_ge:
+        if comparator.leq(a, s, PHASE_VERIFY):
+            return (j, kernel.EQUAL, nsearch, 1)
+        return (j, kernel.SUCCESSOR, nsearch, 1)
+    if knows_le:
+        if comparator.leq(s, a, PHASE_VERIFY):
+            return (j, kernel.EQUAL, nsearch, 1)
+        return (j, kernel.PREDECESSOR, nsearch, 1)
     if comparator.leq(a, s, PHASE_VERIFY):
         if comparator.leq(s, a, PHASE_VERIFY):
             return (j, kernel.EQUAL, nsearch, 2)
@@ -302,6 +330,50 @@ def test_descend_matches_classify_walk(kernel):
             assert got_cmp.calls == want_cmp.calls, (weights, probe)
             assert got_cmp.snapshot().phase_counts == \
                 want_cmp.snapshot().phase_counts
+
+
+def test_descend_heavy_inner_leaf_needs_no_verify(kernel):
+    # Both splits beside the heavy middle leaf compare s with that leaf,
+    # once in each direction, so the hit is settled by the search alone.
+    tree = kernel.from_pairs([0, 2, 4], [1, 10, 1])
+    cmp = RecordingComparator()
+    assert tree.descend(2, cmp) == (2, kernel.EQUAL, 2, 0)
+    assert sorted(cmp.calls) == [(PHASE_SEARCH, 2, 2), (PHASE_SEARCH, 2, 2)]
+
+
+def test_descend_outer_leaf_hit_verify_counts(kernel):
+    # The leftmost leaf has one boundary split. When it is the heavier leaf
+    # there, `s <= key[1]` is answered by the search and one verification
+    # remains; when its neighbour is heavier, both verifications remain.
+    heavy = kernel.from_pairs([0, 2], [5, 1])
+    cmp = RecordingComparator()
+    assert heavy.descend(0, cmp) == (1, kernel.EQUAL, 1, 1)
+    assert cmp.calls == [(PHASE_SEARCH, 0, 0), (PHASE_VERIFY, 0, 0)]
+    light = kernel.from_pairs([0, 2], [1, 5])
+    cmp = RecordingComparator()
+    assert light.descend(0, cmp) == (1, kernel.EQUAL, 1, 2)
+    assert cmp.calls == [(PHASE_SEARCH, 2, 0), (PHASE_VERIFY, 0, 0),
+                         (PHASE_VERIFY, 0, 0)]
+
+
+@pytest.mark.parametrize("weights, probe, want, insert_at", [
+    # Last move set hi with `s <= key[2]`: one question, SUCCESSOR.
+    ([3, 2, 1], 1, (2, kernel_module.SUCCESSOR, 2, 1), 2),
+    # Last move set lo with `key[2] <= s`: one question, PREDECESSOR.
+    ([1, 2, 3], 3, (2, kernel_module.PREDECESSOR, 2, 1), 3),
+    # Neither end answered: `a <= s` holds, `s <= a` fails, PREDECESSOR.
+    ([2, 1, 2], 3, (2, kernel_module.PREDECESSOR, 2, 2), 3),
+])
+def test_descend_absent_key_leaf_flags(kernel, weights, probe, want,
+                                       insert_at):
+    tree = kernel.from_pairs([0, 2, 4], weights)
+    cmp = RecordingComparator()
+    got = tree.descend(probe, cmp)
+    assert got == want
+    assert got == _classify_descend(tree, kernel, probe, CountingComparator())
+    j, rel, _, _ = got
+    assert (j + 1 if rel == kernel.PREDECESSOR else j) == insert_at
+    assert cmp.snapshot().binary_count == got[2] + got[3]
 
 
 def test_descend_inconsistent_tree_raises():

@@ -156,3 +156,20 @@ def test_unknown_kernel_raises():
         get_kernel("c")
     with pytest.raises(ValueError):
         sort0(TORONTO, kernel_name="c")
+
+
+def test_budget_matches_definition():
+    """comparison_budget against its definition, term by term: the
+    smallest k with 2^k * max(c, 1) >= i - 1, plus 3, for i >= 2."""
+    rng = random.Random(19)
+    for _ in range(200):
+        n = rng.choice([1, 2, 3, 7, 50])
+        seq = [rng.randrange(n) for _ in range(rng.randrange(1, 200))]
+        want = 0
+        for i in range(2, len(seq) + 1):
+            c = max(seq[:i - 1].count(seq[i - 1]), 1)
+            k = 0
+            while (1 << k) * c < i - 1:
+                k += 1
+            want += k + 3
+        assert comparison_budget(seq) == want

@@ -20,13 +20,13 @@ MARKOV = generate(SourceSpec(kind="markov", n=16, m=3000, seed=5))
 
 # (sequence, order or None for sort0) -> search, verify, b1, merge, total.
 GOLDEN_LEDGERS = [
-    (TORONTO, None, (7, 9, 0, 0, 16)),
-    (TORONTO, 0, (7, 9, 8, 7, 31)),
+    (TORONTO, None, (7, 6, 0, 0, 13)),
+    (TORONTO, 0, (7, 6, 8, 7, 28)),
     (TORONTO, 1, (0, 3, 14, 16, 33)),
     (TORONTO, 2, (0, 0, 18, 19, 37)),
     (TORONTO, 3, (0, 0, 18, 19, 37)),
-    (MARKOV, 1, (2609, 5937, 295, 350, 9191)),
-    (MARKOV, 2, (2564, 5845, 522, 704, 9635)),
+    (MARKOV, 1, (2610, 3386, 295, 350, 6641)),
+    (MARKOV, 2, (2565, 3337, 522, 704, 7128)),
 ]
 
 
