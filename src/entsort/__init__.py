@@ -11,10 +11,9 @@ from .comparator import (ComparisonLedger, CountingComparator, PHASES,
                          PHASE_VERIFY, delta)
 from .entropy import EntropyProfile, h0, h_order, profile
 from .gamma import decode_all, encode_tuple, gamma_decode, gamma_encode
-from .kernel import KERNEL_NAME, available_kernels, get_kernel
+from .kernel import KERNEL_NAME, available_kernels, from_pairs, get_kernel
 from .sort0 import SortOutcome, comparison_budget, invert, sort0
 from .sortk import budget_breakdown, sortk
-from .stats_tree import Quadruple, StatisticsTree, from_pairs, quadruple
 
 __version__ = "0.1.0"
 
@@ -27,6 +26,6 @@ __all__ = [
     "KERNEL_NAME", "available_kernels", "get_kernel",
     "SortOutcome", "sort0", "sortk", "comparison_budget",
     "budget_breakdown", "invert",
-    "StatisticsTree", "Quadruple", "quadruple", "from_pairs",
+    "from_pairs",
     "__version__",
 ]

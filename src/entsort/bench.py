@@ -133,7 +133,6 @@ def evaluate_bounds(seq: Sequence, order: int) -> dict:
         "budget_lemma1": comparison_budget(seq),
         "budget_per_context": breakdown.context_total,
         "b1_budget": breakdown.b1,
-        "merge_budget": breakdown.merge,
         "total_budget": breakdown.total,
         "h0": h0_bits,
         "h_order": breakdown.h_order,

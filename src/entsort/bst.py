@@ -140,9 +140,9 @@ class RankDictionary:
 class CodeDictionary(dict):
     """Rank tuples -> statistics-tree handles; never touches elements.
 
-    A dict whose `insert` refuses a key that is already present. Iteration
-    follows insertion order; the sorter orders contexts by the gamma codes
-    of their rank tuples itself.
+    A dict whose `insert` refuses a key that is already present. The
+    sorter visits its trees in insertion order at finalization; that order
+    does not matter, because the key order comes from RankDictionary.
     """
 
     def insert(self, ranks: tuple, value) -> None:

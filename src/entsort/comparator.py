@@ -16,6 +16,8 @@ from .errors import LedgerError
 PHASE_SEARCH = "search"
 PHASE_VERIFY = "verify"
 PHASE_B1 = "b1-dictionary"
+# No sorter charges this phase: sortk reads its key order off the rank
+# dictionary. It stays so that ledgers and reports keep their fields.
 PHASE_MERGE = "final-merge"
 PHASE_BASELINE = "baseline"
 

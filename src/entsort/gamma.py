@@ -1,8 +1,9 @@
 """Elias gamma coding of positive integers and rank tuples.
 
 gamma(x) is floor(log2 x) zeros followed by the binary representation of x.
-The code is prefix-free, so concatenations decode unambiguously; rank tuples
-encoded this way serve as dictionary keys that never touch input elements.
+The code is prefix-free, so concatenations decode unambiguously, and a rank
+tuple encoded this way is a key that never touches input elements. The
+sorters key their context dictionary by the rank tuples themselves.
 """
 
 from __future__ import annotations

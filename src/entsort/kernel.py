@@ -74,7 +74,9 @@ class StatsTree:
         self._idx = [None]
         self._next = [None]
         self._root = 0
-        # Ranks of the owning context's tail (order-k sorter bookkeeping).
+        # The owning context's rank tuple, its key in the order-k sorter's
+        # context dictionary; the last rank is that of the keys that lead
+        # into this tree.
         self.context_ranks = context_ranks
 
     # -- basic accessors ---------------------------------------------------

@@ -1,8 +1,8 @@
 """Instrumented stable merge sort.
 
-Used as the comparison-count baseline and for the final merge of the order-k
-sorter. Bottom-up, stable (ties taken from the left run), and never spends
-more than n * ceil(log2 n) calls to leq.
+Used as the comparison-count baseline (`bench.baseline_mergesort`).
+Bottom-up, stable (ties taken from the left run), and never spends more than
+n * ceil(log2 n) calls to leq.
 """
 
 from __future__ import annotations

@@ -109,6 +109,14 @@ def scan(seq: Sequence, first: int, current, cmp: CountingComparator,
             current = nxt
 
 
+def flatten(tree) -> list[int]:
+    """The tree's index lists in positional (key) order, concatenated."""
+    permutation: list[int] = []
+    for _, _, indices, _ in tree.quadruples():
+        permutation.extend(indices)
+    return permutation
+
+
 def sort0(seq: Sequence, comparator: Optional[CountingComparator] = None,
           kernel_name: Optional[str] = None) -> SortOutcome:
     """Stable-sort *seq* with entropy-adaptive comparison count.
@@ -122,9 +130,7 @@ def sort0(seq: Sequence, comparator: Optional[CountingComparator] = None,
     before = cmp.snapshot()
     tree = get_kernel(kernel_name).StatsTree()
     scan(seq, 1, tree, cmp, lambda current, s: tree)
-    permutation: list[int] = []
-    for _, _, indices, _ in tree.quadruples():
-        permutation.extend(indices)
+    permutation = flatten(tree)
     budget = comparison_budget(seq)
     bits = entropy.h_order(seq, 0)
     return SortOutcome(

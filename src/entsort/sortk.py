@@ -10,27 +10,29 @@ compares no elements). A repeat (k+1)-tuple never touches either dictionary:
 the quadruple found by the search carries a handle to the successor
 context's tree.
 
-Finalization visits the contexts in the order of their gamma-coded rank
-tuples, collects every quadruple plus one dummy per warm-up position, sorts
-the groups by key with the instrumented merge sort, and concatenates index
-lists; equal keys' lists are merged in increasing index order so the
-permutation is stable.
+Finalization compares no elements. At order 0 the one tree is already in
+key order, and its index lists are concatenated. Above it, each index list
+is filed under its key's B1 rank, and B1's in-order walk, which is the
+sorted alphabet, gives the order of the ranks (`_read_off`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import log2
 from typing import Optional, Sequence
 
 from . import entropy
 from .bst import CodeDictionary, RankDictionary, avl_height_bound
-from .comparator import (PHASE_MERGE, CountingComparator, delta)
-from .gamma import encode_tuple
-from .intmath import ceil_log2
+from .comparator import CountingComparator, delta
 from .kernel import get_kernel
-from .msort import mergesort_perm
-from .sort0 import SortOutcome, budget_and_counts, invert, scan
+from .sort0 import SortOutcome, budget_and_counts, flatten, invert, scan
+
+# Not called here: perfbench/spans.py, their only reader, wraps these two
+# module attributes by name when it traces a run.
+from .gamma import encode_tuple  # noqa: F401
+from .msort import mergesort_perm  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -39,21 +41,19 @@ class BudgetBreakdown:
 
     All fields are derived from the input alone, independent of the sorter,
     in one pass over its context table (`entropy.context_sequences`).
-    total = context_total + b1 + merge bounds binary_count; h_order is the
-    input's order-k entropy.
+    total = context_total + b1 bounds binary_count; h_order is the input's
+    order-k entropy.
     """
 
     order: int
     context_total: int
     b1_ops: int
     b1: int
-    merge_groups: int
-    merge: int
     h_order: float
 
     @property
     def total(self) -> int:
-        return self.context_total + self.b1 + self.merge
+        return self.context_total + self.b1
 
 
 def budget_breakdown(seq: Sequence, order: int) -> BudgetBreakdown:
@@ -62,8 +62,9 @@ def budget_breakdown(seq: Sequence, order: int) -> BudgetBreakdown:
     One scan of each context's successor sequence (`budget_and_counts`)
     gives its sort0 budget (the search+verify bound in that context's
     tree) and its successor counts, which give its number of distinct
-    successors (the new (order+1)-tuples, each one B1 lookup and one merge
-    group) and its |part| * H0 term.
+    successors (the new (order+1)-tuples, each one B1 lookup) and its
+    |part| * H0 term. The min(order, m) warm-up elements are one B1 lookup
+    each.
     """
     m = len(seq)
     if m == 0:
@@ -80,48 +81,38 @@ def budget_breakdown(seq: Sequence, order: int) -> BudgetBreakdown:
     # is, because m * H0 / m can differ from H0 in the last bit.
     h_order = terms[0][1] if order == 0 else \
         sum(size * bits for size, bits in terms) / m
-    dummies = min(order, m)
-    b1_ops = (order if m > order else 0) + new_tuples
+    b1_ops = min(order, m) + new_tuples
     per_op = avl_height_bound(len(set(seq))) + 1
-    groups = new_tuples + dummies
-    merge = groups * ceil_log2(groups) + groups if groups > 1 else 0
     return BudgetBreakdown(
         order=order,
         context_total=context_total,
         b1_ops=b1_ops,
         b1=b1_ops * per_op,
-        merge_groups=groups,
-        merge=merge,
         h_order=h_order,
     )
 
 
-def _merge_groups(groups: list[tuple], cmp: CountingComparator) -> list[int]:
-    """Sort (key, index list) groups by key and flatten stably.
+def _read_off(b1: RankDictionary, trees, boot: tuple) -> list[int]:
+    """The stable permutation at order >= 1, with no comparison.
 
-    Groups are sorted with the instrumented merge sort; adjacent equal keys
-    (one comparison each: sortedness already gives a <= b) get their index
-    lists pooled and ordered by position, which is integer bookkeeping, not
-    an element comparison.
+    Every index list goes to its key's rank: each warm-up position's from
+    *boot*, each quadruple's as the last rank of its next context. B1's
+    in-order walk then visits the ranks in key order; a rank with several
+    lists (one key in several contexts) has them merged by index, so the
+    permutation is stable. A function of its own, so that the pools are
+    freed before the accounting runs.
     """
-    def leq(a, b):
-        return cmp.leq(a[0], b[0], PHASE_MERGE)
-
-    order = mergesort_perm(groups, leq)
+    pools: list[list] = [[] for _ in range(len(b1) + 1)]
+    for k, rank in enumerate(boot, start=1):
+        pools[rank].append([k])
+    for tree in trees:
+        for _, _, indices, nxt in tree.quadruples():
+            pools[nxt.context_ranks[-1]].append(indices)
     permutation: list[int] = []
-    run: list[int] = []
-    prev_key = None
-    for gi in order:
-        key, indices = groups[gi]
-        if run and cmp.leq(key, prev_key, PHASE_MERGE):
-            run.extend(indices)
-        else:
-            run.sort()
-            permutation.extend(run)
-            run = list(indices)
-        prev_key = key
-    run.sort()
-    permutation.extend(run)
+    for _, rank in b1:
+        pool = pools[rank]
+        permutation.extend(pool[0] if len(pool) == 1
+                           else sorted(chain.from_iterable(pool)))
     return permutation
 
 
@@ -144,7 +135,7 @@ def sortk(seq: Sequence, order: int = 0,
     def tree_for(ranks: tuple) -> object:
         tree = b2.get(ranks)
         if tree is None:
-            tree = tree_cls(context_ranks=ranks[1:])
+            tree = tree_cls(context_ranks=ranks)
             b2.insert(ranks, tree)
         return tree
 
@@ -154,23 +145,18 @@ def sortk(seq: Sequence, order: int = 0,
         rank, _ = b1.lookup_or_insert(s)
         if order == 0:
             return tree_for(())
-        return tree_for(current.context_ranks + (rank,))
+        return tree_for(current.context_ranks[1:] + (rank,))
 
+    boot = tuple(b1.lookup_or_insert(seq[k])[0]
+                 for k in range(min(order, m)))
     if m > order:
-        boot = tuple(b1.lookup_or_insert(seq[k])[0] for k in range(order))
         scan(seq, order + 1, tree_for(boot), cmp, query_black_box)
 
-    groups: list[tuple] = []
-    for _, tree in sorted(b2.items(), key=lambda kv: encode_tuple(kv[0])):
-        for key, _, indices, _ in tree.quadruples():
-            groups.append((key, indices))
-    for k in range(min(order, m)):
-        groups.append((seq[k], [k + 1]))
-    permutation = _merge_groups(groups, cmp)
-
+    permutation = flatten(b2[()]) if order == 0 else \
+        _read_off(b1, b2.values(), boot)
     breakdown = budget_breakdown(seq, order)
     warnings: tuple[str, ...] = ()
-    n = len(b1) if m > order else len(set(seq))
+    n = len(b1)
     if n > 1 and (n ** (order + 1)) * log2(n) > m:
         warnings = (
             f"n^(order+1)*log2(n) = {(n ** (order + 1)) * log2(n):.0f} "

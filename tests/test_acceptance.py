@@ -151,12 +151,11 @@ def test_criterion_5_order_zero_equivalence(corpus_results):
         led0, ledk = out0.ledger, got.ledger
         assert ledk.count(PHASE_SEARCH) == led0.count(PHASE_SEARCH), name
         assert ledk.count(PHASE_VERIFY) == led0.count(PHASE_VERIFY), name
-        # The gap is the dictionary bootstrap plus the final merge, both
-        # bounded by the documented per-structure budgets.
+        # The gap is the dictionary bootstrap, bounded by its documented
+        # per-lookup budget; finalization compares nothing.
         n = len(set(seq))
         assert ledk.count(PHASE_B1) <= n * (avl_height_bound(n) + 1), name
-        merge_cap = n * ceil_log2(n) + n if n > 1 else 0
-        assert ledk.count(PHASE_MERGE) <= merge_cap, name
+        assert ledk.count(PHASE_MERGE) == 0, name
     report(5, "order-0 equivalence",
            f"{len(results)} sequences: identical permutations and "
            f"search/verify phases; bootstrap gap within documented bounds")

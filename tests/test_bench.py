@@ -96,8 +96,7 @@ def test_evaluate_bounds_toronto():
     bounds1 = evaluate_bounds(TORONTO, 1)
     assert bounds1["h_order"] == pytest.approx(2 / 7)
     assert bounds1["total_budget"] == (bounds1["budget_per_context"]
-                                       + bounds1["b1_budget"]
-                                       + bounds1["merge_budget"])
+                                       + bounds1["b1_budget"])
 
 
 def test_evaluate_bounds_constant_string():

@@ -2,10 +2,11 @@
 
 The descent picks, at each split, which of the two neighbouring keys to
 compare with, and lets those answers settle the leaf. These properties run
-both sorters at orders 0-3 under that protocol: with a consistent order the
-result is the stable permutation within budget and every order query is
-counted; with a comparator that answers at random or inconsistently, the
-result is still a permutation of 1..m or a clean error, never a lost index.
+both sorters at orders 0-3 under that protocol: with a consistent order,
+including keys that compare equal across types, the result is the stable
+permutation within budget and every order query is counted; with a
+comparator that answers at random or inconsistently, the result is still a
+permutation of 1..m or a clean error, never a lost index.
 """
 
 import random
@@ -35,8 +36,14 @@ def sequences(draw):
                          min_size=1, max_size=120))
 
 
+# Keys that compare equal but differ in type: each class must stay one key,
+# in the stable order, whichever of its members the trees keep.
+MIXED_TYPES = st.lists(st.sampled_from([0, 0.0, False, 1, 1.0, True]),
+                       min_size=1, max_size=120)
+
+
 @settings(max_examples=150, deadline=None)
-@given(sequences(), ORDERS)
+@given(st.one_of(sequences(), MIXED_TYPES), ORDERS)
 def test_property_sorted_budgeted_and_fully_counted(raw, order):
     seq = [Spy(v) for v in raw]
     Spy.reset()

@@ -9,7 +9,6 @@ from entsort.bench import SourceSpec, generate
 from entsort.bst import RankDictionary, avl_height_bound
 from entsort.comparator import (PHASE_B1, PHASE_MERGE, PHASE_SEARCH,
                                 PHASE_VERIFY)
-from entsort.intmath import ceil_log2
 from entsort.sort0 import comparison_budget, sort0
 from entsort.sortk import budget_breakdown, sortk
 
@@ -21,12 +20,12 @@ MARKOV = generate(SourceSpec(kind="markov", n=16, m=3000, seed=5))
 # (sequence, order or None for sort0) -> search, verify, b1, merge, total.
 GOLDEN_LEDGERS = [
     (TORONTO, None, (7, 6, 0, 0, 13)),
-    (TORONTO, 0, (7, 6, 8, 7, 28)),
-    (TORONTO, 1, (0, 3, 14, 16, 33)),
-    (TORONTO, 2, (0, 0, 18, 19, 37)),
-    (TORONTO, 3, (0, 0, 18, 19, 37)),
-    (MARKOV, 1, (2610, 3386, 295, 350, 6641)),
-    (MARKOV, 2, (2565, 3337, 522, 704, 7128)),
+    (TORONTO, 0, (7, 6, 8, 0, 21)),
+    (TORONTO, 1, (0, 3, 14, 0, 17)),
+    (TORONTO, 2, (0, 0, 18, 0, 18)),
+    (TORONTO, 3, (0, 0, 18, 0, 18)),
+    (MARKOV, 1, (2610, 3386, 295, 0, 6291)),
+    (MARKOV, 2, (2565, 3337, 522, 0, 6424)),
 ]
 
 
@@ -58,15 +57,12 @@ def test_order_zero_matches_sort0_exactly(kernel):
         assert b.ledger.count(PHASE_VERIFY) == a.ledger.count(PHASE_VERIFY)
         n = len(set(seq))
         assert b.ledger.count(PHASE_B1) <= n * (avl_height_bound(n) + 1)
-        groups = n
-        merge_cap = groups * ceil_log2(groups) + groups if groups > 1 else 0
-        assert b.ledger.count(PHASE_MERGE) <= merge_cap
+        assert b.ledger.count(PHASE_MERGE) == 0
 
 
 def test_golden_ledgers():
-    """Exact phase counts, pinned. The order in which contexts are visited
-    at finalization fixes the final merge's input order, so a change to it
-    moves the merge count here even when the permutation stays right."""
+    """Exact phase counts, pinned. Finalization reads the key order off
+    the rank dictionary, so the final-merge phase is 0 at every order."""
     for seq, order, want in GOLDEN_LEDGERS:
         out = sort0(seq) if order is None else sortk(seq, order)
         report = out.ledger.as_report()
@@ -89,10 +85,11 @@ def test_budget_breakdown_fields():
     bd = budget_breakdown(TORONTO, 1)
     assert bd.order == 1
     assert bd.b1_ops == 1 + distinct_tuples(TORONTO, 1)
-    assert bd.merge_groups == distinct_tuples(TORONTO, 1) + 1
-    assert bd.total == bd.context_total + bd.b1 + bd.merge
+    assert bd.total == bd.context_total + bd.b1
     bd0 = budget_breakdown(["z"], 0)
-    assert bd0.merge_groups == 1 and bd0.merge == 0
+    assert bd0.b1_ops == 1 and bd0.total == bd0.context_total + bd0.b1
+    bd_short = budget_breakdown(["z", "y"], 3)
+    assert bd_short.b1_ops == 2 and bd_short.context_total == 0
     with pytest.raises(ValueError):
         budget_breakdown([], 1)
 
@@ -107,8 +104,9 @@ def successor_lists(seq, order):
 
 def test_budget_breakdown_matches_oracle():
     """Every breakdown field against its definition, on random inputs:
-    per-context sort0 budgets over the successor lists, one B1 lookup and
-    one merge group per distinct (order+1)-tuple, and H_order exactly."""
+    per-context sort0 budgets over the successor lists, one B1 lookup per
+    warm-up element and per distinct (order+1)-tuple, and H_order
+    exactly."""
     rng = random.Random(61)
     for _ in range(150):
         m = rng.randrange(1, 160)
@@ -118,16 +116,13 @@ def test_budget_breakdown_matches_oracle():
             bd = budget_breakdown(seq, order)
             parts = successor_lists(seq, order).values()
             tuples = distinct_tuples(seq, order)
-            groups = tuples + min(order, m)
             assert bd.order == order
             assert bd.context_total == sum(comparison_budget(p)
                                            for p in parts)
-            assert bd.b1_ops == (order if m > order else 0) + tuples
+            assert bd.b1_ops == min(order, m) + tuples
             assert bd.b1 == bd.b1_ops * (avl_height_bound(len(set(seq)))
                                          + 1)
-            assert bd.merge_groups == groups
-            assert bd.merge == (groups * ceil_log2(groups) + groups
-                                if groups > 1 else 0)
+            assert bd.total == bd.context_total + bd.b1
             assert bd.h_order == entropy.h_order(seq, order)
 
 
@@ -170,6 +165,8 @@ def test_every_comparison_flows_through_ledger(kernel):
 
 
 def test_degenerate_order_at_least_m(kernel):
+    """With m <= order there is no scan: every element is a warm-up
+    dummy, ranked by one B1 lookup, and nothing else is compared."""
     seq = [3, 1, 2, 1]
     for order in (4, 5, 10):
         out = sortk(seq, order, kernel_name=kernel.KERNEL_NAME)
@@ -177,8 +174,9 @@ def test_degenerate_order_at_least_m(kernel):
         led = out.ledger
         assert led.count(PHASE_SEARCH) == 0
         assert led.count(PHASE_VERIFY) == 0
-        assert led.count(PHASE_B1) == 0
-        assert led.binary_count == led.count(PHASE_MERGE)
+        assert led.count(PHASE_MERGE) == 0
+        assert led.binary_count == led.count(PHASE_B1) == 8
+        assert out.budget == budget_breakdown(seq, order).b1 == 4 * 4
 
 
 def test_warning_on_violated_premise(kernel):

@@ -6,7 +6,6 @@ import pytest
 from conftest import FlatStatsTree, Spy, random_op_mix
 from entsort import kernel as kernel_module
 from entsort.comparator import CountingComparator
-from entsort.stats_tree import Quadruple, quadruple
 
 
 def make(kernel, keys, weights):
@@ -95,10 +94,7 @@ def test_append_and_handle_at_return_inserted_handle():
 def test_quadruple_view(kernel):
     tree = kernel.StatsTree()
     tree.insert("a", 1, 1, next="handle")
-    q = quadruple(tree, 1)
-    assert isinstance(q, Quadruple)
-    assert q.key == "a" and q.weight == 1
-    assert q.indices == [1] and q.next_context == "handle"
+    assert tree.triple(1) == ("a", 1, [1], "handle")
 
 
 def test_oracle_equivalence_randomized(kernel):
@@ -155,6 +151,46 @@ def test_overflow_guard(kernel):
     tree.insert("a", 1, 1)
     with pytest.raises(OverflowError):
         tree.search(1, 1 << 130)
+
+
+def test_total_weight_cap(monkeypatch):
+    """A tree may reach MAX_TOTAL_WEIGHT exactly; one more unit of weight
+    raises OverflowError and leaves the tree as it was."""
+    cap = kernel_module.MAX_TOTAL_WEIGHT
+    keys = [10, 20, 30, 40]
+    # Weights at the real cap, with a weight-1 leaf at the deepest code.
+    # Index lists of that length cannot be built, so each key carries one.
+    weights = [1, cap // 2, cap // 4, cap // 4 - 1]
+    assert sum(weights) == cap
+    tree = kernel_module.from_pairs(keys, weights, [[i] for i in range(4)])
+    assert tree.total_weight == cap
+    before = tree.quadruples()
+    with pytest.raises(OverflowError):
+        tree.increment(2)
+    with pytest.raises(OverflowError):
+        tree.insert(50, 9, 5)
+    assert tree.quadruples() == before and tree.total_weight == cap
+    cmp = CountingComparator()
+    for j, key in enumerate(keys, start=1):
+        assert tree.descend(key, cmp)[:2] == (j, kernel_module.EQUAL)
+    with pytest.raises(OverflowError):
+        kernel_module.from_pairs(keys, weights[:-1] + [cap // 4],
+                                 [[i] for i in range(4)])
+    # The same guard under a small cap, where real index lists fit and
+    # every invariant can be checked after the refused update.
+    monkeypatch.setattr(kernel_module, "MAX_TOTAL_WEIGHT", 8)
+    small = kernel_module.from_pairs("abc", [3, 4, 1])
+    for j, key in enumerate("abc", start=1):
+        assert small.descend(key, cmp)[:2] == (j, kernel_module.EQUAL)
+    before = small.quadruples()
+    with pytest.raises(OverflowError):
+        small.increment(3)
+    with pytest.raises(OverflowError):
+        small.insert("d", 9, 4)
+    assert small.quadruples() == before
+    small._validate()
+    with pytest.raises(OverflowError):
+        kernel_module.from_pairs("abc", [3, 4, 2])
 
 
 def test_from_pairs_validation(kernel):
