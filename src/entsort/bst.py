@@ -121,7 +121,9 @@ class RankDictionary:
                 v = v.right
         if candidate is not None and leq(candidate.key, elem, PHASE_B1):
             return candidate.value, False
-        # Miss: attach at the fall-off point, rebalance up the path.
+        # Miss: attach at the fall-off point and rebalance up the path,
+        # stopping at the first ancestor that keeps both its place and its
+        # height, since nothing above it changes.
         self._count += 1
         node = _Node(elem, self._count)
         for parent, went_left in reversed(path):
@@ -129,8 +131,12 @@ class RankDictionary:
                 parent.left = node
             else:
                 parent.right = node
+            height = parent.height
             node = _balance(parent)
-        self._root = node
+            if node is parent and node.height == height:
+                break
+        else:
+            self._root = node
         return self._count, True
 
     def __iter__(self) -> Iterator[tuple]:

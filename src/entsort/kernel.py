@@ -1,7 +1,8 @@
-"""The statistics-tree kernel and its virtual-tree navigation, in pure Python.
+"""The statistics-tree kernel: the positional tree and the counted descent.
 
-This is the only kernel. `KERNEL_NAME`, `available_kernels` and `get_kernel`
-name it for run reports and for callers that still pass `kernel_name`.
+This is the only kernel, in pure Python. `KERNEL_NAME`, `available_kernels`
+and `get_kernel` name it for run reports and for callers that still pass
+`kernel_name`.
 
 The statistics tree is an AVL tree over a positional list of quadruples
 (key, weight, index list, next-context handle), augmented with subtree sizes
@@ -9,21 +10,20 @@ and subtree weight sums. All structural operations address positions, never
 keys: the tree performs zero element comparisons. Height is at most
 1.4405 * log2(t + 2) (classic AVL bound; asserted in tests).
 
-On top of the positional ops, the kernel answers navigation queries for the
-weighted leaf-oriented search tree that the weight vector induces: each leaf j
-gets the code formed by the first ceil(log2(W/w_j)) + 1 fraction bits of
-f_j = (2*S_{j-1} + w_j) / (2W). Codes are extracted with exact integer
-arithmetic (f_j may be a non-terminating binary fraction, so floating point
-is unsound). `descend` walks that implicit tree for an element, spending one
-counted comparison per two-child node and 0, 1 or 2 verification comparisons
-at the leaf. Each split between leaves j and j+1 asks either `s <= key[j]` or
-`key[j+1] <= s`, whichever names the heavier leaf, so that the answer which
-moves an end of the leaf range can also settle the leaf's relation to s; the
-leaf then asks only what is still open. The walk tracks the leaf range under
-the current node, skips chains of one-child nodes by arithmetic on the range's
-end codes, and pays one AVL walk per counted comparison. `sigma` and
-`classify` answer single-node queries off the same definitions; the tests use
-them as oracles for `descend`.
+The sorters need two things from it: the positional updates, and `descend`,
+a counted search of the weighted leaf-oriented search tree that the weight
+vector induces. Leaf j of that tree sits at the code formed by the first
+ceil(log2(W/w_j)) + 1 fraction bits of f_j = (2*S_{j-1} + w_j) / (2W),
+computed in exact integers. `descend` walks the implicit tree for an element,
+spending one counted comparison per two-child node and 0, 1 or 2
+verification comparisons at the leaf. Each split between leaves j and j+1
+asks either `s <= key[j]` or `key[j+1] <= s`, whichever names the heavier
+leaf, so that the answer which moves an end of the leaf range can also settle
+the leaf's relation to s; the leaf then asks only what is still open. The
+walk tracks the leaf range under the current node, skips chains of one-child
+nodes by arithmetic on the range's end codes, and pays one AVL walk per
+counted comparison. The single-node queries that the tests check it against
+(`sigma`, `classify`) live in `entsort.lbst`.
 """
 
 from __future__ import annotations
@@ -46,10 +46,6 @@ MAX_TOTAL_WEIGHT = 1 << 60
 
 _PHASE_SEARCH = "search"
 _PHASE_VERIFY = "verify"
-
-
-def _ceil_log2(x: int) -> int:
-    return (x - 1).bit_length()
 
 
 class StatsTree:
@@ -110,19 +106,11 @@ class StatsTree:
                 pos -= ls + 1
                 v = right[v]
 
-    def key_at(self, j: int):
-        self._check_pos(j)
-        return self._keys[self._node_at(j)]
-
     def handle_at(self, j: int):
         """The j-th next-context handle. No sorter calls it (`append`
         returns the handle on a hit); it is kept for the layer tracer."""
         self._check_pos(j)
         return self._next[self._node_at(j)]
-
-    def weight_at(self, j: int) -> int:
-        self._check_pos(j)
-        return self._weight[self._node_at(j)]
 
     # -- the six positional operations ------------------------------------
 
@@ -297,101 +285,6 @@ class StatsTree:
         return self._balance(v)
 
     # -- virtual weighted-tree navigation ----------------------------------
-
-    def _probe(self, j: int) -> tuple:
-        """(prefix weight before j, weight at j) in one walk."""
-        left, right, size = self._left, self._right, self._size
-        weight, wsum = self._weight, self._wsum
-        v = self._root
-        acc = 0
-        pos = j
-        while True:
-            l = left[v]
-            ls = size[l]
-            if pos <= ls:
-                v = l
-            elif pos == ls + 1:
-                return acc + wsum[l], weight[v]
-            else:
-                pos -= ls + 1
-                acc += wsum[l] + weight[v]
-                v = right[v]
-
-    def sigma(self, j: int) -> tuple:
-        """Leaf j's path code as (bits-as-int, depth).
-
-        depth = ceil(log2(W/w_j)) + 1; bit k of the code is
-        floor(num * 2^k / den) mod 2 for f_j = num/den.
-        """
-        self._check_pos(j)
-        before, w = self._probe(j)
-        big_w = self._wsum[self._root]
-        depth = _ceil_log2(-(-big_w // w)) + 1
-        num = 2 * before + w
-        return ((num << depth) // (2 * big_w), depth)
-
-    def classify(self, sig: int, depth: int) -> tuple:
-        """Classify the implicit-tree node addressed by path code sig/depth.
-
-        Returns (is_leaf, leaf_position, has_left, has_right, split_position)
-        with zeros for absent fields. A node under which only one leaf
-        remains is reported as that leaf (the rest of its path spends no
-        comparisons, so contraction preserves every count).
-        """
-        root = self._root
-        t = self._size[root]
-        if t == 0:
-            raise NavigationError("classify on empty tree")
-        if depth < 0 or sig < 0 or sig >> depth:
-            raise ValueError("path code bits exceed stated depth")
-        big_w = self._wsum[root]
-        if depth + big_w.bit_length() > 126:
-            raise OverflowError("path depth exceeds configured word width")
-        two_w = 2 * big_w
-
-        # Smallest j whose f_j >= sig / 2^depth is either j' or j'+1 for
-        # j' = search(sig * W / 2^depth).
-        jp = self.search(sig * big_w, 1 << depth)
-        before, w = self._probe(jp)
-        fnum = 2 * before + w  # f_jp = fnum / (2W)
-        if (fnum << depth) >= two_w * sig:
-            jmin = jp
-        else:
-            jmin = jp + 1
-            if jmin > t:
-                raise NavigationError("path code matches no leaf")
-            before, w = self._probe(jmin)
-            fnum = 2 * before + w
-        if (fnum << depth) >= two_w * (sig + 1):
-            raise NavigationError("path code matches no leaf")
-
-        if jmin < t:
-            before2, w2 = self._probe(jmin + 1)
-            fnum2 = 2 * before2 + w2
-            shifted2 = fnum2 << depth
-            single = not (two_w * sig <= shifted2 < two_w * (sig + 1))
-        else:
-            single = True
-        if single:
-            return (1, jmin, 0, 0, 0)
-
-        # >= 2 leaves below: has_left iff the smallest in range starts 0.
-        has_left = 1 if (fnum << (depth + 1)) < two_w * (2 * sig + 1) else 0
-        # First j with f_j >= (2*sig + 1) / 2^(depth+1).
-        jq = self.search((2 * sig + 1) * big_w, 1 << (depth + 1))
-        bq, wq = self._probe(jq)
-        fq = 2 * bq + wq
-        if (fq << (depth + 1)) >= two_w * (2 * sig + 1):
-            jr = jq
-        else:
-            jr = jq + 1
-            if jr <= t:
-                bq, wq = self._probe(jr)
-                fq = 2 * bq + wq
-        has_right = 1 if (jr <= t
-                          and (fq << (depth + 1)) < two_w * (2 * sig + 2)) else 0
-        split = jr - 1 if (has_left and has_right) else 0
-        return (0, 0, has_left, has_right, split)
 
     def descend(self, s, comparator) -> tuple:
         """Search for element s in the implicit weighted tree.

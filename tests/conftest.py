@@ -7,8 +7,8 @@ import random
 import pytest
 
 from entsort.errors import NavigationError
-from entsort.intmath import ceil_div, ceil_log2
 from entsort.kernel import KERNEL_NAME, get_kernel
+from entsort.lbst import leaf_code
 
 
 @pytest.fixture(params=[KERNEL_NAME])
@@ -128,15 +128,8 @@ class FlatStatsTree:
 
     # Navigation oracle: enumerate every leaf code from the definition.
     def _codes(self):
-        big_w = self.total_weight
-        codes = []
-        before = 0
-        for key, w, _, _ in self.rows:
-            depth = ceil_log2(ceil_div(big_w, w)) + 1
-            num = 2 * before + w
-            codes.append(((num << depth) // (2 * big_w), depth))
-            before += w
-        return codes
+        weights = [r[1] for r in self.rows]
+        return [leaf_code(j, weights) for j in range(1, len(weights) + 1)]
 
     @staticmethod
     def _starts_with(code, depth, sig, length):
@@ -149,18 +142,17 @@ class FlatStatsTree:
 
     def classify(self, sig, length):
         """In-contract only: sig must be a prefix of some leaf code."""
-        matches = [j for j, (c, d) in enumerate(self._codes(), start=1)
+        codes = self._codes()
+        matches = [j for j, (c, d) in enumerate(codes, start=1)
                    if self._starts_with(c, d, sig, length)]
         if not matches:
             raise NavigationError("path code matches no leaf")
         if len(matches) == 1:
             return (1, matches[0], 0, 0, 0)
         left = [j for j in matches
-                if self._starts_with(*self._codes()[j - 1],
-                                     sig * 2, length + 1)]
+                if self._starts_with(*codes[j - 1], sig * 2, length + 1)]
         right = [j for j in matches
-                 if self._starts_with(*self._codes()[j - 1],
-                                      sig * 2 + 1, length + 1)]
+                 if self._starts_with(*codes[j - 1], sig * 2 + 1, length + 1)]
         has_left = 1 if left else 0
         has_right = 1 if right else 0
         split = max(left) if (left and right) else 0

@@ -23,7 +23,7 @@ from entsort.entropy import profile
 from entsort.gamma import encode_tuple, gamma_decode, gamma_encode
 from entsort.intmath import ceil_div, ceil_log2
 from entsort.kernel import KERNEL_NAME, get_kernel
-from entsort.lbst import build_explicit
+from entsort.lbst import build_explicit, classify, sigma
 from entsort.sort0 import sort0
 from entsort.sortk import sortk
 
@@ -65,7 +65,7 @@ def test_criterion_1_entropy_fidelity():
 
 def _walk_match(tree, node, sig, depth):
     """Compare the virtual node against the explicit one, recursively."""
-    leaf, j, has_left, has_right, split = tree.classify(sig, depth)
+    leaf, j, has_left, has_right, split = classify(tree, sig, depth)
     if node.leaf_count() == 1:
         assert leaf == 1
         v = node
@@ -98,7 +98,7 @@ def test_criterion_2_depth_formula():
         tree = kern.from_pairs(keys, weights)
         big_w = sum(weights)
         for j in range(1, t + 1):
-            _, depth = tree.sigma(j)
+            _, depth = sigma(tree, j)
             assert depth == ceil_log2(ceil_div(big_w, weights[j - 1])) + 1
         explicit = build_explicit(keys, weights)
         nodes_checked += _walk_match(tree, explicit, 0, 0)
@@ -204,7 +204,7 @@ def test_criterion_7_zero_comparison_audit():
             j = rng.randrange(1, t + 1)
             tree.sum(j)
             tree.triple(j)
-            tree.sigma(j)
+            sigma(tree, j)
         else:
             total = tree.total_weight
             den = rng.randrange(1, 4)

@@ -25,16 +25,30 @@ def test_rank_dictionary_assigns_first_appearance_ranks():
     assert sorted(ranks.values()) == [1, 2, 3, 4]  # bijection onto 1..n
 
 
+def checked_height(v) -> int:
+    """Height of the subtree at v, asserting every stored height on the
+    way and the AVL balance at every node."""
+    if v is None:
+        return 0
+    lh, rh = checked_height(v.left), checked_height(v.right)
+    assert abs(lh - rh) <= 1
+    assert v.height == 1 + max(lh, rh)
+    return v.height
+
+
 def test_rank_dictionary_cost_bound():
     rng = random.Random(5)
     cmp = CountingComparator()
     d = RankDictionary(cmp)
-    for _ in range(3000):
+    for step in range(3000):
         before = cmp.phase_count(PHASE_B1)
         d.lookup_or_insert(rng.randrange(500))
         spent = cmp.phase_count(PHASE_B1) - before
         assert spent <= avl_height_bound(len(d)) + 1
         assert d.height <= avl_height_bound(len(d))
+        if step % 50 == 0:
+            checked_height(d._root)
+    assert checked_height(d._root) == d.height
 
 
 def test_rank_dictionary_only_b1_phase():

@@ -9,7 +9,7 @@ from entsort.comparator import (PHASE_SEARCH, PHASE_VERIFY,
 from entsort.errors import NavigationError
 from entsort.intmath import ceil_div, ceil_log2
 from entsort import kernel as kernel_module
-from entsort.lbst import build_explicit, leaf_code
+from entsort.lbst import build_explicit, classify, leaf_code, sigma
 
 TORONTO_KEYS = list("NORT")
 TORONTO_WEIGHTS = [1, 3, 1, 2]
@@ -17,19 +17,19 @@ TORONTO_WEIGHTS = [1, 3, 1, 2]
 
 def code_bits(tree, j):
     """Leaf j's path code as a bit string."""
-    sig, depth = tree.sigma(j)
+    sig, depth = sigma(tree, j)
     return format(sig, f"0{depth}b")
 
 
 def test_toronto_depths(kernel):
     tree = kernel.from_pairs(TORONTO_KEYS, TORONTO_WEIGHTS)
-    depths = [tree.sigma(j)[1] for j in range(1, 5)]
+    depths = [sigma(tree, j)[1] for j in range(1, 5)]
     assert depths == [4, 3, 4, 3]
 
 
 def test_single_leaf_code(kernel):
     tree = kernel.from_pairs(["x"], [9])
-    assert tree.sigma(1) == (1, 1)
+    assert sigma(tree, 1) == (1, 1)
     assert code_bits(tree, 1) == "1"
 
 
@@ -56,7 +56,7 @@ def test_depth_formula_exact(kernel):
         tree = kernel.from_pairs(list(range(t)), weights)
         big_w = sum(weights)
         for j in range(1, t + 1):
-            depth = tree.sigma(j)[1]
+            depth = sigma(tree, j)[1]
             assert depth == ceil_log2(ceil_div(big_w, weights[j - 1])) + 1
             assert depth <= ceil_log2(big_w) + 1
 
@@ -73,12 +73,12 @@ def test_sigma_matches_definition_oracle(kernel):
             for _ in range(w - 1):
                 flat.increment(i + 1)
         for j in range(1, t + 1):
-            assert tree.sigma(j) == flat.sigma(j)
-            assert tree.sigma(j) == leaf_code(j, weights)
+            assert sigma(tree, j) == flat.sigma(j)
+            assert sigma(tree, j) == leaf_code(j, weights)
 
 
 def _walk_and_compare(tree, node, sig: int, depth: int):
-    leaf, j, has_left, has_right, split = tree.classify(sig, depth)
+    leaf, j, has_left, has_right, split = classify(tree, sig, depth)
     if node.leaf_count() == 1:
         assert leaf
         v = node
@@ -123,24 +123,24 @@ def test_classify_matches_flat_oracle(kernel):
             for _ in range(w - 1):
                 flat.increment(i + 1)
         for j in range(1, t + 1):
-            sig, depth = tree.sigma(j)
+            sig, depth = sigma(tree, j)
             for length in range(depth + 1):
                 prefix = sig >> (depth - length)
-                assert tree.classify(prefix, length) == \
+                assert classify(tree, prefix, length) == \
                     flat.classify(prefix, length)
 
 
 def test_classify_single_leaf(kernel):
     tree = kernel.from_pairs(["x"], [5])
-    assert tree.classify(0, 0)[0]  # the root is the only leaf
-    assert tree.classify(1, 1) == (1, 1, 0, 0, 0)
+    assert classify(tree, 0, 0)[0]  # the root is the only leaf
+    assert classify(tree, 1, 1) == (1, 1, 0, 0, 0)
     with pytest.raises(NavigationError):
-        tree.classify(0, 1)  # "0" prefixes no code (f = 1/2 starts with 1)
+        classify(tree, 0, 1)  # "0" prefixes no code (f = 1/2 starts with 1)
 
 
 def test_classify_root_of_multi_leaf(kernel):
     tree = kernel.from_pairs(TORONTO_KEYS, TORONTO_WEIGHTS)
-    leaf, _, has_left, has_right, _ = tree.classify(0, 0)
+    leaf, _, has_left, has_right, _ = classify(tree, 0, 0)
     assert not leaf
     assert has_left or has_right
 
@@ -152,7 +152,7 @@ def test_classify_toronto_shared_prefix(kernel):
     code_n = code_bits(tree, 1)
     code_o = code_bits(tree, 2)
     assert code_n[0] == code_o[0]
-    leaf, _, has_left, has_right, split = tree.classify(int(code_n[0]), 1)
+    leaf, _, has_left, has_right, split = classify(tree, int(code_n[0]), 1)
     assert not leaf
     explicit = build_explicit(TORONTO_KEYS, TORONTO_WEIGHTS)
     node = explicit.left if code_n[0] == "0" else explicit.right
@@ -172,9 +172,9 @@ def test_descend_toronto_costs(kernel):
 def test_classify_rejects_bad_inputs(kernel):
     tree = kernel.from_pairs(["a", "b"], [1, 1])
     with pytest.raises(ValueError):
-        tree.classify(4, 2)  # bits exceed depth
+        classify(tree, 4, 2)  # bits exceed depth
     with pytest.raises(NavigationError):
-        kernel.StatsTree().classify(0, 0)
+        classify(kernel.StatsTree(), 0, 0)
 
 
 def test_descend_finds_each_key(kernel):
@@ -259,21 +259,21 @@ def _classify_descend(tree, kernel, s, comparator):
     sig = depth = nsearch = 0
     knows_le = knows_ge = False  # key[lo] <= s, s <= key[hi]
     while True:
-        leaf, j, has_left, has_right, split = tree.classify(sig, depth)
+        leaf, j, has_left, has_right, split = classify(tree, sig, depth)
         if leaf:
             break
         if has_left and has_right:
             nsearch += 1
-            if tree.weight_at(split + 1) > tree.weight_at(split):
-                bit = 1 if comparator.leq(tree.key_at(split + 1), s,
-                                          PHASE_SEARCH) else 0
+            pred_key, pred_weight = tree.triple(split)[:2]
+            succ_key, succ_weight = tree.triple(split + 1)[:2]
+            if succ_weight > pred_weight:
+                bit = 1 if comparator.leq(succ_key, s, PHASE_SEARCH) else 0
                 if bit:
                     knows_le = True
                 else:
                     knows_ge = False
             else:
-                bit = 0 if comparator.leq(s, tree.key_at(split),
-                                          PHASE_SEARCH) else 1
+                bit = 0 if comparator.leq(s, pred_key, PHASE_SEARCH) else 1
                 if bit:
                     knows_le = False
                 else:
@@ -281,7 +281,7 @@ def _classify_descend(tree, kernel, s, comparator):
         else:
             bit = 0 if has_left else 1
         sig, depth = 2 * sig + bit, depth + 1
-    a = tree.key_at(j)
+    a = tree.triple(j)[0]
     if knows_le and knows_ge:
         return (j, kernel.EQUAL, nsearch, 0)
     if knows_ge:
@@ -301,7 +301,8 @@ def _classify_descend(tree, kernel, s, comparator):
 
 def _differential_weights(rng):
     """Weight vectors: plain random, powers of two, weight-1 leaves beside
-    heavy ones, and uniform vectors of every small size."""
+    heavy ones, uniform vectors of every small size, and vectors whose
+    total is 2^k - 1, 2^k or 2^k + 1."""
     for _ in range(150):
         t = rng.randrange(1, 40)
         yield [rng.randrange(1, 100) for _ in range(t)]
@@ -314,6 +315,11 @@ def _differential_weights(rng):
                for _ in range(t)]
     for t in range(1, 34):
         yield [rng.randrange(1, 4)] * t
+    for k in range(1, 13):
+        for total in ((1 << k) - 1, 1 << k, (1 << k) + 1):
+            t = rng.randrange(1, min(total, 40) + 1)
+            cuts = [0] + sorted(rng.sample(range(1, total), t - 1)) + [total]
+            yield [b - a for a, b in zip(cuts, cuts[1:])]
 
 
 def test_descend_matches_classify_walk(kernel):
@@ -405,7 +411,7 @@ def test_weighted_descent_cost_bound(kernel):
         weights = [rng.randrange(1, 50) for _ in range(t)]
         tree = kernel.from_pairs(list(range(t)), weights)
         big_w = sum(weights)
-        total = sum(w * tree.sigma(j)[1]
+        total = sum(w * sigma(tree, j)[1]
                     for j, w in enumerate(weights, start=1))
         entropy_bits = sum(w / big_w * math.log2(big_w / w) for w in weights)
         assert total < (entropy_bits + 2) * big_w

@@ -3,7 +3,8 @@
 The descent picks, at each split, which of the two neighbouring keys to
 compare with, and lets those answers settle the leaf. These properties run
 both sorters at orders 0-3 under that protocol: with a consistent order,
-including keys that compare equal across types, the result is the stable
+including keys that compare equal across types and alphabets large enough
+to make B1 at least 10 levels high, the result is the stable
 permutation within budget and every order query is counted; with a
 comparator that answers at random or inconsistently, the result is still a
 permutation of 1..m or a clean error, never a lost index.
@@ -36,6 +37,19 @@ def sequences(draw):
                          min_size=1, max_size=120))
 
 
+@st.composite
+def large_alphabets(draw):
+    """Every value of a 512- to 1,500-letter alphabet once, shuffled with
+    up to 600 repeats. B1 then holds at least 512 keys, so it is at least
+    10 levels high."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2 ** 32)))
+    n = draw(st.integers(min_value=512, max_value=1500))
+    seq = list(range(n))
+    seq += [rng.randrange(n) for _ in range(draw(st.integers(0, 600)))]
+    rng.shuffle(seq)
+    return seq
+
+
 # Keys that compare equal but differ in type: each class must stay one key,
 # in the stable order, whichever of its members the trees keep.
 MIXED_TYPES = st.lists(st.sampled_from([0, 0.0, False, 1, 1.0, True]),
@@ -43,7 +57,7 @@ MIXED_TYPES = st.lists(st.sampled_from([0, 0.0, False, 1, 1.0, True]),
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.one_of(sequences(), MIXED_TYPES), ORDERS)
+@given(st.one_of(sequences(), MIXED_TYPES, large_alphabets()), ORDERS)
 def test_property_sorted_budgeted_and_fully_counted(raw, order):
     seq = [Spy(v) for v in raw]
     Spy.reset()
