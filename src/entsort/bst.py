@@ -2,7 +2,9 @@
 
 RankDictionary maps elements to first-appearance ranks; its lookups are the
 only dictionary operations that compare elements, and every comparison is
-charged to the b1-dictionary phase. It is a plain AVL tree; height <=
+charged to the b1-dictionary phase. It is a plain AVL tree on parallel
+lists, like the statistics tree, whose node ids are allocated in
+first-appearance order, so an element's node id is its rank; height <=
 AVL_HEIGHT_FACTOR * log2(t + 2). CodeDictionary maps rank tuples to
 statistics trees; it is a hash map and compares no elements.
 """
@@ -10,7 +12,7 @@ statistics trees; it is a hash map and compares no elements.
 from __future__ import annotations
 
 from math import floor, log2
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .comparator import PHASE_B1
 
@@ -22,67 +24,6 @@ def avl_height_bound(t: int) -> int:
     return floor(AVL_HEIGHT_FACTOR * log2(t + 2))
 
 
-class _Node:
-    __slots__ = ("key", "value", "left", "right", "height")
-
-    def __init__(self, key, value):
-        self.key = key
-        self.value = value
-        self.left: Optional[_Node] = None
-        self.right: Optional[_Node] = None
-        self.height = 1
-
-
-def _h(v: Optional[_Node]) -> int:
-    return v.height if v is not None else 0
-
-
-def _fix(v: _Node) -> None:
-    v.height = 1 + max(_h(v.left), _h(v.right))
-
-
-def _rot_right(v: _Node) -> _Node:
-    l = v.left
-    v.left = l.right
-    l.right = v
-    _fix(v)
-    _fix(l)
-    return l
-
-
-def _rot_left(v: _Node) -> _Node:
-    r = v.right
-    v.right = r.left
-    r.left = v
-    _fix(v)
-    _fix(r)
-    return r
-
-
-def _balance(v: _Node) -> _Node:
-    _fix(v)
-    bf = _h(v.left) - _h(v.right)
-    if bf > 1:
-        if _h(v.left.left) >= _h(v.left.right):
-            return _rot_right(v)
-        v.left = _rot_left(v.left)
-        return _rot_right(v)
-    if bf < -1:
-        if _h(v.right.right) >= _h(v.right.left):
-            return _rot_left(v)
-        v.right = _rot_right(v.right)
-        return _rot_left(v)
-    return v
-
-
-def _inorder(v: Optional[_Node]) -> Iterator[tuple]:
-    if v is None:
-        return
-    yield from _inorder(v.left)
-    yield (v.key, v.value)
-    yield from _inorder(v.right)
-
-
 class RankDictionary:
     """Elements seen so far, each with its first-appearance rank.
 
@@ -91,56 +32,125 @@ class RankDictionary:
     1..len(self). Lookups walk down keeping the smallest key >= s as a
     candidate (one comparison per node), then spend one comparison to decide
     equality — at most height + 1 comparisons per operation.
+
+    The nodes live in parallel lists (`_keys`, `_left`, `_right`,
+    `_height`), with node 0 as the null sentinel. Nodes are allocated in
+    first-appearance order, so a node's id is its element's rank.
     """
+
+    __slots__ = ("_cmp", "_keys", "_left", "_right", "_height", "_root")
 
     def __init__(self, comparator):
         self._cmp = comparator
-        self._root: Optional[_Node] = None
-        self._count = 0
+        self._keys = [None]
+        self._left = [0]
+        self._right = [0]
+        self._height = [0]
+        self._root = 0
 
     def __len__(self) -> int:
-        return self._count
+        return len(self._keys) - 1
 
     @property
     def height(self) -> int:
-        return _h(self._root)
+        return self._height[self._root]
 
     def lookup_or_insert(self, elem) -> tuple[int, bool]:
         """(rank, was_new) for elem, inserting it with the next rank if new."""
         leq = self._cmp.leq
-        path: list[tuple[_Node, bool]] = []  # (node, went_left)
-        candidate: Optional[_Node] = None
+        keys, left, right = self._keys, self._left, self._right
+        path = []  # v after a left move, -v after a right move
+        candidate = 0
         v = self._root
-        while v is not None:
-            if leq(elem, v.key, PHASE_B1):
+        while v:
+            if leq(elem, keys[v], PHASE_B1):
                 candidate = v
-                path.append((v, True))
-                v = v.left
+                path.append(v)
+                v = left[v]
             else:
-                path.append((v, False))
-                v = v.right
-        if candidate is not None and leq(candidate.key, elem, PHASE_B1):
-            return candidate.value, False
+                path.append(-v)
+                v = right[v]
+        if candidate and leq(keys[candidate], elem, PHASE_B1):
+            return candidate, False
         # Miss: attach at the fall-off point and rebalance up the path,
         # stopping at the first ancestor that keeps both its place and its
-        # height, since nothing above it changes.
-        self._count += 1
-        node = _Node(elem, self._count)
-        for parent, went_left in reversed(path):
-            if went_left:
-                parent.left = node
+        # height, since nothing above it changes. A balanced ancestor only
+        # gets its new height; an unbalanced one rotates.
+        rank = node = len(keys)
+        keys.append(elem)
+        left.append(0)
+        right.append(0)
+        height = self._height
+        height.append(1)
+        for parent in reversed(path):
+            if parent > 0:
+                left[parent] = node
             else:
-                parent.right = node
-            height = parent.height
-            node = _balance(parent)
-            if node is parent and node.height == height:
-                break
+                parent = -parent
+                right[parent] = node
+            lh, rh = height[left[parent]], height[right[parent]]
+            if -1 <= lh - rh <= 1:
+                h = 1 + (lh if lh >= rh else rh)
+                if h == height[parent]:
+                    break
+                height[parent] = h
+                node = parent
+            else:
+                node = self._rotate(parent)
         else:
             self._root = node
-        return self._count, True
+        return rank, True
 
     def __iter__(self) -> Iterator[tuple]:
-        return _inorder(self._root)
+        """(element, rank) pairs in key order: an in-order walk."""
+        keys, left, right = self._keys, self._left, self._right
+        stack = []
+        v = self._root
+        while stack or v:
+            while v:
+                stack.append(v)
+                v = left[v]
+            v = stack.pop()
+            yield keys[v], v
+            v = right[v]
+
+    # -- AVL plumbing ------------------------------------------------------
+
+    def _fix(self, v: int) -> None:
+        h = self._height
+        lh, rh = h[self._left[v]], h[self._right[v]]
+        h[v] = 1 + (lh if lh >= rh else rh)
+
+    def _rot_right(self, v: int) -> int:
+        l = self._left[v]
+        self._left[v] = self._right[l]
+        self._right[l] = v
+        self._fix(v)
+        self._fix(l)
+        return l
+
+    def _rot_left(self, v: int) -> int:
+        r = self._right[v]
+        self._right[v] = self._left[r]
+        self._left[r] = v
+        self._fix(v)
+        self._fix(r)
+        return r
+
+    def _rotate(self, v: int) -> int:
+        """Rebalance v, whose subtrees differ in height by 2, with a single
+        or a double rotation; return the subtree's new root."""
+        h, left, right = self._height, self._left, self._right
+        l, r = left[v], right[v]
+        if h[l] > h[r]:
+            if h[left[l]] >= h[right[l]]:
+                return self._rot_right(v)
+            left[v] = self._rot_left(l)
+            return self._rot_right(v)
+        if h[right[r]] >= h[left[r]]:
+            return self._rot_left(v)
+        right[v] = self._rot_right(r)
+        return self._rot_left(v)
 
 
 class CodeDictionary(dict):

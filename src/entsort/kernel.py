@@ -10,19 +10,21 @@ and subtree weight sums. All structural operations address positions, never
 keys: the tree performs zero element comparisons. Height is at most
 1.4405 * log2(t + 2) (classic AVL bound; asserted in tests).
 
-The sorters need two things from it: the positional updates, and `descend`,
-a counted search of the weighted leaf-oriented search tree that the weight
-vector induces. Leaf j of that tree sits at the code formed by the first
+The sorters need two things from it: the positional updates (`append`
+records a hit in one walk; `insert` adds a leaf), and `descend`, a counted
+search of the weighted leaf-oriented search tree that the weight vector
+induces. Leaf j of that tree sits at the code formed by the first
 ceil(log2(W/w_j)) + 1 fraction bits of f_j = (2*S_{j-1} + w_j) / (2W),
-computed in exact integers. `descend` walks the implicit tree for an element,
-spending one counted comparison per two-child node and 0, 1 or 2
+computed in exact integers. `descend` walks the implicit tree for an
+element, spending one counted comparison per two-child node and 0, 1 or 2
 verification comparisons at the leaf. Each split between leaves j and j+1
 asks either `s <= key[j]` or `key[j+1] <= s`, whichever names the heavier
-leaf, so that the answer which moves an end of the leaf range can also settle
-the leaf's relation to s; the leaf then asks only what is still open. The
-walk tracks the leaf range under the current node, skips chains of one-child
-nodes by arithmetic on the range's end codes, and pays one AVL walk per
-counted comparison. The single-node queries that the tests check it against
+leaf, so that the answer which moves an end of the leaf range can also
+settle the leaf's relation to s; the leaf then asks only what is still open.
+The walk tracks the leaf range under the current node, skips chains of
+one-child nodes by arithmetic on the range's end codes, and pays one AVL
+walk per counted comparison and none to find the end leaves, whose nodes the
+tree keeps. The single-node queries that the tests check it against
 (`sigma`, `classify`) live in `entsort.lbst`.
 """
 
@@ -57,7 +59,8 @@ class StatsTree:
     """
 
     __slots__ = ("_left", "_right", "_height", "_size", "_weight", "_wsum",
-                 "_keys", "_idx", "_next", "_root", "context_ranks")
+                 "_keys", "_idx", "_next", "_root", "_first", "_last",
+                 "context_ranks")
 
     def __init__(self, context_ranks=None):
         self._left = [0]
@@ -70,6 +73,9 @@ class StatsTree:
         self._idx = [None]
         self._next = [None]
         self._root = 0
+        # Nodes at positions 1 and len(self), 0 when empty. Rotations keep
+        # node ids, so only an insert at either end moves them.
+        self._first = self._last = 0
         # The owning context's rank tuple, its key in the order-k sorter's
         # context dictionary; the last rank is that of the keys that lead
         # into this tree.
@@ -107,8 +113,9 @@ class StatsTree:
                 v = right[v]
 
     def handle_at(self, j: int):
-        """The j-th next-context handle. No sorter calls it (`append`
-        returns the handle on a hit); it is kept for the layer tracer."""
+        """The j-th next-context handle, read without recording a hit. No
+        sorter calls it (`append` returns the handle on a hit); it is kept
+        for the layer tracer."""
         self._check_pos(j)
         return self._next[self._node_at(j)]
 
@@ -180,7 +187,8 @@ class StatsTree:
         return (self._keys[v], self._weight[v], self._idx[v], self._next[v])
 
     def increment(self, j: int) -> None:
-        """Add 1 to w_j."""
+        """Add 1 to w_j, and nothing else: the positional weight bump. The
+        sorters record a hit with `append`, which also bumps w_j."""
         self._check_pos(j)
         if self._wsum[self._root] + 1 > MAX_TOTAL_WEIGHT:
             raise OverflowError("total weight exceeds configured word width")
@@ -202,14 +210,43 @@ class StatsTree:
                 v = right[v]
 
     def append(self, i: int, j: int):
-        """Append sequence position i to the j-th index list and return
-        the j-th next-context handle, read off the node the walk reached."""
-        self._check_pos(j)
-        v = self._node_at(j)
+        """Record a hit on leaf j: append sequence position i to the j-th
+        index list, add 1 to w_j, and return the j-th next-context handle.
+
+        The position, the weight cap and the index order are checked before
+        anything changes, so a refused append leaves the tree as it was.
+        One root-to-leaf walk finds the node and its ancestors, whose weight
+        sums then gain 1."""
+        root = self._root
+        if not 1 <= j <= self._size[root]:
+            raise IndexError(f"position {j} out of range 1..{len(self)}")
+        wsum = self._wsum
+        if wsum[root] + 1 > MAX_TOTAL_WEIGHT:
+            raise OverflowError("total weight exceeds configured word width")
+        left, right, size = self._left, self._right, self._size
+        path = []  # the proper ancestors of the node at j
+        v = root
+        pos = j
+        while True:
+            l = left[v]
+            ls = size[l]
+            if pos <= ls:
+                path.append(v)
+                v = l
+            elif pos == ls + 1:
+                break
+            else:
+                path.append(v)
+                pos -= ls + 1
+                v = right[v]
         lst = self._idx[v]
         if lst and i <= lst[-1]:
             raise ValueError("indices must be appended in increasing order")
         lst.append(i)
+        self._weight[v] += 1
+        wsum[v] += 1
+        for u in path:
+            wsum[u] += 1
         return self._next[v]
 
     def insert(self, a, i: int, j: int, next=None) -> None:
@@ -231,6 +268,10 @@ class StatsTree:
         self._idx.append([i])
         self._next.append(next)
         self._root = self._insert_at(self._root, j, u)
+        if j == 1:
+            self._first = u
+        if j == t + 1:
+            self._last = u
 
     # -- AVL plumbing ------------------------------------------------------
 
@@ -314,11 +355,12 @@ class StatsTree:
         The walk keeps the leaf range [lo, hi] under the current virtual
         node and the p-bit codes c = floor(F * 2^p / 2W) of f_lo and f_hi,
         where F = 2W * f = 2*S_{j-1} + w_j and 2^p > 2W, so that distinct
-        leaves get distinct codes. The next
-        two-child node sits at the first bit where c_lo and c_hi differ, so
-        one-child chains cost nothing; each counted comparison then costs a
-        single AVL walk, which finds the first leaf on the right of the
-        split together with its predecessor, the split leaf.
+        leaves get distinct codes. The range starts at the first and the
+        last leaf, whose nodes the tree caches, so no walk finds them. The
+        next two-child node sits at the first bit where c_lo and c_hi
+        differ, so one-child chains cost nothing; each counted comparison
+        then costs a single AVL walk, which finds the first leaf on the
+        right of the split together with its predecessor, the split leaf.
         """
         root = self._root
         t = self._size[root]
@@ -329,14 +371,9 @@ class StatsTree:
         two_w = 2 * wsum[root]
         p = two_w.bit_length()
         lo, hi = 1, t
-        lo_node = root  # tree node holding leaf lo
-        while left[lo_node]:
-            lo_node = left[lo_node]
-        v = root
-        while right[v]:
-            v = right[v]
+        lo_node = self._first  # tree node holding leaf lo
         c_lo = (weight[lo_node] << p) // two_w
-        c_hi = ((two_w - weight[v]) << p) // two_w
+        c_hi = ((two_w - weight[self._last]) << p) // two_w
         nsearch = 0
         lo_le = hi_ge = False  # key[lo] <= s, s <= key[hi] already answered
         keys = self._keys
@@ -436,6 +473,10 @@ class StatsTree:
             return h, s, w
 
         walk(self._root)
+        t = len(self)
+        ends = (self._node_at(1), self._node_at(t)) if t else (0, 0)
+        if (self._first, self._last) != ends:
+            raise AssertionError("cached end nodes wrong")
 
 
 def from_pairs(keys, weights, indices=None, context_ranks=None) -> StatsTree:
@@ -483,6 +524,8 @@ def from_pairs(keys, weights, indices=None, context_ranks=None) -> StatsTree:
         return u
 
     tree._root = build(0, len(keys) - 1)
+    tree._first = tree._node_at(1)
+    tree._last = tree._node_at(len(keys))
     return tree
 
 

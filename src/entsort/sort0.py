@@ -92,8 +92,9 @@ def scan(seq: Sequence, first: int, current, cmp: CountingComparator,
          successor) -> None:
     """The main loop of both sorters, from 1-based position *first* on.
 
-    Each element is searched in *current*. On a hit, the leaf gains the
-    element's position and the scan moves to the leaf's next-context handle;
+    Each element is searched in *current*. On a hit, `append` gives the
+    leaf the element's position and one more unit of weight, and the scan
+    moves to the leaf's next-context handle, which it returns;
     on a miss, the element is inserted next to the leaf the search reached,
     with handle successor(current, s), and the scan moves to that tree.
     """
@@ -101,7 +102,6 @@ def scan(seq: Sequence, first: int, current, cmp: CountingComparator,
         s = seq[i - 1]
         j, rel, _, _ = current.descend(s, cmp)
         if rel == EQUAL:
-            current.increment(j)
             current = current.append(i, j)
         else:
             nxt = successor(current, s)

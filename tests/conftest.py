@@ -114,9 +114,13 @@ class FlatStatsTree:
         self.rows[j - 1][1] += 1
 
     def append(self, i, j):
+        """A hit: one more unit of weight and index i; the handle."""
         if not 1 <= j <= len(self.rows):
             raise IndexError(j)
-        self.rows[j - 1][2].append(i)
+        row = self.rows[j - 1]
+        row[1] += 1
+        row[2].append(i)
+        return row[3]
 
     def insert(self, a, i, j, next=None):
         if not 1 <= j <= len(self.rows) + 1:
@@ -176,13 +180,10 @@ def random_op_mix(tree, oracle, rng: random.Random, ops: int,
             oracle.insert(key, next_index, j)
             next_index += 1
         elif choice < 0.6:
-            # Hit update: increment + append are always paired, keeping
-            # weight == len(indices).
+            # Hit update: append bumps the weight and records the index,
+            # keeping weight == len(indices).
             j = rng.randrange(1, t + 1)
-            tree.increment(j)
-            oracle.increment(j)
-            tree.append(next_index, j)
-            oracle.append(next_index, j)
+            assert tree.append(next_index, j) is oracle.append(next_index, j)
             next_index += 1
         elif choice < 0.75:
             j = rng.randrange(1, t + 1)

@@ -197,7 +197,6 @@ def test_criterion_7_zero_comparison_audit():
             next_index += 1
         elif action < 0.55:
             j = rng.randrange(1, t + 1)
-            tree.increment(j)
             tree.append(next_index, j)
             next_index += 1
         elif action < 0.8:

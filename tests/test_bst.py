@@ -25,15 +25,15 @@ def test_rank_dictionary_assigns_first_appearance_ranks():
     assert sorted(ranks.values()) == [1, 2, 3, 4]  # bijection onto 1..n
 
 
-def checked_height(v) -> int:
-    """Height of the subtree at v, asserting every stored height on the
-    way and the AVL balance at every node."""
-    if v is None:
+def checked_height(d, v) -> int:
+    """Height of the subtree at node v of d, asserting every stored height
+    on the way and the AVL balance at every node."""
+    if v == 0:
         return 0
-    lh, rh = checked_height(v.left), checked_height(v.right)
+    lh, rh = checked_height(d, d._left[v]), checked_height(d, d._right[v])
     assert abs(lh - rh) <= 1
-    assert v.height == 1 + max(lh, rh)
-    return v.height
+    assert d._height[v] == 1 + max(lh, rh)
+    return d._height[v]
 
 
 def test_rank_dictionary_cost_bound():
@@ -47,8 +47,8 @@ def test_rank_dictionary_cost_bound():
         assert spent <= avl_height_bound(len(d)) + 1
         assert d.height <= avl_height_bound(len(d))
         if step % 50 == 0:
-            checked_height(d._root)
-    assert checked_height(d._root) == d.height
+            checked_height(d, d._root)
+    assert checked_height(d, d._root) == d.height
 
 
 def test_rank_dictionary_only_b1_phase():
@@ -65,10 +65,12 @@ def test_rank_dictionary_iteration_sorted():
     d = RankDictionary(cmp)
     rng = random.Random(9)
     values = [rng.randrange(1000) for _ in range(300)]
+    ranks = {}
     for v in values:
-        d.lookup_or_insert(v)
+        ranks.setdefault(v, d.lookup_or_insert(v)[0])
     keys = [k for k, _ in d]
     assert keys == sorted(set(values))
+    assert list(d) == sorted(ranks.items())
 
 
 def test_code_dictionary_basics():

@@ -20,6 +20,9 @@ TORONTO = list("TORONTO")
 
 
 MARKOV = generate(SourceSpec(kind="markov", n=16, m=3000, seed=5))
+# About half of the elements are new: B1 ends with 3,545 keys at height 14.
+BIGALPHA = generate(SourceSpec(kind="markov", n=4096, m=8192, noise=0.1,
+                               seed=7))
 
 # (sequence, order or None for sort0) -> search, verify, b1, merge, total.
 GOLDEN_LEDGERS = [
@@ -30,6 +33,7 @@ GOLDEN_LEDGERS = [
     (TORONTO, 3, (0, 0, 18, 0, 18)),
     (MARKOV, 1, (2610, 3386, 295, 0, 6291)),
     (MARKOV, 2, (2565, 3337, 522, 0, 6424)),
+    (BIGALPHA, 1, (524, 8619, 49284, 0, 58427)),
 ]
 
 

@@ -60,14 +60,28 @@ def test_insert_positions(kernel):
 
 def test_increment_and_append(kernel):
     tree = make(kernel, list("abcd"), [1, 3, 1, 2])
-    tree.increment(2)
+    tree.increment(2)  # the weight alone
     assert [q[1] for q in tree.quadruples()] == [1, 4, 1, 2]
-    tree.append(99, 2)
-    assert tree.triple(2)[2][-1] == 99
-    with pytest.raises(ValueError):
-        tree.append(98, 2)  # not increasing
+    assert tree.triple(2)[2] == [2, 3, 4]
     with pytest.raises(IndexError):
         tree.increment(5)
+    tree = make(kernel, list("abcd"), [1, 3, 1, 2])
+    tree.append(99, 2)  # a hit: the weight and the index together
+    assert [q[1] for q in tree.quadruples()] == [1, 4, 1, 2]
+    assert tree.triple(2)[2][-1] == 99
+    tree._validate()
+    sums = [tree.sum(j) for j in range(1, 5)]
+    for i in (98, 99):  # not increasing: refused before anything changes
+        with pytest.raises(ValueError):
+            tree.append(i, 2)
+        assert tree.triple(2)[1] == 4 and tree.triple(2)[2][-1] == 99
+        assert [tree.sum(j) for j in range(1, 5)] == sums
+    with pytest.raises(IndexError):
+        tree.append(100, 5)
+    with pytest.raises(IndexError):
+        tree.append(100, 0)
+    assert [tree.sum(j) for j in range(1, 5)] == sums
+    tree._validate()
 
 
 def test_append_and_handle_at_return_inserted_handle():
@@ -83,10 +97,8 @@ def test_append_and_handle_at_return_inserted_handle():
     keys = sorted(handles)
     for j, key in enumerate(keys, start=1):
         assert tree.handle_at(j) is handles[key]
-        tree.increment(j)
         assert tree.append(100 + j, j) is handles[key]
     assert tree.handle_at(61) is None
-    tree.increment(61)
     assert tree.append(200, 61) is None
     tree._validate()
 
@@ -99,9 +111,24 @@ def test_quadruple_view(kernel):
 
 def test_oracle_equivalence_randomized(kernel):
     rng = random.Random(12345)
-    for trial in range(4):
+    for trial in range(6):
         tree = kernel.StatsTree()
         oracle = FlatStatsTree()
+        if trial >= 4:
+            # Start from a balanced tree: its cached end nodes come from
+            # from_pairs. Indices below 1 keep the op mix's appends
+            # increasing.
+            t = rng.randrange(1, 40)
+            keys = sorted(rng.sample(range(10 ** 6), t))
+            weights = [rng.randrange(1, 5) for _ in range(t)]
+            indices, nxt = [], -sum(weights)
+            for w in weights:
+                indices.append(list(range(nxt, nxt + w)))
+                nxt += w
+            tree = kernel.from_pairs(keys, weights, indices)
+            tree._validate()
+            oracle.rows = [[k, w, list(ix), None]
+                           for k, w, ix in zip(keys, weights, indices)]
         random_op_mix(tree, oracle, rng, 2500)
         got = tree.quadruples()
         want = oracle.quadruples()
@@ -153,6 +180,13 @@ def test_overflow_guard(kernel):
         tree.search(1, 1 << 130)
 
 
+def snapshot(tree):
+    """Copies of the quadruples (index lists included) and of every prefix
+    sum, to show that a refused update changed nothing."""
+    return ([(k, w, list(ix), n) for k, w, ix, n in tree.quadruples()],
+            [tree.sum(j) for j in range(1, len(tree) + 1)])
+
+
 def test_total_weight_cap(monkeypatch):
     """A tree may reach MAX_TOTAL_WEIGHT exactly; one more unit of weight
     raises OverflowError and leaves the tree as it was."""
@@ -164,12 +198,14 @@ def test_total_weight_cap(monkeypatch):
     assert sum(weights) == cap
     tree = kernel_module.from_pairs(keys, weights, [[i] for i in range(4)])
     assert tree.total_weight == cap
-    before = tree.quadruples()
+    before = snapshot(tree)
     with pytest.raises(OverflowError):
         tree.increment(2)
     with pytest.raises(OverflowError):
+        tree.append(9, 2)
+    with pytest.raises(OverflowError):
         tree.insert(50, 9, 5)
-    assert tree.quadruples() == before and tree.total_weight == cap
+    assert snapshot(tree) == before and tree.total_weight == cap
     cmp = CountingComparator()
     for j, key in enumerate(keys, start=1):
         assert tree.descend(key, cmp)[:2] == (j, kernel_module.EQUAL)
@@ -182,12 +218,14 @@ def test_total_weight_cap(monkeypatch):
     small = kernel_module.from_pairs("abc", [3, 4, 1])
     for j, key in enumerate("abc", start=1):
         assert small.descend(key, cmp)[:2] == (j, kernel_module.EQUAL)
-    before = small.quadruples()
+    before = snapshot(small)
     with pytest.raises(OverflowError):
         small.increment(3)
     with pytest.raises(OverflowError):
+        small.append(9, 3)
+    with pytest.raises(OverflowError):
         small.insert("d", 9, 4)
-    assert small.quadruples() == before
+    assert snapshot(small) == before and small.total_weight == 8
     small._validate()
     with pytest.raises(OverflowError):
         kernel_module.from_pairs("abc", [3, 4, 2])
