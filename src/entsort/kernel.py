@@ -26,6 +26,10 @@ one-child nodes by arithmetic on the range's end codes, and pays one AVL
 walk per counted comparison and none to find the end leaves, whose nodes the
 tree keeps. The single-node queries that the tests check it against
 (`sigma`, `classify`) live in `entsort.lbst`.
+
+Trees can share one node store (`StatsTree(nodes=...)`): the order-k
+sorter keeps its one tree per context in a single store, so that a context
+costs one small object rather than a set of lists.
 """
 
 from __future__ import annotations
@@ -56,22 +60,38 @@ class StatsTree:
     Positions are 1-based. Node 0 is the null sentinel. Callers are
     responsible for inserting keys in sorted positional order; the tree
     never checks (it cannot compare keys).
+
+    The nodes live in nine parallel lists, `_left` to `_next`, the node
+    store, which trees made with `nodes=` share (see `__init__`). Each tree
+    keeps its own root and end nodes; no operation links a node of one tree
+    into another.
     """
 
     __slots__ = ("_left", "_right", "_height", "_size", "_weight", "_wsum",
                  "_keys", "_idx", "_next", "_root", "_first", "_last",
                  "context_ranks")
 
-    def __init__(self, context_ranks=None):
-        self._left = [0]
-        self._right = [0]
-        self._height = [0]
-        self._size = [0]
-        self._weight = [0]
-        self._wsum = [0]
-        self._keys = [None]
-        self._idx = [None]
-        self._next = [None]
+    def __init__(self, context_ranks=None, nodes=None):
+        """An empty tree. With *nodes*, another tree, the new tree adds its
+        nodes to that tree's node store instead of making nine fresh lists;
+        node ids are then unique across every tree that shares the store."""
+        if nodes is None:
+            self._left = [0]
+            self._right = [0]
+            self._height = [0]
+            self._size = [0]
+            self._weight = [0]
+            self._wsum = [0]
+            self._keys = [None]
+            self._idx = [None]
+            self._next = [None]
+        else:
+            self._left, self._right, self._height = \
+                nodes._left, nodes._right, nodes._height
+            self._size, self._weight, self._wsum = \
+                nodes._size, nodes._weight, nodes._wsum
+            self._keys, self._idx, self._next = \
+                nodes._keys, nodes._idx, nodes._next
         self._root = 0
         # Nodes at positions 1 and len(self), 0 when empty. Rotations keep
         # node ids, so only an insert at either end moves them.

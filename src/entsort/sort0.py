@@ -127,12 +127,14 @@ def sort0(seq: Sequence, comparator: Optional[CountingComparator] = None,
     if m == 0:
         raise ValueError("sequence must be non-empty")
     cmp = comparator if comparator is not None else CountingComparator()
+    # The accounting compares nothing; done first, its tables are freed
+    # before the tree is built.
+    budget = comparison_budget(seq)
+    bits = entropy.h_order(seq, 0)
     before = cmp.snapshot()
     tree = get_kernel(kernel_name).StatsTree()
     scan(seq, 1, tree, cmp, lambda current, s: tree)
     permutation = flatten(tree)
-    budget = comparison_budget(seq)
-    bits = entropy.h_order(seq, 0)
     return SortOutcome(
         permutation=permutation,
         inverse=invert(permutation),

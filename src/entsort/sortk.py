@@ -10,6 +10,12 @@ compares no elements). A repeat (k+1)-tuple never touches either dictionary:
 the quadruple found by the search carries a handle to the successor
 context's tree.
 
+All context trees of one call share one node store (`StatsTree(nodes=...)`),
+so a context costs one tree object, not nine lists. That matters where an
+input breaks the premise n^(k+1) log n in O(m) and the contexts are many.
+The accounting (budgets and H_0) runs before the scan: it compares nothing,
+and its tables are freed before the first tree is built.
+
 Finalization compares no elements. At order 0 the one tree is already in
 key order, and its index lists are concatenated. Above it, each index list
 is filed under its key's B1 rank, and B1's in-order walk, which is the
@@ -99,8 +105,7 @@ def _read_off(b1: RankDictionary, trees, boot: tuple) -> list[int]:
     *boot*, each quadruple's as the last rank of its next context. B1's
     in-order walk then visits the ranks in key order; a rank with several
     lists (one key in several contexts) has them merged by index, so the
-    permutation is stable. A function of its own, so that the pools are
-    freed before the accounting runs.
+    permutation is stable.
     """
     pools: list[list] = [[] for _ in range(len(b1) + 1)]
     for k, rank in enumerate(boot, start=1):
@@ -126,16 +131,24 @@ def sortk(seq: Sequence, order: int = 0,
     if order < 0:
         raise ValueError("order must be >= 0")
     cmp = comparator if comparator is not None else CountingComparator()
+    # The accounting compares nothing; done first, its tables are freed
+    # before any tree exists.
+    breakdown = budget_breakdown(seq, order)
+    h0 = entropy.h_order(seq, 0)
     before = cmp.snapshot()
     tree_cls = get_kernel(kernel_name).StatsTree
 
     b1 = RankDictionary(cmp)
     b2 = CodeDictionary()
+    store = None  # the first context tree, whose node store all share
 
     def tree_for(ranks: tuple) -> object:
+        nonlocal store
         tree = b2.get(ranks)
         if tree is None:
-            tree = tree_cls(context_ranks=ranks)
+            tree = tree_cls(context_ranks=ranks, nodes=store)
+            if store is None:  # not `not store`: an empty tree is falsy
+                store = tree
             b2.insert(ranks, tree)
         return tree
 
@@ -154,7 +167,6 @@ def sortk(seq: Sequence, order: int = 0,
 
     permutation = flatten(b2[()]) if order == 0 else \
         _read_off(b1, b2.values(), boot)
-    breakdown = budget_breakdown(seq, order)
     warnings: tuple[str, ...] = ()
     n = len(b1)
     if n > 1 and (n ** (order + 1)) * log2(n) > m:
@@ -167,7 +179,7 @@ def sortk(seq: Sequence, order: int = 0,
         inverse=invert(permutation),
         ledger=delta(before, cmp.snapshot()),
         budget=breakdown.total,
-        h0=entropy.h_order(seq, 0),
+        h0=h0,
         order=order,
         context_budget=breakdown.context_total,
         h_order=breakdown.h_order,

@@ -7,11 +7,13 @@ including keys that compare equal across types and alphabets large enough
 to make B1 at least 10 levels high, the result is the stable
 permutation within budget and every order query is counted; with a
 comparator that answers at random or inconsistently, the result is still a
-permutation of 1..m or a clean error, never a lost index.
+permutation of 1..m or a clean error, never a lost index. Elements that
+compare but cannot be hashed fail before the first comparison.
 """
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import Spy, stable_perm
@@ -100,3 +102,15 @@ def test_property_inconsistent_comparator_loses_no_index(raw, order, mode,
         return
     assert sorted(out.permutation) == list(range(1, len(raw) + 1))
     assert out.ledger.binary_count == cmp.binary_count
+
+
+def test_unhashable_elements_fail_before_any_comparison():
+    """The accounting counts elements by hashing them, and it runs before
+    the scan: an input with an unhashable element raises TypeError from
+    either sorter before any comparison is made."""
+    seq = [[2], [1], [2]]
+    for order in (None, 0, 1, 2):
+        cmp = CountingComparator()
+        with pytest.raises(TypeError):
+            run(seq, order, cmp)
+        assert cmp.binary_count == 0, order

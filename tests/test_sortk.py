@@ -256,6 +256,64 @@ def test_context_tree_count_bound(kernel, monkeypatch):
             assert distinct_ctx <= n ** order + 1
 
 
+STORE = ("_left", "_right", "_height", "_size", "_weight", "_wsum", "_keys",
+         "_idx", "_next")
+
+
+def reachable_nodes(tree):
+    """Node ids reachable from the tree's root."""
+    out, stack = [], [tree._root]
+    while stack:
+        v = stack.pop()
+        if v:
+            out.append(v)
+            stack += (tree._left[v], tree._right[v])
+    return out
+
+
+def test_context_forest_shares_one_node_store(kernel, monkeypatch):
+    """The context trees of one sortk call keep their nodes in the first
+    tree's node store and partition it: every tree is valid, and the node
+    ids reachable from the roots are pairwise disjoint and together are
+    exactly 1..len(store) - 1. Trees made outside sortk keep private
+    stores."""
+    built = []
+    original = kernel.StatsTree.__init__
+
+    def capturing(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(kernel.StatsTree, "__init__", capturing)
+    rng = random.Random(12)
+    runs = [(BIGALPHA, 1)]
+    for order in (1, 2, 3):
+        for _ in range(15):
+            n = rng.choice([2, 3, 6, 40])
+            runs.append(([rng.randrange(n)
+                          for _ in range(rng.randrange(order + 1, 200))],
+                         order))
+    for seq, order in runs:
+        built.clear()
+        out = sortk(seq, order, kernel_name=kernel.KERNEL_NAME)
+        assert out.permutation == stable_perm(seq)
+        first = built[0]
+        for tree in built:
+            tree._validate()
+            for attr in STORE:
+                assert getattr(tree, attr) is getattr(first, attr), attr
+        ids = sorted(v for tree in built for v in reachable_nodes(tree))
+        assert ids == list(range(1, len(first._keys))), (order, len(seq))
+
+    monkeypatch.undo()
+    forest = built[0]
+    for private in (kernel.StatsTree(), kernel.StatsTree(),
+                    kernel.from_pairs("ab", [1, 2])):
+        for attr in STORE:
+            assert getattr(private, attr) is not getattr(forest, attr)
+        assert len(private._keys) == len(private) + 1
+
+
 def test_mixed_key_types_strings(kernel):
     words = ["pear", "apple", "pear", "fig", "apple", "fig", "fig"]
     for order in (0, 1, 2):

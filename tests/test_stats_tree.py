@@ -138,6 +138,25 @@ def test_oracle_equivalence_randomized(kernel):
         tree._validate()
 
 
+def test_shared_node_store(kernel):
+    """Trees made with nodes= add their nodes to one store and stay
+    independent: each one, driven in turn, still matches its own oracle
+    after the others have grown and rotated in the same lists."""
+    rng = random.Random(99)
+    first = kernel.StatsTree()
+    trees = [first] + [kernel.StatsTree(nodes=first) for _ in range(3)]
+    oracles = [FlatStatsTree() for _ in trees]
+    for tree, oracle in zip(trees, oracles):
+        assert len(tree) == 0 and tree._keys is first._keys
+        random_op_mix(tree, oracle, rng, 400)
+    for tree, oracle in zip(trees, oracles):
+        tree._validate()
+        got = [(k, w, list(ix)) for k, w, ix, _ in tree.quadruples()]
+        assert got == [(k, w, list(ix)) for k, w, ix, _ in
+                       oracle.quadruples()]
+    assert len(first._keys) == 1 + sum(len(tree) for tree in trees)
+
+
 def test_zero_element_comparisons(kernel):
     """No statistics-tree operation ever compares keys."""
     Spy.reset()
