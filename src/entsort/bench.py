@@ -21,7 +21,7 @@ from .comparator import PHASE_BASELINE, CountingComparator
 from .kernel import KERNEL_NAME
 from .msort import mergesort_perm
 from .sort0 import SortOutcome, comparison_budget
-from .sortk import budget_breakdown, sortk
+from .sortk import budget_breakdown, premise_holds, sortk
 
 KINDS = ("uniform", "zipf", "markov", "periodic")
 
@@ -123,8 +123,8 @@ def stable_sort_oracle(seq: Sequence) -> list[int]:
 def evaluate_bounds(seq: Sequence, order: int) -> dict:
     """All budget quantities for (seq, order), independent of the sorters."""
     m = len(seq)
-    n = len(set(seq))
     breakdown = budget_breakdown(seq, order)
+    n = breakdown.n
     h0_bits = entropy.h_order(seq, 0)
     return {
         "m": m,
@@ -141,7 +141,7 @@ def evaluate_bounds(seq: Sequence, order: int) -> dict:
         # Envelope preconditions: n*ceil(log2 m) <= m for the order-0
         # envelope; n^(order+1)*log2(n) <= m for the order-k one.
         "envelope0_applicable": n * max(1, ceil(log2(m))) <= m if m > 1 else True,
-        "premise_ok": (n ** (order + 1)) * log2(n) <= m if n > 1 else True,
+        "premise_ok": premise_holds(n, m, order),
     }
 
 
@@ -158,8 +158,11 @@ def sort_report(seq: Sequence, order: int = 0,
     """Sort *seq* with sortk and reconcile the run into a report.
 
     H0, H_order and the budgets come from the outcome; only the entropies
-    of the orders in between are computed here.
+    of the orders in between are computed here. An order above m is a
+    usage error (ValueError): it would list H_k for every k < order.
     """
+    if order > len(seq):
+        raise ValueError(f"order {order} is not in [0, m], m = {len(seq)}")
     start = time.perf_counter()
     outcome = sortk(seq, order)
     wall_ms = (time.perf_counter() - start) * 1e3

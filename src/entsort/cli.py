@@ -1,7 +1,7 @@
 """Command-line surface: sort sequences, compute entropy, run benchmarks.
 
 Exit codes: 0 on success, 1 when --check-bounds finds a violated bound,
-2 on bad flags or unreadable input.
+2 on bad flags, unreadable input or an --order above the input length m.
 """
 
 from __future__ import annotations
@@ -113,12 +113,11 @@ def _cmd_entropy(args) -> int:
     if not seq:
         print("error: empty input", file=sys.stderr)
         return 2
-    prof = entropy.profile(seq, min(args.order, len(seq)))
-    values = prof.h + [0.0] * (args.order + 1 - len(prof.h))
+    prof = entropy.profile(seq, args.order)
     if args.format == "plain":
-        _write_out("\n".join(f"{v:.10g}" for v in values).encode(), args.out)
+        _write_out("\n".join(f"{v:.10g}" for v in prof.h).encode(), args.out)
     else:
-        _emit({"m": prof.m, "n": prof.n, "entropy": values}, args.format,
+        _emit({"m": prof.m, "n": prof.n, "entropy": prof.h}, args.format,
               args.out)
     return 0
 

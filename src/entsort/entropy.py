@@ -28,15 +28,29 @@ def h0_bits(counts: Iterable[int], m: int) -> float:
     return sum(c / m * log2(m / c) for c in counts)
 
 
+def weighted_h(terms: Sequence[tuple[int, float]], m: int,
+               order: int) -> float:
+    """H_order from its per-context (|part|, H0(part)) terms: the
+    size-weighted mean over m elements. At order 0 the one context is the
+    whole input; its H0 is taken as is, because m * H0 / m can differ from
+    H0 in the last bit."""
+    if order == 0:
+        return terms[0][1]
+    return sum(size * bits for size, bits in terms) / m
+
+
 def context_sequences(seq: Sequence, order: int) -> dict[tuple, list]:
     """Successor sequence per order-tuple context, in occurrence order.
 
     This is the one per-context table: H_order sums |part| * H0(part) over
     its parts, and the order-k budgets sum per-part sort0 budgets. A
-    context that only occurs as the sequence's suffix has no entry.
+    context that only occurs as the sequence's suffix has no entry, so an
+    order >= len(seq) gives an empty table, and no slice is built for it.
     """
+    if order >= len(seq):
+        return {}
     if order == 0:
-        return {(): list(seq)} if len(seq) else {}
+        return {(): list(seq)}
     table: dict[tuple, list] = defaultdict(list)
     contexts = zip(*(seq[j:] for j in range(order)))
     for ctx, s in zip(contexts, seq[order:]):
@@ -55,8 +69,9 @@ def h_order(seq: Sequence, order: int) -> float:
         raise ValueError("order must be >= 0")
     if order == 0:
         return h0(Counter(seq).values())
-    return sum(len(part) * h0(Counter(part).values())
-               for part in context_sequences(seq, order).values()) / m
+    return weighted_h([(len(part), h0(Counter(part).values()))
+                       for part in context_sequences(seq, order).values()],
+                      m, order)
 
 
 @dataclass
@@ -91,15 +106,12 @@ def profile(seq: Sequence, max_order: int) -> EntropyProfile:
     if m == 0:
         raise ValueError("sequence must be non-empty")
     if not 0 <= max_order <= m:
-        raise ValueError("max_order must be in [0, len(seq)]")
+        raise ValueError(f"order {max_order} is not in [0, m], m = {m}")
     h: list[float] = []
     tables: list[dict[tuple, tuple[int, float]]] = []
     for k in range(max_order + 1):
         entry = {ctx: (len(part), h0(Counter(part).values()))
                  for ctx, part in context_sequences(seq, k).items()}
         tables.append(entry)
-        # At order 0 the one context is the whole input; its H0 is taken
-        # as is, because m * H0 / m can differ from H0 in the last bit.
-        h.append(entry[()][1] if k == 0 else
-                 sum(size * bits for size, bits in entry.values()) / m)
+        h.append(weighted_h(list(entry.values()), m, k))
     return EntropyProfile(m=m, n=len(set(seq)), h=h, context_tables=tables)

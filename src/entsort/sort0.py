@@ -1,22 +1,21 @@
-"""Zero-order sorter: one incrementally maintained statistics tree.
+"""The shared sorting loop, and the order-0 entry point.
 
-Processes the sequence left to right, searching each element in the implicit
-weighted tree over everything seen so far, then updating the tree in place
-(weight bump on a hit, positional insert next to the arrival leaf on a miss).
-The concatenated index lists give a stable sorting permutation, and the
-measured comparison count never exceeds an exactly computable per-input
-budget. The loop, `scan`, is shared with the order-k sorter, which moves
-between one tree per context.
+`scan` processes the sequence left to right, searching each element in the
+implicit weighted tree over everything seen so far in its context, then
+updating that tree in place (weight bump on a hit, positional insert next to
+the arrival leaf on a miss). The one sorter, `sortk.sortk`, runs it;
+`sort0(seq)` is `sortk(seq, 0)`, where all elements share one tree, whose
+index lists in key order (`flatten`) are the stable permutation. Its
+comparison count never exceeds `comparison_budget`, computed exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from . import entropy
-from .comparator import ComparisonLedger, CountingComparator, delta
-from .kernel import EQUAL, PREDECESSOR, get_kernel
+from .comparator import ComparisonLedger, CountingComparator
+from .kernel import EQUAL, PREDECESSOR
 
 
 @dataclass(frozen=True)
@@ -26,8 +25,8 @@ class SortOutcome:
     permutation holds 1-based original positions in stable sorted order;
     inverse maps each original position to its sorted position. budget is
     the run's exactly computed comparison bound; binary_count <= budget on
-    every input. h0 (and h_order for order > 0) report the sequence's
-    entropy for envelope checks.
+    every input. h0 and h_order report the sequence's entropy for envelope
+    checks.
     """
 
     permutation: list[int]
@@ -35,10 +34,10 @@ class SortOutcome:
     ledger: ComparisonLedger
     budget: int
     h0: float
-    order: int = 0
-    context_budget: Optional[int] = None
-    h_order: Optional[float] = None
-    warnings: tuple[str, ...] = field(default=())
+    order: int
+    context_budget: int
+    h_order: float
+    warnings: tuple[str, ...] = ()
 
     def sorted_values(self, seq: Sequence) -> list:
         return [seq[p - 1] for p in self.permutation]
@@ -119,29 +118,8 @@ def flatten(tree) -> list[int]:
 
 def sort0(seq: Sequence, comparator: Optional[CountingComparator] = None,
           kernel_name: Optional[str] = None) -> SortOutcome:
-    """Stable-sort *seq* with entropy-adaptive comparison count.
-
-    The one-context case of `scan`: every handle is the single tree.
-    """
-    m = len(seq)
-    if m == 0:
-        raise ValueError("sequence must be non-empty")
-    cmp = comparator if comparator is not None else CountingComparator()
-    # The accounting compares nothing; done first, its tables are freed
-    # before the tree is built.
-    budget = comparison_budget(seq)
-    bits = entropy.h_order(seq, 0)
-    before = cmp.snapshot()
-    tree = get_kernel(kernel_name).StatsTree()
-    scan(seq, 1, tree, cmp, lambda current, s: tree)
-    permutation = flatten(tree)
-    return SortOutcome(
-        permutation=permutation,
-        inverse=invert(permutation),
-        ledger=delta(before, cmp.snapshot()),
-        budget=budget,
-        h0=bits,
-        order=0,
-        context_budget=budget,
-        h_order=bits,
-    )
+    """Stable-sort *seq*: `sortk(seq, 0)`. sortk is imported here, not at
+    the top, because it imports this module's scan, flatten, invert and
+    SortOutcome."""
+    from .sortk import sortk
+    return sortk(seq, 0, comparator, kernel_name)

@@ -1,14 +1,16 @@
 """Order-k sorter: one statistics tree per context, chained by rank codes.
 
-Maintains a statistics tree per distinct k-tuple of preceding elements. Each
-element is searched only in its context's tree, so search costs track the
-order-k entropy rather than the order-0 entropy. The element loop is
-`sort0.scan`. Two dictionaries realize the context lookup on a miss:
-RankDictionary (element -> first-appearance rank, the only dictionary that
-compares elements) and CodeDictionary (rank tuple -> tree, a hash map that
-compares no elements). A repeat (k+1)-tuple never touches either dictionary:
-the quadruple found by the search carries a handle to the successor
-context's tree.
+This is the one sorter; `sort0.sort0` is `sortk(seq, 0)`. It maintains a
+statistics tree per distinct k-tuple of preceding elements. Each element is
+searched only in its context's tree, so search costs track the order-k
+entropy rather than the order-0 entropy. The element loop is `sort0.scan`.
+Two dictionaries realize the context lookup on a miss: RankDictionary
+(element -> first-appearance rank, the only dictionary that compares
+elements) and CodeDictionary (rank tuple -> tree, a hash map that compares
+no elements). A repeat (k+1)-tuple never touches either dictionary: the
+quadruple found by the search carries a handle to the successor context's
+tree. At order 0 there is one context, so there is no lookup at all: every
+successor is the one tree, and B1 stays empty.
 
 All context trees of one call share one node store (`StatsTree(nodes=...)`),
 so a context costs one tree object, not nine lists. That matters where an
@@ -17,9 +19,10 @@ The accounting (budgets and H_0) runs before the scan: it compares nothing,
 and its tables are freed before the first tree is built.
 
 Finalization compares no elements. At order 0 the one tree is already in
-key order, and its index lists are concatenated. Above it, each index list
-is filed under its key's B1 rank, and B1's in-order walk, which is the
-sorted alphabet, gives the order of the ranks (`_read_off`).
+key order, and its index lists are concatenated (`sort0.flatten`). Above
+it, each index list is filed under its key's B1 rank, and B1's in-order
+walk, which is the sorted alphabet, gives the order of the ranks
+(`_read_off`).
 """
 
 from __future__ import annotations
@@ -48,10 +51,11 @@ class BudgetBreakdown:
     All fields are derived from the input alone, independent of the sorter,
     in one pass over its context table (`entropy.context_sequences`).
     total = context_total + b1 bounds binary_count; h_order is the input's
-    order-k entropy.
+    order-k entropy; n is its number of distinct elements.
     """
 
     order: int
+    n: int
     context_total: int
     b1_ops: int
     b1: int
@@ -83,19 +87,28 @@ def budget_breakdown(seq: Sequence, order: int) -> BudgetBreakdown:
         new_tuples += len(counts)
         size = len(part)
         terms.append((size, entropy.h0_bits(counts.values(), size)))
-    # At order 0 the one context is the whole input; its H0 is taken as
-    # is, because m * H0 / m can differ from H0 in the last bit.
-    h_order = terms[0][1] if order == 0 else \
-        sum(size * bits for size, bits in terms) / m
-    b1_ops = min(order, m) + new_tuples
-    per_op = avl_height_bound(len(set(seq))) + 1
+    b1_ops = min(order, m) + new_tuples if order else 0
+    n = len(set(seq))
     return BudgetBreakdown(
         order=order,
+        n=n,
         context_total=context_total,
         b1_ops=b1_ops,
-        b1=b1_ops * per_op,
-        h_order=h_order,
+        b1=b1_ops * (avl_height_bound(n) + 1),
+        h_order=entropy.weighted_h(terms, m, order),
     )
+
+
+def premise_holds(n: int, m: int, order: int) -> bool:
+    """Whether n^(order+1) * log2(n) <= m, the premise of the order-k
+    entropy bound. No power past float range is formed: when
+    (order+1) * floor(log2 n) exceeds m's bit length, n^(order+1) alone is
+    above 2m and the premise fails; otherwise n^(order+1) < 4m^2."""
+    if n <= 1:
+        return True
+    if (order + 1) * (n.bit_length() - 1) > m.bit_length():
+        return False
+    return (n ** (order + 1)) * log2(n) <= m
 
 
 def _read_off(b1: RankDictionary, trees, boot: tuple) -> list[int]:
@@ -126,8 +139,6 @@ def sortk(seq: Sequence, order: int = 0,
           kernel_name: Optional[str] = None) -> SortOutcome:
     """Stable-sort *seq* using order-*order* context trees."""
     m = len(seq)
-    if m == 0:
-        raise ValueError("sequence must be non-empty")
     if order < 0:
         raise ValueError("order must be >= 0")
     cmp = comparator if comparator is not None else CountingComparator()
@@ -156,23 +167,25 @@ def sortk(seq: Sequence, order: int = 0,
         """Rank s via the element dictionary, then fetch or create the
         successor context's tree via the context dictionary."""
         rank, _ = b1.lookup_or_insert(s)
-        if order == 0:
-            return tree_for(())
         return tree_for(current.context_ranks[1:] + (rank,))
 
     boot = tuple(b1.lookup_or_insert(seq[k])[0]
                  for k in range(min(order, m)))
     if m > order:
-        scan(seq, order + 1, tree_for(boot), cmp, query_black_box)
+        scan(seq, order + 1, tree_for(boot), cmp,
+             query_black_box if order else lambda current, s: current)
 
-    permutation = flatten(b2[()]) if order == 0 else \
-        _read_off(b1, b2.values(), boot)
+    permutation = _read_off(b1, b2.values(), boot) if order else \
+        flatten(b2[()])
     warnings: tuple[str, ...] = ()
-    n = len(b1)
-    if n > 1 and (n ** (order + 1)) * log2(n) > m:
+    n = breakdown.n
+    if not premise_holds(n, m, order):
+        exponent = (order + 1) * log2(n)
+        lhs = (f"{(n ** (order + 1)) * log2(n):.0f}" if exponent < 1000
+               else f"2^{exponent:.6g} * {log2(n):.6g}")
         warnings = (
-            f"n^(order+1)*log2(n) = {(n ** (order + 1)) * log2(n):.0f} "
-            f"exceeds m = {m}; entropy bound not guaranteed",
+            f"n^(order+1)*log2(n) = {lhs} exceeds m = {m}; "
+            "entropy bound not guaranteed",
         )
     return SortOutcome(
         permutation=permutation,

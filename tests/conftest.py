@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
 import random
+import resource
+import subprocess
+import sys
 
 import pytest
 
@@ -15,6 +19,28 @@ from entsort.lbst import leaf_code
 def kernel(request):
     """The kernel module. The one-element params keeps test ids stable."""
     return get_kernel(request.param)
+
+
+TESTS = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(os.path.dirname(TESTS), "src")
+
+
+def run_capped(*args: str, timeout: float = 60,
+               limit: int = 1 << 30) -> subprocess.CompletedProcess:
+    """`python *args` in a fresh interpreter that imports entsort from this
+    checkout (and conftest from here), under an address-space cap of
+    *limit* bytes and a timeout: a runaway allocation ends in a
+    MemoryError, a hang in subprocess.TimeoutExpired, either one a clean
+    test failure."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, TESTS, env.get("PYTHONPATH")) if p)
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    return subprocess.run([sys.executable, *args], env=env, preexec_fn=cap,
+                          capture_output=True, text=True, timeout=timeout)
 
 
 def stable_perm(seq) -> list[int]:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from conftest import run_capped
 import entsort.cli as cli
 from entsort.cli import main
 
@@ -228,3 +229,41 @@ def test_kernel_options_removed_exit_2(capsys, command, option):
     err = capsys.readouterr().err
     assert "unrecognized arguments" in err
     assert "Traceback" not in err
+
+
+HUGE = str(10 ** 20)
+
+
+@pytest.mark.parametrize("argv,m", [
+    (("sort", "{f}", "--order", "1000"), 7),
+    (("sort", "{f}", "--order", HUGE), 7),
+    (("entropy", "{f}", "--order", "1000"), 7),
+    (("entropy", "{f}", "--order", HUGE), 7),
+    (("bench", "--limit", "1", "--orders", HUGE), 1000),
+], ids=["sort-1000", "sort-huge", "entropy-1000", "entropy-huge",
+        "bench-huge"])
+def test_order_above_m_exit_2(tmp_path, argv, m):
+    """An order above the input length m is a usage error: exit 2 with a
+    one-line message that names m, and no traceback. Each run is a capped
+    subprocess, so that an order-sized table or a hang fails cleanly."""
+    f = tmp_path / "seven.bin"
+    f.write_bytes(b"abracad")  # 7 bytes, 5 distinct
+    run = run_capped("-m", "entsort.cli", *(a.format(f=f) for a in argv))
+    assert run.returncode == 2, run.stderr
+    assert "Traceback" not in run.stderr
+    assert run.stderr.splitlines() == [run.stderr.strip()]
+    assert f"m = {m}" in run.stderr
+
+
+def test_order_up_to_m(tmp_path, capsys):
+    """Orders up to m still sort and report, at m itself included."""
+    f = tmp_path / "seven.bin"
+    f.write_bytes(b"abracad")
+    code, out, _ = run_cli(capsys, "sort", str(f), "--order", "7",
+                           "--check-bounds")
+    assert code == 0
+    entropies = json.loads(out)["entropy"]
+    assert len(entropies) == 8 and entropies[-1] == 0.0
+    code, out, _ = run_cli(capsys, "entropy", str(f), "--order", "7")
+    assert code == 0
+    assert [float(x) for x in out.split()] == pytest.approx(entropies)

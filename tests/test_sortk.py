@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import subprocess
@@ -6,7 +7,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import Spy, stable_perm
+from conftest import Spy, run_capped, stable_perm
 import entsort
 from entsort import entropy
 from entsort.bench import SourceSpec, generate
@@ -27,7 +28,7 @@ BIGALPHA = generate(SourceSpec(kind="markov", n=4096, m=8192, noise=0.1,
 # (sequence, order or None for sort0) -> search, verify, b1, merge, total.
 GOLDEN_LEDGERS = [
     (TORONTO, None, (7, 6, 0, 0, 13)),
-    (TORONTO, 0, (7, 6, 8, 0, 21)),
+    (TORONTO, 0, (7, 6, 0, 0, 13)),
     (TORONTO, 1, (0, 3, 14, 0, 17)),
     (TORONTO, 2, (0, 0, 18, 0, 18)),
     (TORONTO, 3, (0, 0, 18, 0, 18)),
@@ -54,18 +55,18 @@ def test_toronto_all_orders(kernel):
 
 
 def test_order_zero_matches_sort0_exactly(kernel):
+    """Order 0 is sort0, field by field (permutation, inverse, ledger,
+    budget, context_budget, h0, h_order, warnings), with no B1 lookup."""
     rng = random.Random(77)
     for _ in range(60):
         m = rng.randrange(1, 200)
         seq = [rng.randrange(rng.choice([1, 2, 9, 60])) for _ in range(m)]
         a = sort0(seq, kernel_name=kernel.KERNEL_NAME)
         b = sortk(seq, 0, kernel_name=kernel.KERNEL_NAME)
-        assert b.permutation == a.permutation
-        assert b.ledger.count(PHASE_SEARCH) == a.ledger.count(PHASE_SEARCH)
-        assert b.ledger.count(PHASE_VERIFY) == a.ledger.count(PHASE_VERIFY)
-        n = len(set(seq))
-        assert b.ledger.count(PHASE_B1) <= n * (avl_height_bound(n) + 1)
+        assert b == a
+        assert b.ledger.count(PHASE_B1) == 0
         assert b.ledger.count(PHASE_MERGE) == 0
+        assert b.budget == b.context_budget == comparison_budget(seq)
 
 
 def test_golden_ledgers():
@@ -95,7 +96,7 @@ def test_budget_breakdown_fields():
     assert bd.b1_ops == 1 + distinct_tuples(TORONTO, 1)
     assert bd.total == bd.context_total + bd.b1
     bd0 = budget_breakdown(["z"], 0)
-    assert bd0.b1_ops == 1 and bd0.total == bd0.context_total + bd0.b1
+    assert bd0.b1_ops == 0 and bd0.total == bd0.context_total + bd0.b1
     bd_short = budget_breakdown(["z", "y"], 3)
     assert bd_short.b1_ops == 2 and bd_short.context_total == 0
     with pytest.raises(ValueError):
@@ -113,8 +114,8 @@ def successor_lists(seq, order):
 def test_budget_breakdown_matches_oracle():
     """Every breakdown field against its definition, on random inputs:
     per-context sort0 budgets over the successor lists, one B1 lookup per
-    warm-up element and per distinct (order+1)-tuple, and H_order
-    exactly."""
+    warm-up element and per distinct (order+1)-tuple above order 0 and
+    none at order 0, and H_order exactly."""
     rng = random.Random(61)
     for _ in range(150):
         m = rng.randrange(1, 160)
@@ -127,16 +128,19 @@ def test_budget_breakdown_matches_oracle():
             assert bd.order == order
             assert bd.context_total == sum(comparison_budget(p)
                                            for p in parts)
-            assert bd.b1_ops == min(order, m) + tuples
+            assert bd.b1_ops == (min(order, m) + tuples if order else 0)
             assert bd.b1 == bd.b1_ops * (avl_height_bound(len(set(seq)))
                                          + 1)
             assert bd.total == bd.context_total + bd.b1
+            if order == 0:
+                assert bd.total == comparison_budget(seq)
             assert bd.h_order == entropy.h_order(seq, order)
 
 
 def test_black_box_query_count(kernel, monkeypatch):
     """The dictionaries are consulted once per new distinct tuple, never on
-    repeats, plus the warm-up lookups."""
+    repeats, plus the warm-up lookups; never at order 0, whose one
+    context needs no lookup."""
     calls = {"n": 0}
     original = RankDictionary.lookup_or_insert
 
@@ -153,7 +157,7 @@ def test_black_box_query_count(kernel, monkeypatch):
             seq = [rng.randrange(n) for _ in range(m)]
             calls["n"] = 0
             sortk(seq, order, kernel_name=kernel.KERNEL_NAME)
-            expected = order + distinct_tuples(seq, order)
+            expected = order + distinct_tuples(seq, order) if order else 0
             assert calls["n"] == expected
             assert calls["n"] <= order + n ** (order + 1)
 
@@ -185,6 +189,40 @@ def test_degenerate_order_at_least_m(kernel):
         assert led.count(PHASE_MERGE) == 0
         assert led.binary_count == led.count(PHASE_B1) == 8
         assert out.budget == budget_breakdown(seq, order).b1 == 4 * 4
+
+
+HUGE_ORDER_SCRIPT = """
+import json, sys
+from conftest import Spy, stable_perm
+from entsort.sortk import sortk
+raw = json.loads(sys.argv[1])
+seq = [Spy(v) for v in raw]
+out = sortk(seq, 10 ** 20)
+print(json.dumps([out.permutation == stable_perm(raw), out.budget,
+                  out.ledger.binary_count, Spy.order_comparisons,
+                  list(out.warnings)]))
+"""
+
+
+def test_orders_from_m_up(kernel):
+    """Orders m, m + 1 and 10**20 give the stable permutation within the
+    budget, and the Spy tally equals the ledger total. The 10**20 case runs
+    in a capped subprocess, so that building order-sized tables or powers
+    fails cleanly instead of exhausting the machine."""
+    raw = [3, 1, 4, 1, 5, 9, 2, 6, 5]
+    m = len(raw)
+    for order in (m, m + 1):
+        seq = [Spy(v) for v in raw]
+        Spy.reset()
+        out = sortk(seq, order, kernel_name=kernel.KERNEL_NAME)
+        assert out.permutation == stable_perm(raw)
+        assert out.ledger.binary_count <= out.budget
+        assert Spy.order_comparisons == out.ledger.binary_count
+    run = run_capped("-c", HUGE_ORDER_SCRIPT, json.dumps(raw))
+    assert run.returncode == 0, run.stderr
+    stable, budget, count, spied, warnings = json.loads(run.stdout)
+    assert stable and count <= budget and spied == count
+    assert len(warnings) == 1 and "not guaranteed" in warnings[0]
 
 
 def test_warning_on_violated_premise(kernel):
