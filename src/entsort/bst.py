@@ -2,10 +2,10 @@
 
 RankDictionary maps elements to first-appearance ranks; its lookups are the
 only dictionary operations that compare elements, and every comparison is
-charged to the b1-dictionary phase. It is a plain AVL tree on parallel
-lists, like the statistics tree, whose node ids are allocated in
-first-appearance order, so an element's node id is its rank; height <=
-AVL_HEIGHT_FACTOR * log2(t + 2). CodeDictionary maps rank tuples to
+charged to the b1-dictionary phase. It is an AVL tree on the statistics
+tree's flat-array core (`kernel._FlatAVL`), with heights as its only
+field; node ids are allocated in first-appearance order, so an element's
+node id is its rank; height <= AVL_HEIGHT_FACTOR * log2(t + 2). CodeDictionary maps rank tuples to
 statistics trees; it is a hash map and compares no elements.
 """
 
@@ -15,6 +15,7 @@ from math import floor, log2
 from typing import Iterator
 
 from .comparator import PHASE_B1
+from .kernel import _FlatAVL
 
 AVL_HEIGHT_FACTOR = 1.4405
 
@@ -24,7 +25,7 @@ def avl_height_bound(t: int) -> int:
     return floor(AVL_HEIGHT_FACTOR * log2(t + 2))
 
 
-class RankDictionary:
+class RankDictionary(_FlatAVL):
     """Elements seen so far, each with its first-appearance rank.
 
     An element's rank is the number of distinct elements in the sequence up
@@ -33,12 +34,12 @@ class RankDictionary:
     candidate (one comparison per node), then spend one comparison to decide
     equality — at most height + 1 comparisons per operation.
 
-    The nodes live in parallel lists (`_keys`, `_left`, `_right`,
-    `_height`), with node 0 as the null sentinel. Nodes are allocated in
+    The nodes live in parallel lists (`_keys` and the `_FlatAVL` lists),
+    with node 0 as the null sentinel. Nodes are allocated in
     first-appearance order, so a node's id is its element's rank.
     """
 
-    __slots__ = ("_cmp", "_keys", "_left", "_right", "_height", "_root")
+    __slots__ = ("_cmp", "_keys")
 
     def __init__(self, comparator):
         self._cmp = comparator
@@ -50,10 +51,6 @@ class RankDictionary:
 
     def __len__(self) -> int:
         return len(self._keys) - 1
-
-    @property
-    def height(self) -> int:
-        return self._height[self._root]
 
     def lookup_or_insert(self, elem) -> tuple[int, bool]:
         """(rank, was_new) for elem, inserting it with the next rank if new."""
@@ -72,85 +69,24 @@ class RankDictionary:
                 v = right[v]
         if candidate and leq(keys[candidate], elem, PHASE_B1):
             return candidate, False
-        # Miss: attach at the fall-off point and rebalance up the path,
-        # stopping at the first ancestor that keeps both its place and its
-        # height, since nothing above it changes. A balanced ancestor only
-        # gets its new height; an unbalanced one rotates.
-        rank = node = len(keys)
+        # Miss: a new leaf at the fall-off point.
+        rank = len(keys)
         keys.append(elem)
         left.append(0)
         right.append(0)
-        height = self._height
-        height.append(1)
-        for parent in reversed(path):
-            if parent > 0:
-                left[parent] = node
-            else:
-                parent = -parent
-                right[parent] = node
-            lh, rh = height[left[parent]], height[right[parent]]
-            if -1 <= lh - rh <= 1:
-                h = 1 + (lh if lh >= rh else rh)
-                if h == height[parent]:
-                    break
-                height[parent] = h
-                node = parent
-            else:
-                node = self._rotate(parent)
-        else:
-            self._root = node
+        self._height.append(1)
+        self._attach(path, rank)
         return rank, True
 
     def __iter__(self) -> Iterator[tuple]:
         """(element, rank) pairs in key order: an in-order walk."""
-        keys, left, right = self._keys, self._left, self._right
-        stack = []
-        v = self._root
-        while stack or v:
-            while v:
-                stack.append(v)
-                v = left[v]
-            v = stack.pop()
-            yield keys[v], v
-            v = right[v]
-
-    # -- AVL plumbing ------------------------------------------------------
+        keys = self._keys
+        return ((keys[v], v) for v in self._inorder())
 
     def _fix(self, v: int) -> None:
         h = self._height
         lh, rh = h[self._left[v]], h[self._right[v]]
         h[v] = 1 + (lh if lh >= rh else rh)
-
-    def _rot_right(self, v: int) -> int:
-        l = self._left[v]
-        self._left[v] = self._right[l]
-        self._right[l] = v
-        self._fix(v)
-        self._fix(l)
-        return l
-
-    def _rot_left(self, v: int) -> int:
-        r = self._right[v]
-        self._right[v] = self._left[r]
-        self._left[r] = v
-        self._fix(v)
-        self._fix(r)
-        return r
-
-    def _rotate(self, v: int) -> int:
-        """Rebalance v, whose subtrees differ in height by 2, with a single
-        or a double rotation; return the subtree's new root."""
-        h, left, right = self._height, self._left, self._right
-        l, r = left[v], right[v]
-        if h[l] > h[r]:
-            if h[left[l]] >= h[right[l]]:
-                return self._rot_right(v)
-            left[v] = self._rot_left(l)
-            return self._rot_right(v)
-        if h[right[r]] >= h[left[r]]:
-            return self._rot_left(v)
-        right[v] = self._rot_right(r)
-        return self._rot_left(v)
 
 
 class CodeDictionary(dict):

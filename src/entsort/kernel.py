@@ -30,6 +30,12 @@ tree keeps. The single-node queries that the tests check it against
 Trees can share one node store (`StatsTree(nodes=...)`): the order-k
 sorter keeps its one tree per context in a single store, so that a context
 costs one small object rather than a set of lists.
+
+The AVL rules live once, in `_FlatAVL`: rotations, the single-or-double
+rebalance, `_attach`, which hangs a new leaf below a recorded search path
+and rebalances bottom-up, and the in-order walk. The statistics tree and
+`bst.RankDictionary` both derive from it and differ only in `_fix`, the
+fields a node recomputes from its children.
 """
 
 from __future__ import annotations
@@ -54,7 +60,95 @@ _PHASE_SEARCH = "search"
 _PHASE_VERIFY = "verify"
 
 
-class StatsTree:
+class _FlatAVL:
+    """AVL plumbing shared by the statistics tree and `bst.RankDictionary`.
+
+    Nodes live in parallel lists indexed by node id, with node 0 as the null
+    sentinel (height 0). A subclass supplies `_fix(v)`, which recomputes v's
+    height and any augmentation from its children; rotations call it on the
+    two nodes whose children change. Rotations keep node ids.
+    """
+
+    __slots__ = ("_left", "_right", "_height", "_root")
+
+    @property
+    def height(self) -> int:
+        return self._height[self._root]
+
+    def _rot_right(self, v: int) -> int:
+        l = self._left[v]
+        self._left[v] = self._right[l]
+        self._right[l] = v
+        self._fix(v)
+        self._fix(l)
+        return l
+
+    def _rot_left(self, v: int) -> int:
+        r = self._right[v]
+        self._right[v] = self._left[r]
+        self._left[r] = v
+        self._fix(v)
+        self._fix(r)
+        return r
+
+    def _rotate(self, v: int) -> int:
+        """Rebalance v, whose subtrees differ in height by 2, with a single
+        or a double rotation; return the subtree's new root."""
+        h, left, right = self._height, self._left, self._right
+        l, r = left[v], right[v]
+        if h[l] > h[r]:
+            if h[left[l]] >= h[right[l]]:
+                return self._rot_right(v)
+            left[v] = self._rot_left(l)
+            return self._rot_right(v)
+        if h[right[r]] >= h[left[r]]:
+            return self._rot_left(v)
+        right[v] = self._rot_right(r)
+        return self._rot_left(v)
+
+    def _attach(self, path: list, node: int) -> None:
+        """Hang the new leaf *node* below the end of *path* and rebalance.
+
+        *path* lists the ancestors from the root down, v for a step to v's
+        left child and -v for a step to its right child; any augmentation
+        other than the height must already count the new node along it.
+        Going up, a balanced ancestor gets its new height, an unbalanced one
+        rotates, and the first ancestor that keeps both its place and its
+        height ends the walk, since nothing above it changes.
+        """
+        left, right, height = self._left, self._right, self._height
+        for parent in reversed(path):
+            if parent > 0:
+                left[parent] = node
+            else:
+                parent = -parent
+                right[parent] = node
+            lh, rh = height[left[parent]], height[right[parent]]
+            if -1 <= lh - rh <= 1:
+                h = 1 + (lh if lh >= rh else rh)
+                if h == height[parent]:
+                    return
+                height[parent] = h
+                node = parent
+            else:
+                node = self._rotate(parent)
+        self._root = node
+
+    def _inorder(self):
+        """Node ids in key (positional) order."""
+        left, right = self._left, self._right
+        stack = []
+        v = self._root
+        while stack or v:
+            while v:
+                stack.append(v)
+                v = left[v]
+            v = stack.pop()
+            yield v
+            v = right[v]
+
+
+class StatsTree(_FlatAVL):
     """Positional AVL tree of quadruples with subtree weight sums.
 
     Positions are 1-based. Node 0 is the null sentinel. Callers are
@@ -67,9 +161,8 @@ class StatsTree:
     into another.
     """
 
-    __slots__ = ("_left", "_right", "_height", "_size", "_weight", "_wsum",
-                 "_keys", "_idx", "_next", "_root", "_first", "_last",
-                 "context_ranks")
+    __slots__ = ("_size", "_weight", "_wsum", "_keys", "_idx", "_next",
+                 "_first", "_last", "context_ranks")
 
     def __init__(self, context_ranks=None, nodes=None):
         """An empty tree. With *nodes*, another tree, the new tree adds its
@@ -109,10 +202,6 @@ class StatsTree:
     @property
     def total_weight(self) -> int:
         return self._wsum[self._root]
-
-    @property
-    def height(self) -> int:
-        return self._height[self._root]
 
     def _check_pos(self, j: int) -> None:
         if not 1 <= j <= self._size[self._root]:
@@ -271,79 +360,58 @@ class StatsTree:
 
     def insert(self, a, i: int, j: int, next=None) -> None:
         """Insert quadruple (a, 1, [i], next) at position j, shifting
-        positions >= j right by one."""
-        t = self._size[self._root]
+        positions >= j right by one. One walk down to the insert point
+        counts the new node in its ancestors' sizes and weight sums, then
+        `_attach` hangs it there and rebalances."""
+        root = self._root
+        t = self._size[root]
         if not 1 <= j <= t + 1:
             raise IndexError(f"insert position {j} out of range 1..{t + 1}")
-        if self._wsum[self._root] + 1 > MAX_TOTAL_WEIGHT:
+        if self._wsum[root] + 1 > MAX_TOTAL_WEIGHT:
             raise OverflowError("total weight exceeds configured word width")
-        u = len(self._keys)
-        self._left.append(0)
-        self._right.append(0)
-        self._height.append(1)
-        self._size.append(1)
-        self._weight.append(1)
-        self._wsum.append(1)
-        self._keys.append(a)
-        self._idx.append([i])
-        self._next.append(next)
-        self._root = self._insert_at(self._root, j, u)
+        left, right, size, wsum = self._left, self._right, self._size, \
+            self._wsum
+        path = []  # v after a left move, -v after a right move
+        v = root
+        pos = j
+        while v:
+            size[v] += 1
+            wsum[v] += 1
+            ls = size[left[v]]
+            if pos <= ls + 1:
+                path.append(v)
+                v = left[v]
+            else:
+                path.append(-v)
+                pos -= ls + 1
+                v = right[v]
+        u = self._new_node(a, 1, [i], next)
+        self._attach(path, u)
         if j == 1:
             self._first = u
         if j == t + 1:
             self._last = u
 
-    # -- AVL plumbing ------------------------------------------------------
+    def _new_node(self, a, w: int, indices: list, next) -> int:
+        """Append a childless node holding quadruple (a, w, indices, next)
+        to the node store; return its id."""
+        self._left.append(0)
+        self._right.append(0)
+        self._height.append(1)
+        self._size.append(1)
+        self._weight.append(w)
+        self._wsum.append(w)
+        self._keys.append(a)
+        self._idx.append(indices)
+        self._next.append(next)
+        return len(self._keys) - 1
 
     def _fix(self, v: int) -> None:
         l, r = self._left[v], self._right[v]
         h = self._height
-        self._height[v] = 1 + (h[l] if h[l] >= h[r] else h[r])
+        h[v] = 1 + (h[l] if h[l] >= h[r] else h[r])
         self._size[v] = 1 + self._size[l] + self._size[r]
         self._wsum[v] = self._weight[v] + self._wsum[l] + self._wsum[r]
-
-    def _rot_right(self, v: int) -> int:
-        l = self._left[v]
-        self._left[v] = self._right[l]
-        self._right[l] = v
-        self._fix(v)
-        self._fix(l)
-        return l
-
-    def _rot_left(self, v: int) -> int:
-        r = self._right[v]
-        self._right[v] = self._left[r]
-        self._left[r] = v
-        self._fix(v)
-        self._fix(r)
-        return r
-
-    def _balance(self, v: int) -> int:
-        self._fix(v)
-        h = self._height
-        l, r = self._left[v], self._right[v]
-        bf = h[l] - h[r]
-        if bf > 1:
-            if h[self._left[l]] >= h[self._right[l]]:
-                return self._rot_right(v)
-            self._left[v] = self._rot_left(l)
-            return self._rot_right(v)
-        if bf < -1:
-            if h[self._right[r]] >= h[self._left[r]]:
-                return self._rot_left(v)
-            self._right[v] = self._rot_right(r)
-            return self._rot_left(v)
-        return v
-
-    def _insert_at(self, v: int, pos: int, u: int) -> int:
-        if v == 0:
-            return u
-        ls = self._size[self._left[v]]
-        if pos <= ls + 1:
-            self._left[v] = self._insert_at(self._left[v], pos, u)
-        else:
-            self._right[v] = self._insert_at(self._right[v], pos - ls - 1, u)
-        return self._balance(v)
 
     # -- virtual weighted-tree navigation ----------------------------------
 
@@ -451,19 +519,9 @@ class StatsTree:
 
     def quadruples(self) -> list:
         """All quadruples in positional order."""
-        out = []
-        stack = []
-        v = self._root
-        left, right = self._left, self._right
-        while stack or v:
-            while v:
-                stack.append(v)
-                v = left[v]
-            v = stack.pop()
-            out.append((self._keys[v], self._weight[v], self._idx[v],
-                        self._next[v]))
-            v = right[v]
-        return out
+        keys, weight, idx, nxt = self._keys, self._weight, self._idx, \
+            self._next
+        return [(keys[v], weight[v], idx[v], nxt[v]) for v in self._inorder()]
 
     def _validate(self) -> None:
         """Check AVL and augmentation invariants (test support)."""
@@ -528,16 +586,7 @@ def from_pairs(keys, weights, indices=None, context_ranks=None) -> StatsTree:
         if lo > hi:
             return 0
         mid = (lo + hi) // 2
-        u = len(tree._keys)
-        tree._left.append(0)
-        tree._right.append(0)
-        tree._height.append(1)
-        tree._size.append(1)
-        tree._weight.append(weights[mid])
-        tree._wsum.append(weights[mid])
-        tree._keys.append(keys[mid])
-        tree._idx.append(list(indices[mid]))
-        tree._next.append(None)
+        u = tree._new_node(keys[mid], weights[mid], list(indices[mid]), None)
         tree._left[u] = build(lo, mid - 1)
         tree._right[u] = build(mid + 1, hi)
         tree._fix(u)
