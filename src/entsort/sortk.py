@@ -177,6 +177,11 @@ def sortk(seq: Sequence, order: int = 0,
 
     permutation = _read_off(b1, b2.values(), boot) if order else \
         flatten(b2[()])
+    if store is not None:
+        # Every tree refers to the shared handle list, which holds trees:
+        # emptying it leaves the forest without a reference cycle, so the
+        # call leaves nothing for the cyclic collector.
+        store._next.clear()
     warnings: tuple[str, ...] = ()
     n = breakdown.n
     if not premise_holds(n, m, order):

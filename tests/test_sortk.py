@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import random
@@ -350,6 +351,25 @@ def test_context_forest_shares_one_node_store(kernel, monkeypatch):
         for attr in STORE:
             assert getattr(private, attr) is not getattr(forest, attr)
         assert len(private._keys) == len(private) + 1
+
+
+def test_no_cyclic_garbage_after_a_call():
+    """A call leaves no reference cycle: with the collector off, nothing
+    that sort0 or sortk built is found unreachable afterwards."""
+    rng = random.Random(20)
+    seq = [rng.randrange(20) for _ in range(2000)]
+    calls = [lambda: sort0(seq)] + [lambda k=k: sortk(seq, k)
+                                    for k in (1, 2, 3)]
+    gc.collect()
+    gc.disable()
+    try:
+        for call in calls:
+            out = call()
+            assert out.permutation == stable_perm(seq)
+            del out
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_mixed_key_types_strings(kernel):
