@@ -157,9 +157,10 @@ def sort_report(seq: Sequence, order: int = 0,
                 include_baseline: bool = False) -> tuple[dict, SortOutcome]:
     """Sort *seq* with sortk and reconcile the run into a report.
 
-    H0, H_order and the budgets come from the outcome; only the entropies
-    of the orders in between are computed here. An order above m is a
-    usage error (ValueError): it would list H_k for every k < order.
+    H0, H_order and the budgets come from the outcome; the entropies of
+    the orders in between come from `entropy.profile`, which stops at the
+    first order whose entropy is exactly 0.0. An order above m is a usage
+    error (ValueError): it would list H_k for every k < order.
     """
     if order > len(seq):
         raise ValueError(f"order {order} is not in [0, m], m = {len(seq)}")
@@ -168,7 +169,8 @@ def sort_report(seq: Sequence, order: int = 0,
     wall_ms = (time.perf_counter() - start) * 1e3
     sorted_ok, stable = outcome_checks(seq, outcome)
     entropy_bits = [outcome.h0]
-    entropy_bits += [entropy.h_order(seq, k) for k in range(1, order)]
+    if order > 1:
+        entropy_bits += entropy.profile(seq, order - 1).h[1:]
     if order > 0:
         entropy_bits.append(outcome.h_order)
     report = {

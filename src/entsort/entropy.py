@@ -7,7 +7,7 @@ of its work is charged to a comparison ledger.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import log2
 from typing import Iterable, Sequence
 
@@ -76,42 +76,37 @@ def h_order(seq: Sequence, order: int) -> float:
 
 @dataclass
 class EntropyProfile:
-    """Entropy at orders 0..max_order plus the per-context breakdown.
-
-    context_tables[k] maps each k-tuple context to (successor count, H0 of
-    the successor distribution).
-    """
+    """Entropy at orders 0..max_order of a sequence of m elements, n of them
+    distinct."""
 
     m: int
     n: int
     h: list[float]
-    context_tables: list[dict[tuple, tuple[int, float]]] = field(repr=False)
 
     @property
     def max_order(self) -> int:
         return len(self.h) - 1
 
-    def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "n": self.n,
-            "h": list(self.h),
-            "contexts_per_order": [len(t) for t in self.context_tables],
-        }
-
 
 def profile(seq: Sequence, max_order: int) -> EntropyProfile:
-    """Entropy profile H0..H_max_order with context tables."""
+    """Entropy profile H0..H_max_order.
+
+    An H_k that is exactly 0.0 means that every order-k context has a
+    single successor value; every longer context refines one of them and
+    keeps that property, so each higher order is 0.0 as well. The profile
+    stops computing there and fills the rest with 0.0, which is exact: an
+    input with few repeated contexts reaches 0.0 within a few orders, so an
+    order near m costs no order-m context tables.
+    """
     m = len(seq)
     if m == 0:
         raise ValueError("sequence must be non-empty")
     if not 0 <= max_order <= m:
         raise ValueError(f"order {max_order} is not in [0, m], m = {m}")
     h: list[float] = []
-    tables: list[dict[tuple, tuple[int, float]]] = []
     for k in range(max_order + 1):
-        entry = {ctx: (len(part), h0(Counter(part).values()))
-                 for ctx, part in context_sequences(seq, k).items()}
-        tables.append(entry)
-        h.append(weighted_h(list(entry.values()), m, k))
-    return EntropyProfile(m=m, n=len(set(seq)), h=h, context_tables=tables)
+        h.append(h_order(seq, k))
+        if h[-1] == 0.0:
+            break
+    h += [0.0] * (max_order + 1 - len(h))
+    return EntropyProfile(m=m, n=len(set(seq)), h=h)

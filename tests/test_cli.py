@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -267,3 +268,18 @@ def test_order_up_to_m(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "entropy", str(f), "--order", "7")
     assert code == 0
     assert [float(x) for x in out.split()] == pytest.approx(entropies)
+
+
+@pytest.mark.parametrize("command", ["sort", "entropy"])
+def test_order_m_on_random_bytes(tmp_path, command):
+    """Order m on 2,000 random bytes exits 0 within 60 s under a 1 GiB
+    cap. H_4 is already exactly 0.0 there, so the entropies of the orders
+    above it are filled in, not computed from order-k context tables."""
+    f = tmp_path / "random.bin"
+    f.write_bytes(random.Random(2000).randbytes(2000))
+    run = run_capped("-m", "entsort.cli", command, str(f), "--order", "2000",
+                     "--format", "json")
+    assert run.returncode == 0, run.stderr
+    entropies = json.loads(run.stdout)["entropy"]
+    assert len(entropies) == 2001
+    assert entropies[3] > 0.0 and entropies[4:] == [0.0] * 1997

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -82,23 +83,23 @@ def test_profile_toronto():
     assert prof.h[0] == pytest.approx(1.84237099, abs=1e-6)
     assert prof.h[1] == pytest.approx(2 / 7)
     assert prof.h[2] == 0.0
-    # context table for order 1: S_O is RN, S_T is OO, etc.
-    table = prof.context_tables[1]
-    assert table[("O",)] == (2, pytest.approx(1.0))
-    assert table[("T",)] == (2, pytest.approx(0.0))
-    assert table[("R",)] == (1, pytest.approx(0.0))
-    assert table[("N",)] == (1, pytest.approx(0.0))
+    # H_2 is 0.0, so every higher order is 0.0, up to order m.
+    assert profile(TORONTO, 7).h == prof.h + [0.0] * 5
 
 
 def test_profile_decomposition():
+    # Each H_k is the size-weighted mean of its contexts' H0, and the
+    # profile gives exactly h_order at every order, those past its first
+    # exact 0.0 included.
     rng = random.Random(3)
     for _ in range(25):
         seq = [rng.randrange(6) for _ in range(rng.randrange(1, 120))]
-        top = min(4, len(seq))
+        top = min(8, len(seq))
         prof = profile(seq, top)
         for k in range(top + 1):
-            total = sum(size * bits
-                        for size, bits in prof.context_tables[k].values())
+            assert prof.h[k] == h_order(seq, k)
+            total = sum(len(part) * h0(Counter(part).values())
+                        for part in context_sequences(seq, k).values())
             assert prof.m * prof.h[k] == pytest.approx(total, rel=1e-9,
                                                        abs=1e-9)
 
