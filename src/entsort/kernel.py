@@ -41,6 +41,7 @@ fields a node recomputes from its children.
 from __future__ import annotations
 
 import sys
+from itertools import islice
 from types import ModuleType
 
 from .errors import NavigationError
@@ -369,8 +370,8 @@ class StatsTree(_FlatAVL):
             raise IndexError(f"insert position {j} out of range 1..{t + 1}")
         if self._wsum[root] + 1 > MAX_TOTAL_WEIGHT:
             raise OverflowError("total weight exceeds configured word width")
-        left, right, size, wsum = self._left, self._right, self._size, \
-            self._wsum
+        left, right = self._left, self._right
+        size, wsum = self._size, self._wsum
         path = []  # v after a left move, -v after a right move
         v = root
         pos = j
@@ -409,7 +410,7 @@ class StatsTree(_FlatAVL):
     def _fix(self, v: int) -> None:
         l, r = self._left[v], self._right[v]
         h = self._height
-        h[v] = 1 + (h[l] if h[l] >= h[r] else h[r])
+        self._height[v] = 1 + (h[l] if h[l] >= h[r] else h[r])
         self._size[v] = 1 + self._size[l] + self._size[r]
         self._wsum[v] = self._weight[v] + self._wsum[l] + self._wsum[r]
 
@@ -519,9 +520,14 @@ class StatsTree(_FlatAVL):
 
     def quadruples(self) -> list:
         """All quadruples in positional order."""
-        keys, weight, idx, nxt = self._keys, self._weight, self._idx, \
-            self._next
+        keys, weight = self._keys, self._weight
+        idx, nxt = self._idx, self._next
         return [(keys[v], weight[v], idx[v], nxt[v]) for v in self._inorder()]
+
+    def store_entries(self):
+        """(index list, next handle) of every node in the node store, in
+        allocation order, for every tree that shares the store."""
+        return zip(islice(self._idx, 1, None), islice(self._next, 1, None))
 
     def _validate(self) -> None:
         """Check AVL and augmentation invariants (test support)."""

@@ -20,9 +20,10 @@ and its tables are freed before the first tree is built.
 
 Finalization compares no elements. At order 0 the one tree is already in
 key order, and its index lists are concatenated (`sort0.flatten`). Above
-it, each index list is filed under its key's B1 rank, and B1's in-order
-walk, which is the sorted alphabet, gives the order of the ranks
-(`_read_off`).
+it, one pass over the shared node store files each index list under its
+key's B1 rank, and B1's in-order walk, which is the sorted alphabet, gives
+the order of the ranks (`_read_off`). The store then drops its
+next-context handles, so that the call leaves no reference cycle.
 """
 
 from __future__ import annotations
@@ -111,20 +112,22 @@ def premise_holds(n: int, m: int, order: int) -> bool:
     return (n ** (order + 1)) * log2(n) <= m
 
 
-def _read_off(b1: RankDictionary, trees, boot: tuple) -> list[int]:
+def _read_off(b1: RankDictionary, store, boot: tuple) -> list[int]:
     """The stable permutation at order >= 1, with no comparison.
 
     Every index list goes to its key's rank: each warm-up position's from
-    *boot*, each quadruple's as the last rank of its next context. B1's
-    in-order walk then visits the ranks in key order; a rank with several
-    lists (one key in several contexts) has them merged by index, so the
-    permutation is stable.
+    *boot*, and each one in the forest's node store (*store*, None when no
+    tree was built) as the last rank of its next context. One pass over
+    the store reads every tree, whose nodes it holds, without walking any.
+    B1's in-order walk then visits the ranks in key order; a rank with
+    several lists (one key in several contexts) has them merged by index,
+    so the permutation is stable.
     """
     pools: list[list] = [[] for _ in range(len(b1) + 1)]
     for k, rank in enumerate(boot, start=1):
         pools[rank].append([k])
-    for tree in trees:
-        for _, _, indices, nxt in tree.quadruples():
+    if store is not None:
+        for indices, nxt in store.store_entries():
             pools[nxt.context_ranks[-1]].append(indices)
     permutation: list[int] = []
     for _, rank in b1:
@@ -175,12 +178,11 @@ def sortk(seq: Sequence, order: int = 0,
         scan(seq, order + 1, tree_for(boot), cmp,
              query_black_box if order else lambda current, s: current)
 
-    permutation = _read_off(b1, b2.values(), boot) if order else \
+    permutation = _read_off(b1, store, boot) if order else \
         flatten(b2[()])
     if store is not None:
         # Every tree refers to the shared handle list, which holds trees:
-        # emptying it leaves the forest without a reference cycle, so the
-        # call leaves nothing for the cyclic collector.
+        # emptying it leaves nothing for the cyclic collector.
         store._next.clear()
     warnings: tuple[str, ...] = ()
     n = breakdown.n
