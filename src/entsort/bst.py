@@ -5,8 +5,9 @@ only dictionary operations that compare elements, and every comparison is
 charged to the b1-dictionary phase. It is an AVL tree on the statistics
 tree's flat-array core (`kernel._FlatAVL`), with heights as its only
 field; node ids are allocated in first-appearance order, so an element's
-node id is its rank; height <= AVL_HEIGHT_FACTOR * log2(t + 2). CodeDictionary maps rank tuples to
-statistics trees; it is a hash map and compares no elements.
+node id is its rank; height <= AVL_HEIGHT_FACTOR * log2(t + 2).
+CodeDictionary maps rank tuples to statistics trees; it is a hash map and
+compares no elements.
 """
 
 from __future__ import annotations
