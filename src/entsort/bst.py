@@ -57,16 +57,15 @@ class RankDictionary(_FlatAVL):
         """(rank, was_new) for elem, inserting it with the next rank if new."""
         leq = self._cmp.leq
         keys, left, right = self._keys, self._left, self._right
-        path = []  # v after a left move, -v after a right move
+        path = []  # the nodes passed, root first
         candidate = 0
         v = self._root
         while v:
+            path.append(v)
             if leq(elem, keys[v], PHASE_B1):
                 candidate = v
-                path.append(v)
                 v = left[v]
             else:
-                path.append(-v)
                 v = right[v]
         if candidate and leq(keys[candidate], elem, PHASE_B1):
             return candidate, False
@@ -76,13 +75,18 @@ class RankDictionary(_FlatAVL):
         left.append(0)
         right.append(0)
         self._height.append(1)
-        self._attach(path, rank)
+        # The last move went left exactly when it set the candidate.
+        self._attach(path, rank, candidate != 0 and candidate == path[-1])
         return rank, True
 
     def __iter__(self) -> Iterator[tuple]:
         """(element, rank) pairs in key order: an in-order walk."""
         keys = self._keys
         return ((keys[v], v) for v in self._inorder())
+
+    def ranks(self) -> Iterator[int]:
+        """The ranks in key order: the in-order walk, without the keys."""
+        return self._inorder()
 
     def _fix(self, v: int) -> None:
         h = self._height

@@ -107,31 +107,41 @@ class _FlatAVL:
         right[v] = self._rot_right(r)
         return self._rot_left(v)
 
-    def _attach(self, path: list, node: int) -> None:
+    def _attach(self, path: list, node: int, leftward: bool) -> None:
         """Hang the new leaf *node* below the end of *path* and rebalance.
 
-        *path* lists the ancestors from the root down, v for a step to v's
-        left child and -v for a step to its right child; any augmentation
-        other than the height must already count the new node along it.
-        Going up, a balanced ancestor gets its new height, an unbalanced one
-        rotates, and the first ancestor that keeps both its place and its
-        height ends the walk, since nothing above it changes.
+        *path* lists the ancestors from the root down, as the node ids that
+        the tree holds; *leftward* says whether the leaf is the left child of
+        the last one. Any augmentation other than the height must already
+        count the new node along the path. Going up, a balanced ancestor
+        gets its new height, an unbalanced one rotates, and the first
+        ancestor that keeps both its place and its height ends the walk,
+        since nothing above it changes.
+
+        A child pointer is written only where it changes: at the leaf, and
+        above a rotation, on the side that held the rotated node. So the
+        child lists only ever hold id objects that the tree already holds,
+        and no walk allocates an int per ancestor.
         """
         left, right, height = self._left, self._right, self._height
+        below = 0  # the child that *node* replaces under the next ancestor
         for parent in reversed(path):
-            if parent > 0:
-                left[parent] = node
-            else:
-                parent = -parent
-                right[parent] = node
+            if node != below:
+                if below:
+                    leftward = left[parent] == below
+                if leftward:
+                    left[parent] = node
+                else:
+                    right[parent] = node
             lh, rh = height[left[parent]], height[right[parent]]
             if -1 <= lh - rh <= 1:
                 h = 1 + (lh if lh >= rh else rh)
                 if h == height[parent]:
                     return
                 height[parent] = h
-                node = parent
+                node = below = parent
             else:
+                below = parent
                 node = self._rotate(parent)
         self._root = node
 
@@ -372,22 +382,23 @@ class StatsTree(_FlatAVL):
             raise OverflowError("total weight exceeds configured word width")
         left, right = self._left, self._right
         size, wsum = self._size, self._wsum
-        path = []  # v after a left move, -v after a right move
+        path = []  # the new node's ancestors, root first
         v = root
         pos = j
+        leftward = True  # whether the last move went left
         while v:
             size[v] += 1
             wsum[v] += 1
+            path.append(v)
             ls = size[left[v]]
-            if pos <= ls + 1:
-                path.append(v)
+            leftward = pos <= ls + 1
+            if leftward:
                 v = left[v]
             else:
-                path.append(-v)
                 pos -= ls + 1
                 v = right[v]
         u = self._new_node(a, 1, [i], next)
-        self._attach(path, u)
+        self._attach(path, u, leftward)
         if j == 1:
             self._first = u
         if j == t + 1:
@@ -524,10 +535,11 @@ class StatsTree(_FlatAVL):
         idx, nxt = self._idx, self._next
         return [(keys[v], weight[v], idx[v], nxt[v]) for v in self._inorder()]
 
-    def store_entries(self):
-        """(index list, next handle) of every node in the node store, in
-        allocation order, for every tree that shares the store."""
-        return zip(islice(self._idx, 1, None), islice(self._next, 1, None))
+    def store_entries(self) -> tuple:
+        """(index lists, next handles) of every node in the node store, as
+        two parallel iterables in allocation order, for every tree that
+        shares the store."""
+        return islice(self._idx, 1, None), islice(self._next, 1, None)
 
     def _validate(self) -> None:
         """Check AVL and augmentation invariants (test support)."""
