@@ -125,7 +125,7 @@ def evaluate_bounds(seq: Sequence, order: int) -> dict:
     m = len(seq)
     breakdown = budget_breakdown(seq, order)
     n = breakdown.n
-    h0_bits = entropy.h_order(seq, 0)
+    h0_bits = breakdown.h0
     return {
         "m": m,
         "n": n,

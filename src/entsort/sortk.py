@@ -15,21 +15,26 @@ successor is the one tree, and B1 stays empty.
 All context trees of one call share one node store (`StatsTree(nodes=...)`),
 so a context costs one tree object, not nine lists. That matters where an
 input breaks the premise n^(k+1) log n in O(m) and the contexts are many.
-The accounting (budgets and H_0) runs before the scan: it compares nothing,
-and its tables are freed before the first tree is built.
+The accounting (budgets, H_order, H_0 and n) is one pass over the input
+that runs before the scan (`budget_breakdown`): it compares nothing, and
+its tables are freed before the first tree is built.
 
 Finalization compares no elements. At order 0 the one tree is already in
 key order, and its index lists are concatenated (`sort0.flatten`). Above
 it, one pass over the shared node store files each index list under its
 key's B1 rank, and B1's in-order walk, which is the sorted alphabet, gives
 the order of the ranks (`_read_off`). The store then drops its
-next-context handles, so that the call leaves no reference cycle.
+next-context handles, so that the call leaves no reference cycle. The scan
+and the read-off run in one helper (`_permutation`), so the forest and both
+dictionaries are freed before the inverse permutation is built, and the two
+are never alive together.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from math import log2
 from typing import Optional, Sequence
 
@@ -49,10 +54,10 @@ from .msort import mergesort_perm  # noqa: F401
 class BudgetBreakdown:
     """Exactly computable comparison bounds for one (sequence, order) run.
 
-    All fields are derived from the input alone, independent of the sorter,
-    in one pass over its context table (`entropy.context_sequences`).
-    total = context_total + b1 bounds binary_count; h_order is the input's
-    order-k entropy; n is its number of distinct elements.
+    All fields are derived from the input alone, independent of the sorter
+    (`budget_breakdown`). total = context_total + b1 bounds binary_count;
+    h_order and h0 are the input's order-k and order-0 entropies; n is its
+    number of distinct elements.
     """
 
     order: int
@@ -61,6 +66,7 @@ class BudgetBreakdown:
     b1_ops: int
     b1: int
     h_order: float
+    h0: float
 
     @property
     def total(self) -> int:
@@ -68,35 +74,73 @@ class BudgetBreakdown:
 
 
 def budget_breakdown(seq: Sequence, order: int) -> BudgetBreakdown:
-    """Budgets and H_order from one context table.
+    """Budgets, H_order, H0 and n: one pass over the elements, and one
+    `Counter` of them.
 
-    One scan of each context's successor sequence (`budget_and_counts`)
-    gives its sort0 budget (the search+verify bound in that context's
-    tree) and its successor counts, which give its number of distinct
-    successors (the new (order+1)-tuples, each one B1 lookup) and its
-    |part| * H0 term. The min(order, m) warm-up elements are one B1 lookup
-    each.
+    The budgets are those of sort0 in each context's tree: the p-th
+    successor of a context (p >= 1 before it), with c of those p equal to
+    it, is charged ceil(log2(p / max(c, 1))) + 3. Each distinct successor
+    of a context is a new (order+1)-tuple and one B1 lookup; the min(order,
+    m) warm-up elements are one B1 lookup each. H_order is the size-weighted
+    mean of the contexts' H0.
+
+    At order 0 the one context is the whole input, and `budget_and_counts`
+    gives its budget and counts, hence n and H0 (= H_order). Above it, the
+    pass keeps each context's running length and count map, keyed by the
+    k-tuple (the bare element at order 1), so the cost is per element,
+    not per context. A context whose successors are one value costs no call
+    and no H0 sum: its H0 is exactly 0.0, and leaving an exact 0.0 out of
+    the sum changes no bit. The +3 charges are added at the end, one per
+    successor after its context's first. n and H0 come from the `Counter`;
+    every sum keeps the order of `entropy.h_order`, so all fields equal the
+    per-context definitions bit for bit.
     """
     m = len(seq)
     if m == 0:
         raise ValueError("sequence must be non-empty")
-    context_total = new_tuples = 0
-    terms: list[tuple[int, float]] = []  # (|part|, H0(part)) per context
-    for part in entropy.context_sequences(seq, order).values():
-        budget, counts = budget_and_counts(part)
-        context_total += budget
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    if order == 0:
+        context_total, counts = budget_and_counts(seq)
+        h0 = entropy.h0_bits(counts.values(), m)
+        return BudgetBreakdown(order=0, n=len(counts),
+                               context_total=context_total, b1_ops=0, b1=0,
+                               h_order=h0, h0=h0)
+    state: dict = {}  # context -> [successors so far, successor -> count]
+    logs = 0
+    if order < m:
+        if order == 1:
+            pairs = zip(seq, islice(seq, 1, None))
+        else:
+            pairs = zip(zip(*(islice(seq, j, None) for j in range(order))),
+                        islice(seq, order, None))
+        for ctx, s in pairs:
+            st = state.get(ctx)
+            if st is None:
+                state[ctx] = [1, {s: 1}]
+            else:
+                p, counts = st
+                st[0] = p + 1
+                c = counts.get(s, 0)
+                counts[s] = c + 1
+                logs += ((p - 1) // c if c else p - 1).bit_length()
+    new_tuples = 0
+    terms = []  # |part| * H0(part) of each context with two values or more
+    for size, counts in state.values():
         new_tuples += len(counts)
-        size = len(part)
-        terms.append((size, entropy.h0_bits(counts.values(), size)))
-    b1_ops = min(order, m) + new_tuples if order else 0
-    n = len(set(seq))
+        if len(counts) > 1:
+            terms.append(size * entropy.h0_bits(counts.values(), size))
+    counts0 = Counter(seq)
+    n = len(counts0)
+    b1_ops = min(order, m) + new_tuples
     return BudgetBreakdown(
         order=order,
         n=n,
-        context_total=context_total,
+        context_total=logs + 3 * (max(m - order, 0) - len(state)),
         b1_ops=b1_ops,
         b1=b1_ops * (avl_height_bound(n) + 1),
-        h_order=entropy.weighted_h(terms, m, order),
+        h_order=sum(terms) / m,
+        h0=entropy.h0_bits(counts0.values(), m),
     )
 
 
@@ -119,39 +163,40 @@ def _read_off(b1: RankDictionary, store, boot: tuple) -> list[int]:
     *boot*, and each one in the forest's node store (*store*, None when no
     tree was built) as the last rank of its next context. One pass over
     the store reads every tree, whose nodes it holds, without walking any.
-    B1's in-order walk then visits the ranks in key order; a rank with
-    several lists (one key in several contexts) has them merged by index,
-    so the permutation is stable.
+    Each rank has one slot for its first list; a rank that gets several
+    (one key in several contexts) keeps them in *shared* and has them
+    merged by index, so the permutation is stable. B1's in-order walk then
+    visits the ranks in key order.
     """
-    pools: list[list] = [[] for _ in range(len(b1) + 1)]
-    for k, rank in enumerate(boot, start=1):
-        pools[rank].append([k])
+    slots: list = [None] * (len(b1) + 1)
+    shared: dict[int, list] = {}
+    entries = zip([[k] for k in range(1, len(boot) + 1)], boot)
     if store is not None:
-        for indices, nxt in store.store_entries():
-            pools[nxt.context_ranks[-1]].append(indices)
+        index_lists, handles = store.store_entries()
+        entries = chain(entries, zip(
+            index_lists, [nxt.context_ranks[-1] for nxt in handles]))
+    for indices, rank in entries:
+        first = slots[rank]
+        if first is None:
+            slots[rank] = indices
+        elif rank in shared:
+            shared[rank].append(indices)
+        else:
+            shared[rank] = [first, indices]
+    for rank, lists in shared.items():
+        slots[rank] = sorted(chain.from_iterable(lists))
     permutation: list[int] = []
-    for _, rank in b1:
-        pool = pools[rank]
-        permutation.extend(pool[0] if len(pool) == 1
-                           else sorted(chain.from_iterable(pool)))
+    for rank in b1.ranks():
+        permutation.extend(slots[rank])
     return permutation
 
 
-def sortk(seq: Sequence, order: int = 0,
-          comparator: Optional[CountingComparator] = None,
-          kernel_name: Optional[str] = None) -> SortOutcome:
-    """Stable-sort *seq* using order-*order* context trees."""
+def _permutation(seq: Sequence, order: int, cmp: CountingComparator,
+                 tree_cls) -> list[int]:
+    """Scan *seq* with order-*order* context trees and read the stable
+    permutation off them. The trees, B1 and B2 are locals here, so they
+    are freed when this returns, before the caller builds the inverse."""
     m = len(seq)
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    cmp = comparator if comparator is not None else CountingComparator()
-    # The accounting compares nothing; done first, its tables are freed
-    # before any tree exists.
-    breakdown = budget_breakdown(seq, order)
-    h0 = entropy.h_order(seq, 0)
-    before = cmp.snapshot()
-    tree_cls = get_kernel(kernel_name).StatsTree
-
     b1 = RankDictionary(cmp)
     b2 = CodeDictionary()
     store = None  # the first context tree, whose node store all share
@@ -184,6 +229,28 @@ def sortk(seq: Sequence, order: int = 0,
         # Every tree refers to the shared handle list, which holds trees:
         # emptying it leaves nothing for the cyclic collector.
         store._next.clear()
+    return permutation
+
+
+def sortk(seq: Sequence, order: int = 0,
+          comparator: Optional[CountingComparator] = None,
+          kernel_name: Optional[str] = None) -> SortOutcome:
+    """Stable-sort *seq* using order-*order* context trees.
+
+    Three steps, each done with its tables before the next begins: the
+    accounting (`budget_breakdown`, one pass that compares nothing), the
+    scan and read-off (`_permutation`, whose forest and dictionaries are
+    freed when it returns), and the inverse permutation.
+    """
+    m = len(seq)
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    cmp = comparator if comparator is not None else CountingComparator()
+    breakdown = budget_breakdown(seq, order)
+    before = cmp.snapshot()
+    permutation = _permutation(seq, order, cmp,
+                               get_kernel(kernel_name).StatsTree)
+    ledger = delta(before, cmp.snapshot())
     warnings: tuple[str, ...] = ()
     n = breakdown.n
     if not premise_holds(n, m, order):
@@ -197,9 +264,9 @@ def sortk(seq: Sequence, order: int = 0,
     return SortOutcome(
         permutation=permutation,
         inverse=invert(permutation),
-        ledger=delta(before, cmp.snapshot()),
+        ledger=ledger,
         budget=breakdown.total,
-        h0=h0,
+        h0=breakdown.h0,
         order=order,
         context_budget=breakdown.context_total,
         h_order=breakdown.h_order,

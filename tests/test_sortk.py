@@ -15,8 +15,9 @@ from entsort.bench import SourceSpec, generate
 from entsort.bst import RankDictionary, avl_height_bound
 from entsort.comparator import (PHASE_B1, PHASE_MERGE, PHASE_SEARCH,
                                 PHASE_VERIFY)
-from entsort.sort0 import comparison_budget, sort0
-from entsort.sortk import budget_breakdown, sortk
+from entsort.kernel import StatsTree
+from entsort.sort0 import budget_and_counts, comparison_budget, sort0
+from entsort.sortk import BudgetBreakdown, budget_breakdown, sortk
 
 TORONTO = list("TORONTO")
 
@@ -136,6 +137,70 @@ def test_budget_breakdown_matches_oracle():
             if order == 0:
                 assert bd.total == comparison_budget(seq)
             assert bd.h_order == entropy.h_order(seq, order)
+
+
+def two_pass_breakdown(seq, order):
+    """The accounting as two passes over a context table, then separate
+    passes for n and H0: the definition that `budget_breakdown` computes
+    in one pass."""
+    m = len(seq)
+    context_total = new_tuples = 0
+    terms = []
+    for part in entropy.context_sequences(seq, order).values():
+        budget, counts = budget_and_counts(part)
+        context_total += budget
+        new_tuples += len(counts)
+        terms.append((len(part), entropy.h0_bits(counts.values(), len(part))))
+    b1_ops = min(order, m) + new_tuples if order else 0
+    n = len(set(seq))
+    return BudgetBreakdown(
+        order=order, n=n, context_total=context_total, b1_ops=b1_ops,
+        b1=b1_ops * (avl_height_bound(n) + 1),
+        h_order=entropy.weighted_h(terms, m, order),
+        h0=entropy.h_order(seq, 0))
+
+
+# Keys that compare equal across types (1 == 1.0 == True) group as one.
+MIXED_KEYS = st.sampled_from([0, 1, 2, 3, 0.0, 1.0, 2.5, True, False])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_one_pass_breakdown_equals_two_pass_definition(data):
+    """Every field, floats by repr, at every order from 0 to m + 1."""
+    seq = data.draw(st.one_of(st.lists(MIXED_KEYS, min_size=1, max_size=1),
+                              st.lists(MIXED_KEYS, min_size=1, max_size=90)))
+    order = data.draw(st.integers(min_value=0, max_value=len(seq) + 1))
+    assert repr(budget_breakdown(seq, order)) == \
+        repr(two_pass_breakdown(seq, order))
+    out = sortk(seq, order)
+    assert repr(out.h0) == repr(entropy.h_order(seq, 0))
+    assert repr(out.h_order) == repr(entropy.h_order(seq, order))
+
+
+def test_forest_freed_before_the_inverse(monkeypatch):
+    """No context tree and no rank dictionary is alive while `invert`
+    builds the inverse permutation: the forest is freed first."""
+    sortk_module = sys.modules["entsort.sortk"]
+    original = sortk_module.invert
+    live = []
+
+    def count(cls):
+        return sum(isinstance(obj, cls) for obj in gc.get_objects())
+
+    def counting(permutation):
+        live.append((count(StatsTree), count(RankDictionary)))
+        return original(permutation)
+
+    monkeypatch.setattr(sortk_module, "invert", counting)
+    rng = random.Random(3)
+    seq = [rng.randrange(12) for _ in range(400)]
+    for order in (0, 1, 2):
+        gc.collect()
+        before = (count(StatsTree), count(RankDictionary))
+        live.clear()
+        assert sortk(seq, order).permutation == stable_perm(seq)
+        assert live == [before], order
 
 
 def test_black_box_query_count(kernel, monkeypatch):
