@@ -73,9 +73,10 @@ def comparison_budget(seq: Sequence) -> int:
 def budget_and_counts(seq: Sequence) -> tuple[int, dict]:
     """(comparison_budget(seq), element -> count in first-appearance order).
 
-    Both come from the same scan, so that per-context accounting pays one
-    pass per context. With p elements before s and c of them equal to it,
-    ceil(log2(p / max(c, 1))) is ((p - 1) // max(c, 1)).bit_length().
+    Both come from the same scan, so that the order-0 accounting takes its
+    budget, n and H0 from one pass. With p elements before s and c of them
+    equal to it, ceil(log2(p / max(c, 1))) is
+    ((p - 1) // max(c, 1)).bit_length().
     """
     total = 0
     counts: dict = {}

@@ -87,13 +87,13 @@ def budget_breakdown(seq: Sequence, order: int) -> BudgetBreakdown:
     At order 0 the one context is the whole input, and `budget_and_counts`
     gives its budget and counts, hence n and H0 (= H_order). Above it, the
     pass keeps each context's running length and count map, keyed by the
-    k-tuple (the bare element at order 1), so the cost is per element,
-    not per context. A context whose successors are one value costs no call
-    and no H0 sum: its H0 is exactly 0.0, and leaving an exact 0.0 out of
-    the sum changes no bit. The +3 charges are added at the end, one per
-    successor after its context's first. n and H0 come from the `Counter`;
-    every sum keeps the order of `entropy.h_order`, so all fields equal the
-    per-context definitions bit for bit.
+    k-tuple (the bare element at order 1, which saves a tuple per element),
+    so the cost is per element, not per context. A context whose successors
+    are one value costs no call and no H0 sum: its H0 is exactly 0.0, and
+    leaving an exact 0.0 out of the sum changes no bit. The +3 charges are
+    added at the end, one per successor after its context's first. n and H0
+    come from the `Counter`; every sum keeps the order of `entropy.h_order`,
+    so all fields equal the per-context definitions bit for bit.
     """
     m = len(seq)
     if m == 0:
@@ -250,7 +250,6 @@ def sortk(seq: Sequence, order: int = 0,
     before = cmp.snapshot()
     permutation = _permutation(seq, order, cmp,
                                get_kernel(kernel_name).StatsTree)
-    ledger = delta(before, cmp.snapshot())
     warnings: tuple[str, ...] = ()
     n = breakdown.n
     if not premise_holds(n, m, order):
@@ -264,7 +263,7 @@ def sortk(seq: Sequence, order: int = 0,
     return SortOutcome(
         permutation=permutation,
         inverse=invert(permutation),
-        ledger=ledger,
+        ledger=delta(before, cmp.snapshot()),
         budget=breakdown.total,
         h0=breakdown.h0,
         order=order,
