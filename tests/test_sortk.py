@@ -161,7 +161,13 @@ def two_pass_breakdown(seq, order):
 
 
 # Keys that compare equal across types (1 == 1.0 == True) group as one.
-MIXED_KEYS = st.sampled_from([0, 1, 2, 3, 0.0, 1.0, 2.5, True, False])
+MIXED_POOL = list(range(12)) + [0.0, 1.0, 2.5, True, False]
+MIXED_KEYS = st.sampled_from(MIXED_POOL)
+# Long inputs have many contexts, so a change in summation order shows.
+LONG_MIXED = st.builds(lambda rnd, m: [rnd.choice(MIXED_POOL)
+                                       for _ in range(m)],
+                       st.randoms(use_true_random=False),
+                       st.integers(min_value=100, max_value=400))
 
 
 @settings(max_examples=150, deadline=None)
@@ -169,8 +175,11 @@ MIXED_KEYS = st.sampled_from([0, 1, 2, 3, 0.0, 1.0, 2.5, True, False])
 def test_one_pass_breakdown_equals_two_pass_definition(data):
     """Every field, floats by repr, at every order from 0 to m + 1."""
     seq = data.draw(st.one_of(st.lists(MIXED_KEYS, min_size=1, max_size=1),
-                              st.lists(MIXED_KEYS, min_size=1, max_size=90)))
-    order = data.draw(st.integers(min_value=0, max_value=len(seq) + 1))
+                              st.lists(MIXED_KEYS, min_size=1, max_size=90),
+                              LONG_MIXED))
+    order = data.draw(st.one_of(
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=0, max_value=len(seq) + 1)))
     assert repr(budget_breakdown(seq, order)) == \
         repr(two_pass_breakdown(seq, order))
     out = sortk(seq, order)
