@@ -12,8 +12,8 @@ from .comparator import (ComparisonLedger, CountingComparator, PHASES,
 from .entropy import EntropyProfile, h0, h_order, profile
 from .gamma import decode_all, encode_tuple, gamma_decode, gamma_encode
 from .kernel import KERNEL_NAME, available_kernels, from_pairs, get_kernel
-from .sort0 import SortOutcome, comparison_budget, invert, sort0
-from .sortk import budget_breakdown, sortk
+from .sort0 import comparison_budget, sort0
+from .sortk import SortOutcome, budget_breakdown, invert, sortk
 
 __version__ = "0.1.0"
 

@@ -1,4 +1,4 @@
-"""Corpus generators, baseline sorter, and bound evaluation.
+"""Corpus generators, baseline sorter, and the run report.
 
 Generators are deterministic for a fixed spec + seed: the PRNG is CPython's
 Mersenne Twister (random.Random(seed)), whose float and integer streams are
@@ -13,15 +13,13 @@ import random
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
-from math import ceil, log2
 from typing import Iterator, Sequence
 
 from . import entropy
 from .comparator import PHASE_BASELINE, CountingComparator
 from .kernel import KERNEL_NAME
 from .msort import mergesort_perm
-from .sort0 import SortOutcome, comparison_budget
-from .sortk import budget_breakdown, premise_holds, sortk
+from .sortk import SortOutcome, sortk
 
 KINDS = ("uniform", "zipf", "markov", "periodic")
 
@@ -118,31 +116,6 @@ def baseline_mergesort(seq: Sequence,
 def stable_sort_oracle(seq: Sequence) -> list[int]:
     """Reference stable permutation via Python's sort (measurement code)."""
     return sorted(range(1, len(seq) + 1), key=lambda i: seq[i - 1])
-
-
-def evaluate_bounds(seq: Sequence, order: int) -> dict:
-    """All budget quantities for (seq, order), independent of the sorters."""
-    m = len(seq)
-    breakdown = budget_breakdown(seq, order)
-    n = breakdown.n
-    h0_bits = breakdown.h0
-    return {
-        "m": m,
-        "n": n,
-        "order": order,
-        "budget_lemma1": comparison_budget(seq),
-        "budget_per_context": breakdown.context_total,
-        "b1_budget": breakdown.b1,
-        "total_budget": breakdown.total,
-        "h0": h0_bits,
-        "h_order": breakdown.h_order,
-        "envelope0": (h0_bits + 6.0) * m,
-        "envelope_order": (breakdown.h_order + 6.0) * m,
-        # Envelope preconditions: n*ceil(log2 m) <= m for the order-0
-        # envelope; n^(order+1)*log2(n) <= m for the order-k one.
-        "envelope0_applicable": n * max(1, ceil(log2(m))) <= m if m > 1 else True,
-        "premise_ok": premise_holds(n, m, order),
-    }
 
 
 def outcome_checks(seq: Sequence, outcome: SortOutcome) -> tuple[bool, bool]:
@@ -283,9 +256,9 @@ def correctness_corpus(seed: int = 31415) -> list[tuple[str, list]]:
     return corpus
 
 
-def envelope_corpus(seed: int = 27182) -> list[tuple[str, list, int, dict]]:
-    """Criterion-9 corpus: (name, seq, order, bounds) with the envelope
-    preconditions satisfied where asserted."""
+def envelope_corpus(seed: int = 27182) -> list[tuple[str, list, int]]:
+    """Criterion-9 corpus: (name, seq, order), sized so that the envelope
+    preconditions hold where the criterion asserts them."""
     rng = random.Random(seed)
     recipes = [
         ("uniform", 2, 8192, 1), ("uniform", 2, 16384, 2),
@@ -298,10 +271,8 @@ def envelope_corpus(seed: int = 27182) -> list[tuple[str, list, int, dict]]:
         ("periodic", 16, 8192, 1), ("periodic", 7, 16384, 1),
     ]
     out = []
-    for i, (kind, n, m, order) in enumerate(recipes):
+    for kind, n, m, order in recipes:
         spec = SourceSpec(kind=kind, n=n, m=m, order=max(1, order),
                           seed=rng.randrange(2 ** 62))
-        seq = generate(spec)
-        out.append((f"{kind}-n{n}-m{m}-k{order}", seq, order,
-                    evaluate_bounds(seq, order)))
+        out.append((f"{kind}-n{n}-m{m}-k{order}", generate(spec), order))
     return out

@@ -79,11 +79,6 @@ class RankDictionary(_FlatAVL):
         self._attach(path, rank, candidate != 0 and candidate == path[-1])
         return rank, True
 
-    def __iter__(self) -> Iterator[tuple]:
-        """(element, rank) pairs in key order: an in-order walk."""
-        keys = self._keys
-        return ((keys[v], v) for v in self._inorder())
-
     def ranks(self) -> Iterator[int]:
         """The ranks in key order: the in-order walk, without the keys."""
         return self._inorder()
@@ -98,8 +93,9 @@ class CodeDictionary(dict):
     """Rank tuples -> statistics-tree handles; never touches elements.
 
     A dict whose `insert` refuses a key that is already present. The
-    sorter visits its trees in insertion order at finalization; that order
-    does not matter, because the key order comes from RankDictionary.
+    read-off never iterates it: above order 0 it reads every tree through
+    their shared node store, at order 0 it takes the one tree as `b2[()]`,
+    and the key order comes from RankDictionary.
     """
 
     def insert(self, ranks: tuple, value) -> None:

@@ -152,6 +152,8 @@ def _cmd_bench(args) -> int:
     if args.limit:
         specs = specs[:args.limit]
     orders = [int(x) for x in args.orders.split(",") if x != ""]
+    if not orders:
+        raise ValueError(f"--orders {args.orders!r} names no order")
     rows = []
     failed = False
     for spec in specs:

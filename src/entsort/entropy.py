@@ -42,8 +42,9 @@ def weighted_h(terms: Sequence[tuple[int, float]], m: int,
 def context_sequences(seq: Sequence, order: int) -> dict[tuple, list]:
     """Successor sequence per order-tuple context, in occurrence order.
 
-    This is the one per-context table: H_order sums |part| * H0(part) over
-    its parts, and the order-k budgets sum per-part sort0 budgets. A
+    This is the reference definition of the per-context split: `h_order`
+    sums |part| * H0(part) over its parts, and the tests check the
+    sorter's one-pass accounting (`sortk.budget_breakdown`) against it. A
     context that only occurs as the sequence's suffix has no entry, so an
     order >= len(seq) gives an empty table, and no slice is built for it.
     """

@@ -1,9 +1,9 @@
-"""Order-k sorter: one statistics tree per context, chained by rank codes.
+"""The sorter: one statistics tree per context, chained by rank codes.
 
 This is the one sorter; `sort0.sort0` is `sortk(seq, 0)`. It maintains a
 statistics tree per distinct k-tuple of preceding elements. Each element is
 searched only in its context's tree, so search costs track the order-k
-entropy rather than the order-0 entropy. The element loop is `sort0.scan`.
+entropy rather than the order-0 entropy. The element loop is `scan`.
 Two dictionaries realize the context lookup on a miss: RankDictionary
 (element -> first-appearance rank, the only dictionary that compares
 elements) and CodeDictionary (rank tuple -> tree, a hash map that compares
@@ -20,34 +20,66 @@ that runs before the scan (`budget_breakdown`): it compares nothing, and
 its tables are freed before the first tree is built.
 
 Finalization compares no elements. At order 0 the one tree is already in
-key order, and its index lists are concatenated (`sort0.flatten`). Above
-it, one pass over the shared node store files each index list under its
-key's B1 rank, and B1's in-order walk, which is the sorted alphabet, gives
-the order of the ranks (`_read_off`). The store then drops its
-next-context handles, so that the call leaves no reference cycle. The scan
-and the read-off run in one helper (`_permutation`), so the forest and both
-dictionaries are freed before the inverse permutation is built, and the two
-are never alive together.
+key order, and its index lists are concatenated (`flatten`). Above it, one
+pass over the shared node store files each index list under its key's B1
+rank, and B1's in-order walk, which is the sorted alphabet, gives the order
+of the ranks (`_read_off`). The store then drops its next-context handles,
+so that the call leaves no reference cycle. The scan and the read-off run
+in one helper (`_permutation`), so the forest and both dictionaries are
+freed before the inverse permutation is built, and the two are never alive
+together.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from math import log2
 from typing import Optional, Sequence
 
 from . import entropy
 from .bst import CodeDictionary, RankDictionary, avl_height_bound
-from .comparator import CountingComparator, delta
-from .kernel import get_kernel
-from .sort0 import SortOutcome, budget_and_counts, flatten, invert, scan
+from .comparator import ComparisonLedger, CountingComparator, delta
+from .kernel import EQUAL, PREDECESSOR, get_kernel
 
 # Not called here: perfbench/spans.py, their only reader, wraps these two
 # module attributes by name when it traces a run.
 from .gamma import encode_tuple  # noqa: F401
 from .msort import mergesort_perm  # noqa: F401
+
+
+@dataclass(frozen=True)
+class SortOutcome:
+    """Sorting permutation plus the run's comparison accounting.
+
+    permutation holds 1-based original positions in stable sorted order;
+    inverse maps each original position to its sorted position. budget is
+    the run's exactly computed comparison bound; binary_count <= budget on
+    every input. h0 and h_order report the sequence's entropy for envelope
+    checks.
+    """
+
+    permutation: list[int]
+    inverse: list[int]
+    ledger: ComparisonLedger
+    budget: int
+    h0: float
+    order: int
+    context_budget: int
+    h_order: float
+    warnings: tuple[str, ...] = ()
+
+    def sorted_values(self, seq: Sequence) -> list:
+        return [seq[p - 1] for p in self.permutation]
+
+
+def invert(permutation: list[int]) -> list[int]:
+    """Inverse of a 1-based permutation."""
+    inv = [0] * len(permutation)
+    for sorted_pos, original in enumerate(permutation, start=1):
+        inv[original - 1] = sorted_pos
+    return inv
 
 
 @dataclass(frozen=True)
@@ -74,42 +106,50 @@ class BudgetBreakdown:
 
 
 def budget_breakdown(seq: Sequence, order: int) -> BudgetBreakdown:
-    """Budgets, H_order, H0 and n: one pass over the elements, and one
-    `Counter` of them.
+    """Budgets, H_order, H0 and n: one pass over the elements, the same at
+    every order, and above order 0 one `Counter` of them.
 
-    The budgets are those of sort0 in each context's tree: the p-th
-    successor of a context (p >= 1 before it), with c of those p equal to
-    it, is charged ceil(log2(p / max(c, 1))) + 3. Each distinct successor
-    of a context is a new (order+1)-tuple and one B1 lookup; the min(order,
-    m) warm-up elements are one B1 lookup each. H_order is the size-weighted
-    mean of the contexts' H0.
+    The budgets are those of the order-0 sorter in each context's tree:
+    the p-th successor of a context (p >= 1 before it), with c of those p
+    equal to it, is charged ceil(log2(p / max(c, 1))) + 3, where the
+    ceiling is ((p - 1) // max(c, 1)).bit_length(). The +3 covers the
+    descent in a tree of total weight W = p. A hit on a leaf of weight
+    w = c spends at most ceil(log2(W/w)) + 1 search comparisons, one per
+    two-child node on the leaf's code path, and a miss at most
+    ceil(log2 W) + 1, the longest code. Verification adds at most 2: the
+    leaf asks only what the search left open, but the leftmost and
+    rightmost leaves have a single boundary split, and an inner leaf whose
+    two boundary splits both compare with its neighbours (each at least as
+    heavy as it) has neither answered, so 2 can still occur.
 
-    At order 0 the one context is the whole input, and `budget_and_counts`
-    gives its budget and counts, hence n and H0 (= H_order). Above it, the
-    pass keeps each context's running length and count map, keyed by the
-    k-tuple (the bare element at order 1, which saves a tuple per element),
-    so the cost is per element, not per context. A context whose successors
-    are one value costs no call and no H0 sum: its H0 is exactly 0.0, and
-    leaving an exact 0.0 out of the sum changes no bit. The +3 charges are
-    added at the end, one per successor after its context's first. n and H0
-    come from the `Counter`; every sum keeps the order of `entropy.h_order`,
-    so all fields equal the per-context definitions bit for bit.
+    Each distinct successor of a context is a new (order+1)-tuple and one
+    B1 lookup, and the min(order, m) warm-up elements are one B1 lookup
+    each; order 0 makes no B1 lookup. H_order is the size-weighted mean of
+    the contexts' H0.
+
+    The pass keeps each context's running length and count map, keyed by
+    the k-tuple (the bare element at order 1, which saves a tuple per
+    element; the one context () at order 0), so the cost is per element,
+    not per context. A context whose successors are one value costs no H0
+    sum: its H0 is exactly 0.0, and leaving an exact 0.0 out of the sum
+    changes no bit. The +3 charges are added at the end, one per successor
+    after its context's first. At order 0 the one context's count map
+    gives n and H0, and H_order is H0 as is (m * H0 / m can differ from it
+    in the last bit); above it, n and H0 come from a `Counter`. Every sum
+    keeps the order of `entropy.h_order`, so all fields equal the
+    per-context definitions bit for bit.
     """
     m = len(seq)
     if m == 0:
         raise ValueError("sequence must be non-empty")
     if order < 0:
         raise ValueError("order must be >= 0")
-    if order == 0:
-        context_total, counts = budget_and_counts(seq)
-        h0 = entropy.h0_bits(counts.values(), m)
-        return BudgetBreakdown(order=0, n=len(counts),
-                               context_total=context_total, b1_ops=0, b1=0,
-                               h_order=h0, h0=h0)
     state: dict = {}  # context -> [successors so far, successor -> count]
     logs = 0
     if order < m:
-        if order == 1:
+        if order == 0:
+            pairs = zip(repeat(()), seq)
+        elif order == 1:
             pairs = zip(seq, islice(seq, 1, None))
         else:
             pairs = zip(zip(*(islice(seq, j, None) for j in range(order))),
@@ -128,19 +168,20 @@ def budget_breakdown(seq: Sequence, order: int) -> BudgetBreakdown:
     terms = []  # |part| * H0(part) of each context with two values or more
     for size, counts in state.values():
         new_tuples += len(counts)
-        if len(counts) > 1:
+        if order and len(counts) > 1:
             terms.append(size * entropy.h0_bits(counts.values(), size))
-    counts0 = Counter(seq)
+    counts0 = state[()][1] if order == 0 else Counter(seq)
     n = len(counts0)
-    b1_ops = min(order, m) + new_tuples
+    h0 = entropy.h0_bits(counts0.values(), m)
+    b1_ops = min(order, m) + new_tuples if order else 0
     return BudgetBreakdown(
         order=order,
         n=n,
         context_total=logs + 3 * (max(m - order, 0) - len(state)),
         b1_ops=b1_ops,
         b1=b1_ops * (avl_height_bound(n) + 1),
-        h_order=sum(terms) / m,
-        h0=entropy.h0_bits(counts0.values(), m),
+        h_order=sum(terms) / m if order else h0,
+        h0=h0,
     )
 
 
@@ -154,6 +195,35 @@ def premise_holds(n: int, m: int, order: int) -> bool:
     if (order + 1) * (n.bit_length() - 1) > m.bit_length():
         return False
     return (n ** (order + 1)) * log2(n) <= m
+
+
+def scan(seq: Sequence, first: int, current, cmp: CountingComparator,
+         successor) -> None:
+    """The element loop, from 1-based position *first* on.
+
+    Each element is searched in *current*. On a hit, `append` gives the
+    leaf the element's position and one more unit of weight, and the scan
+    moves to the leaf's next-context handle, which it returns;
+    on a miss, the element is inserted next to the leaf the search reached,
+    with handle successor(current, s), and the scan moves to that tree.
+    """
+    for i in range(first, len(seq) + 1):
+        s = seq[i - 1]
+        j, rel, _, _ = current.descend(s, cmp)
+        if rel == EQUAL:
+            current = current.append(i, j)
+        else:
+            nxt = successor(current, s)
+            current.insert(s, i, j + 1 if rel == PREDECESSOR else j, nxt)
+            current = nxt
+
+
+def flatten(tree) -> list[int]:
+    """The tree's index lists in positional (key) order, concatenated."""
+    permutation: list[int] = []
+    for _, _, indices, _ in tree.quadruples():
+        permutation.extend(indices)
+    return permutation
 
 
 def _read_off(b1: RankDictionary, store, boot: tuple) -> list[int]:

@@ -43,6 +43,24 @@ def run_capped(*args: str, timeout: float = 60,
                           capture_output=True, text=True, timeout=timeout)
 
 
+def sort0_budget(seq) -> int:
+    """sort0's comparison budget from its definition (independent oracle):
+    each element after the first, with p elements before it and c of them
+    equal to it, is charged the smallest k with 2^k * max(c, 1) >= p,
+    found by counting up, plus 3. One pass, counting as it goes."""
+    total = 0
+    counts: dict = {}
+    for p, s in enumerate(seq):
+        c = counts.get(s, 0)
+        if p:
+            k = 0
+            while (1 << k) * max(c, 1) < p:
+                k += 1
+            total += k + 3
+        counts[s] = c + 1
+    return total
+
+
 def stable_perm(seq) -> list[int]:
     """Reference stable sorting permutation, 1-based (independent oracle)."""
     return sorted(range(1, len(seq) + 1), key=lambda i: seq[i - 1])

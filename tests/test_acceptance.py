@@ -2,9 +2,9 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` for one pass/fail line per
 criterion. Runtime limits hold on the pure-Python kernel. Criterion 3 has
-the least slack: on a 2-vCPU Intel Xeon VM (CPython 3.11) its sweep took
-32-33 s against the 60 s bound, and up to 59 s on other days on the same
-kind of VM.
+the least slack: on a 2-vCPU Intel Xeon VM (CPython 3.11) its sweep has
+taken from 32 s to 59 s against the 60 s bound on different days, and
+47-50 s in three runs on one day in October 2026.
 """
 
 import random
@@ -17,13 +17,13 @@ from conftest import Spy, stable_perm
 from entsort.bench import (TORONTO, baseline_mergesort, bounds_corpus,
                            correctness_corpus, envelope_corpus, generate)
 from entsort.comparator import PHASE_B1, PHASE_MERGE, CountingComparator
-from entsort.entropy import profile
+from entsort.entropy import h_order, profile
 from entsort.gamma import encode_tuple, gamma_decode, gamma_encode
 from entsort.intmath import ceil_div, ceil_log2
 from entsort.kernel import KERNEL_NAME, get_kernel
 from entsort.lbst import build_explicit, classify, sigma
 from entsort.sort0 import sort0
-from entsort.sortk import sortk
+from entsort.sortk import premise_holds, sortk
 
 
 def report(num, name, detail):
@@ -257,16 +257,20 @@ def test_criterion_9_entropy_envelope():
     checked0 = 0
     checkedk = 0
     start = time.perf_counter()
-    for name, seq, order, bounds in envelope_corpus():
+    for name, seq, order in envelope_corpus():
         m = len(seq)
-        if bounds["envelope0_applicable"]:
+        n = len(set(seq))
+        # Preconditions: n * ceil(log2 m) <= m for the order-0 envelope,
+        # n^(order+1) * log2(n) <= m for the order-k one.
+        if n * max(1, ceil_log2(m)) <= m:
             out0 = sort0(seq)
-            assert out0.ledger.binary_count <= (bounds["h0"] + 6.0) * m, name
+            assert out0.ledger.binary_count <= (h_order(seq, 0) + 6.0) * m, \
+                name
             checked0 += 1
-        if order >= 1 and bounds["premise_ok"]:
+        if order >= 1 and premise_holds(n, m, order):
             outk = sortk(seq, order)
             assert outk.ledger.binary_count <= \
-                (bounds["h_order"] + 6.0) * m, name
+                (h_order(seq, order) + 6.0) * m, name
             checkedk += 1
     elapsed = time.perf_counter() - start
     assert checked0 >= 10 and checkedk >= 10

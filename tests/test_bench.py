@@ -6,12 +6,12 @@ from conftest import stable_perm
 from entsort import entropy
 from entsort.bench import (SourceSpec, TORONTO, baseline_mergesort,
                            bounds_corpus, correctness_corpus, default_suite,
-                           envelope_corpus, evaluate_bounds, generate,
+                           envelope_corpus, generate,
                            outcome_checks, run_spec, sort_report,
                            stable_sort_oracle)
 from entsort.comparator import PHASE_BASELINE, CountingComparator
-from entsort.sort0 import sort0
-from entsort.sortk import sortk
+from entsort.sort0 import comparison_budget, sort0
+from entsort.sortk import budget_breakdown, sortk
 
 
 def test_generate_deterministic():
@@ -87,34 +87,32 @@ def test_baseline_toronto():
     assert baseline_mergesort(TORONTO, cmp) == [5, 2, 4, 7, 3, 1, 6]
 
 
-def test_evaluate_bounds_toronto():
-    bounds = evaluate_bounds(TORONTO, 0)
-    assert bounds["budget_lemma1"] == 28
-    assert bounds["budget_per_context"] == 28
-    assert bounds["m"] == 7 and bounds["n"] == 4
-    assert bounds["h0"] == pytest.approx(1.84237099, abs=1e-6)
-    bounds1 = evaluate_bounds(TORONTO, 1)
-    assert bounds1["h_order"] == pytest.approx(2 / 7)
-    assert bounds1["total_budget"] == (bounds1["budget_per_context"]
-                                       + bounds1["b1_budget"])
+def test_budget_breakdown_toronto():
+    assert comparison_budget(TORONTO) == 28
+    bd = budget_breakdown(TORONTO, 0)
+    assert bd.total == bd.context_total == 28
+    assert bd.n == 4
+    assert bd.h0 == pytest.approx(1.84237099, abs=1e-6)
+    bd1 = budget_breakdown(TORONTO, 1)
+    assert bd1.h_order == pytest.approx(2 / 7)
+    assert bd1.total == bd1.context_total + bd1.b1
 
 
-def test_evaluate_bounds_constant_string():
+def test_budget_breakdown_constant_string():
     seq = ["x"] * 60
     for order in (0, 1, 2):
-        bounds = evaluate_bounds(seq, order)
-        assert bounds["h_order"] == 0.0
-        assert bounds["envelope_order"] == 6.0 * 60
+        bd = budget_breakdown(seq, order)
+        assert bd.h_order == 0.0
         # Per-context budgets collapse to the O(1)-per-element term.
-        assert bounds["budget_per_context"] <= 3 * 60
+        assert bd.context_total <= 3 * 60
 
 
-def test_evaluate_bounds_independent_of_sorter():
+def test_comparison_budget_independent_of_sorter():
     rng = random.Random(3)
     seq = [rng.randrange(5) for _ in range(300)]
-    bounds = evaluate_bounds(seq, 1)
+    budget = comparison_budget(seq)
     out = sort0(seq)
-    assert out.ledger.binary_count <= bounds["budget_lemma1"]
+    assert out.ledger.binary_count <= budget
 
 
 def test_stable_sort_oracle_and_checks():
@@ -177,8 +175,7 @@ def test_corpora_reproducible():
     names_a = [name for name, _ in correctness_corpus()]
     names_b = [name for name, _ in correctness_corpus()]
     assert names_a == names_b
-    env = envelope_corpus()
-    assert all(len(seq) == bounds["m"] for _, seq, _, bounds in env)
+    assert envelope_corpus() == envelope_corpus()
 
 
 def test_bounds_corpus_constraints():

@@ -68,9 +68,7 @@ def test_rank_dictionary_iteration_sorted():
     ranks = {}
     for v in values:
         ranks.setdefault(v, d.lookup_or_insert(v)[0])
-    keys = [k for k, _ in d]
-    assert keys == sorted(set(values))
-    assert list(d) == sorted(ranks.items())
+    assert list(d.ranks()) == [ranks[k] for k in sorted(ranks)]
 
 
 def test_code_dictionary_basics():

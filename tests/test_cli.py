@@ -219,6 +219,18 @@ def test_bench_check_bounds_violation_exit_1(capsys, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_bench_no_orders_exit_2(fmt):
+    """An --orders list that names no order is a usage error in both
+    formats: exit 2 with a one-line message, no traceback, no rows."""
+    run = run_capped("-m", "entsort.cli", "bench", "--limit", "1",
+                     "--orders", ",", "--format", fmt)
+    assert run.returncode == 2, run.stderr
+    assert run.stdout == ""
+    assert "Traceback" not in run.stderr
+    assert run.stderr.splitlines() == [run.stderr.strip()]
+
+
 @pytest.mark.parametrize("command,option", [("sort", "kernel"),
                                             ("bench", "kernels")])
 def test_kernel_options_removed_exit_2(capsys, command, option):

@@ -5,8 +5,8 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import sort0_budget
 from entsort.entropy import context_sequences, h0, h_order, profile
-from entsort.sort0 import comparison_budget
 from entsort.sortk import budget_breakdown
 
 TORONTO = list("TORONTO")
@@ -111,7 +111,7 @@ def test_context_budget_decomposition():
     assert {k[0]: "".join(v) for k, v in seqs.items()} == \
         {"T": "OO", "O": "RN", "R": "O", "N": "T"}
     total = budget_breakdown(TORONTO, 1).context_total
-    assert total == sum(comparison_budget(v) for v in seqs.values())
+    assert total == sum(sort0_budget(v) for v in seqs.values())
 
 
 def test_context_sequences_edges():

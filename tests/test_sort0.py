@@ -4,12 +4,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import stable_perm
+from conftest import sort0_budget, stable_perm
 from entsort.comparator import (PHASE_SEARCH, PHASE_VERIFY,
                                 CountingComparator)
 from entsort.intmath import ceil_log2
 from entsort.kernel import available_kernels, get_kernel
-from entsort.sort0 import comparison_budget, invert, sort0
+from entsort.sort0 import comparison_budget, sort0
+from entsort.sortk import invert
 
 TORONTO = list("TORONTO")
 
@@ -159,17 +160,10 @@ def test_unknown_kernel_raises():
 
 
 def test_budget_matches_definition():
-    """comparison_budget against its definition, term by term: the
-    smallest k with 2^k * max(c, 1) >= i - 1, plus 3, for i >= 2."""
+    """comparison_budget against its definition, `conftest.sort0_budget`:
+    the smallest k with 2^k * max(c, 1) >= i - 1, plus 3, for i >= 2."""
     rng = random.Random(19)
     for _ in range(200):
         n = rng.choice([1, 2, 3, 7, 50])
         seq = [rng.randrange(n) for _ in range(rng.randrange(1, 200))]
-        want = 0
-        for i in range(2, len(seq) + 1):
-            c = max(seq[:i - 1].count(seq[i - 1]), 1)
-            k = 0
-            while (1 << k) * c < i - 1:
-                k += 1
-            want += k + 3
-        assert comparison_budget(seq) == want
+        assert comparison_budget(seq) == sort0_budget(seq)

@@ -4,11 +4,12 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import Spy, run_capped, stable_perm
+from conftest import Spy, run_capped, sort0_budget, stable_perm
 import entsort
 from entsort import entropy
 from entsort.bench import SourceSpec, generate
@@ -16,7 +17,7 @@ from entsort.bst import RankDictionary, avl_height_bound
 from entsort.comparator import (PHASE_B1, PHASE_MERGE, PHASE_SEARCH,
                                 PHASE_VERIFY)
 from entsort.kernel import StatsTree
-from entsort.sort0 import budget_and_counts, comparison_budget, sort0
+from entsort.sort0 import comparison_budget, sort0
 from entsort.sortk import BudgetBreakdown, budget_breakdown, sortk
 
 TORONTO = list("TORONTO")
@@ -128,14 +129,13 @@ def test_budget_breakdown_matches_oracle():
             parts = successor_lists(seq, order).values()
             tuples = distinct_tuples(seq, order)
             assert bd.order == order
-            assert bd.context_total == sum(comparison_budget(p)
-                                           for p in parts)
+            assert bd.context_total == sum(sort0_budget(p) for p in parts)
             assert bd.b1_ops == (min(order, m) + tuples if order else 0)
             assert bd.b1 == bd.b1_ops * (avl_height_bound(len(set(seq)))
                                          + 1)
             assert bd.total == bd.context_total + bd.b1
             if order == 0:
-                assert bd.total == comparison_budget(seq)
+                assert bd.total == sort0_budget(seq)
             assert bd.h_order == entropy.h_order(seq, order)
 
 
@@ -147,8 +147,8 @@ def two_pass_breakdown(seq, order):
     context_total = new_tuples = 0
     terms = []
     for part in entropy.context_sequences(seq, order).values():
-        budget, counts = budget_and_counts(part)
-        context_total += budget
+        counts = Counter(part)
+        context_total += sort0_budget(part)
         new_tuples += len(counts)
         terms.append((len(part), entropy.h0_bits(counts.values(), len(part))))
     b1_ops = min(order, m) + new_tuples if order else 0
