@@ -1,33 +1,32 @@
 """The sorter: one statistics tree per context, chained by rank codes.
 
-This is the one sorter; `sort0.sort0` is `sortk(seq, 0)`. It maintains a
-statistics tree per distinct k-tuple of preceding elements. Each element is
-searched only in its context's tree, so search costs track the order-k
-entropy rather than the order-0 entropy. The element loop is `scan`.
-Two dictionaries realize the context lookup on a miss: RankDictionary
-(element -> first-appearance rank, the only dictionary that compares
-elements) and CodeDictionary (rank tuple -> tree, a hash map that compares
-no elements). A repeat (k+1)-tuple never touches either dictionary: the
-quadruple found by the search carries a handle to the successor context's
-tree. At order 0 there is one context, so there is no lookup at all: every
-successor is the one tree, and B1 stays empty.
+This is the one sorter; `sort0.sort0` is `sortk(seq, 0)`, and `sortk` reads
+top to bottom: the accounting, the element loop, the read-off. It maintains
+a statistics tree per distinct k-tuple of preceding elements. Each element
+is searched only in its context's tree, so search costs track the order-k
+entropy rather than the order-0 entropy. Two dictionaries realize the
+context lookup on a miss: RankDictionary (element -> first-appearance rank,
+the only dictionary that compares elements) and CodeDictionary (rank tuple
+-> tree, a hash map that compares no elements). A repeat (k+1)-tuple never
+touches either dictionary: the quadruple found by the search carries a
+handle to the successor context's tree. At order 0 there is one context,
+so there is no lookup at all: every successor is the one tree, and B1
+stays empty.
 
 All context trees of one call share one node store (`StatsTree(nodes=...)`),
 so a context costs one tree object, not nine lists. That matters where an
 input breaks the premise n^(k+1) log n in O(m) and the contexts are many.
 The accounting (budgets, H_order, H_0 and n) is one pass over the input
-that runs before the scan (`budget_breakdown`): it compares nothing, and
-its tables are freed before the first tree is built.
+that runs before the element loop (`budget_breakdown`): it compares
+nothing, and its tables are freed before the first tree is built.
 
-Finalization compares no elements. At order 0 the one tree is already in
+The read-off compares no elements. At order 0 the one tree is already in
 key order, and its index lists are concatenated (`flatten`). Above it, one
 pass over the shared node store files each index list under its key's B1
 rank, and B1's in-order walk, which is the sorted alphabet, gives the order
 of the ranks (`_read_off`). The store then drops its next-context handles,
-so that the call leaves no reference cycle. The scan and the read-off run
-in one helper (`_permutation`), so the forest and both dictionaries are
-freed before the inverse permutation is built, and the two are never alive
-together.
+so that the call leaves no reference cycle. The sort ends with the
+permutation; `SortOutcome.inverse` is computed from it only when it is read.
 """
 
 from __future__ import annotations
@@ -54,14 +53,13 @@ class SortOutcome:
     """Sorting permutation plus the run's comparison accounting.
 
     permutation holds 1-based original positions in stable sorted order;
-    inverse maps each original position to its sorted position. budget is
-    the run's exactly computed comparison bound; binary_count <= budget on
-    every input. h0 and h_order report the sequence's entropy for envelope
-    checks.
+    inverse maps each original position to its sorted position; it is
+    computed from permutation each time it is read. budget is the run's exactly
+    computed comparison bound; binary_count <= budget on every input. h0
+    and h_order report the sequence's entropy for envelope checks.
     """
 
     permutation: list[int]
-    inverse: list[int]
     ledger: ComparisonLedger
     budget: int
     h0: float
@@ -69,6 +67,10 @@ class SortOutcome:
     context_budget: int
     h_order: float
     warnings: tuple[str, ...] = ()
+
+    @property
+    def inverse(self) -> list[int]:
+        return invert(self.permutation)
 
     def sorted_values(self, seq: Sequence) -> list:
         return [seq[p - 1] for p in self.permutation]
@@ -197,27 +199,6 @@ def premise_holds(n: int, m: int, order: int) -> bool:
     return (n ** (order + 1)) * log2(n) <= m
 
 
-def scan(seq: Sequence, first: int, current, cmp: CountingComparator,
-         successor) -> None:
-    """The element loop, from 1-based position *first* on.
-
-    Each element is searched in *current*. On a hit, `append` gives the
-    leaf the element's position and one more unit of weight, and the scan
-    moves to the leaf's next-context handle, which it returns;
-    on a miss, the element is inserted next to the leaf the search reached,
-    with handle successor(current, s), and the scan moves to that tree.
-    """
-    for i in range(first, len(seq) + 1):
-        s = seq[i - 1]
-        j, rel, _, _ = current.descend(s, cmp)
-        if rel == EQUAL:
-            current = current.append(i, j)
-        else:
-            nxt = successor(current, s)
-            current.insert(s, i, j + 1 if rel == PREDECESSOR else j, nxt)
-            current = nxt
-
-
 def flatten(tree) -> list[int]:
     """The tree's index lists in positional (key) order, concatenated."""
     permutation: list[int] = []
@@ -261,12 +242,29 @@ def _read_off(b1: RankDictionary, store, boot: tuple) -> list[int]:
     return permutation
 
 
-def _permutation(seq: Sequence, order: int, cmp: CountingComparator,
-                 tree_cls) -> list[int]:
-    """Scan *seq* with order-*order* context trees and read the stable
-    permutation off them. The trees, B1 and B2 are locals here, so they
-    are freed when this returns, before the caller builds the inverse."""
+def sortk(seq: Sequence, order: int = 0,
+          comparator: Optional[CountingComparator] = None,
+          kernel_name: Optional[str] = None) -> SortOutcome:
+    """Stable-sort *seq* using order-*order* context trees.
+
+    The accounting comes first (`budget_breakdown`, one pass that compares
+    nothing). Then the element loop, from position order + 1 on: each
+    element is searched in the current context's tree. On a hit, `append`
+    gives the leaf the element's position and one more unit of weight,
+    and the loop moves to the leaf's next-context handle, which it
+    returns. On a miss, the element is inserted next to the leaf the
+    search reached, with the successor context's tree as its handle, and
+    the loop moves there: above order 0 that tree comes from B1 (the
+    element's rank) and B2 (the rank tuple), and at order 0 it is the one
+    tree. The permutation is then read off with no comparison.
+    """
     m = len(seq)
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    cmp = comparator if comparator is not None else CountingComparator()
+    breakdown = budget_breakdown(seq, order)
+    before = cmp.snapshot()
+    tree_cls = get_kernel(kernel_name).StatsTree
     b1 = RankDictionary(cmp)
     b2 = CodeDictionary()
     store = None  # the first context tree, whose node store all share
@@ -281,17 +279,22 @@ def _permutation(seq: Sequence, order: int, cmp: CountingComparator,
             b2.insert(ranks, tree)
         return tree
 
-    def query_black_box(current, s):
-        """Rank s via the element dictionary, then fetch or create the
-        successor context's tree via the context dictionary."""
-        rank, _ = b1.lookup_or_insert(s)
-        return tree_for(current.context_ranks[1:] + (rank,))
-
     boot = tuple(b1.lookup_or_insert(seq[k])[0]
                  for k in range(min(order, m)))
     if m > order:
-        scan(seq, order + 1, tree_for(boot), cmp,
-             query_black_box if order else lambda current, s: current)
+        current = tree_for(boot)
+        for i in range(order + 1, m + 1):
+            s = seq[i - 1]
+            j, rel, _, _ = current.descend(s, cmp)
+            if rel == EQUAL:
+                current = current.append(i, j)
+            else:
+                nxt = current
+                if order:
+                    rank, _ = b1.lookup_or_insert(s)
+                    nxt = tree_for(current.context_ranks[1:] + (rank,))
+                current.insert(s, i, j + 1 if rel == PREDECESSOR else j, nxt)
+                current = nxt
 
     permutation = _read_off(b1, store, boot) if order else \
         flatten(b2[()])
@@ -299,27 +302,6 @@ def _permutation(seq: Sequence, order: int, cmp: CountingComparator,
         # Every tree refers to the shared handle list, which holds trees:
         # emptying it leaves nothing for the cyclic collector.
         store._next.clear()
-    return permutation
-
-
-def sortk(seq: Sequence, order: int = 0,
-          comparator: Optional[CountingComparator] = None,
-          kernel_name: Optional[str] = None) -> SortOutcome:
-    """Stable-sort *seq* using order-*order* context trees.
-
-    Three steps, each done with its tables before the next begins: the
-    accounting (`budget_breakdown`, one pass that compares nothing), the
-    scan and read-off (`_permutation`, whose forest and dictionaries are
-    freed when it returns), and the inverse permutation.
-    """
-    m = len(seq)
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    cmp = comparator if comparator is not None else CountingComparator()
-    breakdown = budget_breakdown(seq, order)
-    before = cmp.snapshot()
-    permutation = _permutation(seq, order, cmp,
-                               get_kernel(kernel_name).StatsTree)
     warnings: tuple[str, ...] = ()
     n = breakdown.n
     if not premise_holds(n, m, order):
@@ -332,7 +314,6 @@ def sortk(seq: Sequence, order: int = 0,
         )
     return SortOutcome(
         permutation=permutation,
-        inverse=invert(permutation),
         ledger=delta(before, cmp.snapshot()),
         budget=breakdown.total,
         h0=breakdown.h0,

@@ -145,9 +145,10 @@ def test_criterion_5_order_zero_equivalence(corpus_results):
     results, _ = corpus_results
     for name, seq, oracle, out0, outs, _ in results:
         got = outs[0]
-        # The whole outcome: permutation, inverse, ledger, budget,
-        # context_budget, h0, h_order and warnings. Order 0 has one
-        # context, so it makes no B1 lookup; finalization compares nothing.
+        # The whole outcome: permutation, ledger, budget, context_budget,
+        # h0, h_order and warnings (inverse follows from permutation).
+        # Order 0 has one context, so it makes no B1 lookup; finalization
+        # compares nothing.
         assert got == out0, name
         assert got.ledger.count(PHASE_B1) == 0, name
         assert got.ledger.count(PHASE_MERGE) == 0, name

@@ -58,8 +58,9 @@ def test_toronto_all_orders(kernel):
 
 
 def test_order_zero_matches_sort0_exactly(kernel):
-    """Order 0 is sort0, field by field (permutation, inverse, ledger,
-    budget, context_budget, h0, h_order, warnings), with no B1 lookup."""
+    """Order 0 is sort0, field by field (permutation, ledger, budget,
+    context_budget, h0, h_order, warnings; inverse follows from
+    permutation), with no B1 lookup."""
     rng = random.Random(77)
     for _ in range(60):
         m = rng.randrange(1, 200)
@@ -187,29 +188,31 @@ def test_one_pass_breakdown_equals_two_pass_definition(data):
     assert repr(out.h_order) == repr(entropy.h_order(seq, order))
 
 
-def test_forest_freed_before_the_inverse(monkeypatch):
-    """No context tree and no rank dictionary is alive while `invert`
-    builds the inverse permutation: the forest is freed first."""
+def test_inverse_computed_only_when_read(monkeypatch):
+    """`sortk` never builds the inverse permutation: `invert` runs only
+    when `SortOutcome.inverse` is read, and then gives the inverse of the
+    permutation. No context tree and no rank dictionary outlives the
+    call."""
     sortk_module = sys.modules["entsort.sortk"]
     original = sortk_module.invert
-    live = []
+
+    def refuse(permutation):
+        raise AssertionError("invert called")
 
     def count(cls):
         return sum(isinstance(obj, cls) for obj in gc.get_objects())
 
-    def counting(permutation):
-        live.append((count(StatsTree), count(RankDictionary)))
-        return original(permutation)
-
-    monkeypatch.setattr(sortk_module, "invert", counting)
     rng = random.Random(3)
     seq = [rng.randrange(12) for _ in range(400)]
     for order in (0, 1, 2):
         gc.collect()
         before = (count(StatsTree), count(RankDictionary))
-        live.clear()
-        assert sortk(seq, order).permutation == stable_perm(seq)
-        assert live == [before], order
+        with monkeypatch.context() as patch:
+            patch.setattr(sortk_module, "invert", refuse)
+            out = sortk(seq, order)
+        assert out.permutation == stable_perm(seq)
+        assert out.inverse == original(out.permutation)
+        assert (count(StatsTree), count(RankDictionary)) == before, order
 
 
 def test_black_box_query_count(kernel, monkeypatch):
