@@ -148,6 +148,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    if args.limit < 0:
+        raise ValueError(f"--limit {args.limit} is negative")
     specs = bench.default_suite(args.seed)
     if args.limit:
         specs = specs[:args.limit]
@@ -239,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--seed", type=int, default=1)
     p_bench.add_argument("--orders", default="0,1")
     p_bench.add_argument("--limit", type=int, default=0,
-                         help="run only the first N specs")
+                         help="run only the first N specs (0: all)")
     p_bench.add_argument("--baseline", action="store_true")
     p_bench.add_argument("--check-bounds", action="store_true")
     p_bench.add_argument("--format", choices=("json", "csv"), default="json")

@@ -231,6 +231,18 @@ def test_bench_no_orders_exit_2(fmt):
     assert run.stderr.splitlines() == [run.stderr.strip()]
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_bench_negative_limit_exit_2(fmt):
+    """A negative --limit is a usage error in both formats: exit 2 with a
+    one-line message, no traceback, no rows, and no spec run."""
+    for limit in ("-1", "-24"):
+        run = run_capped("-m", "entsort.cli", "bench", "--limit", limit,
+                         "--format", fmt)
+        assert run.returncode == 2, run.stderr
+        assert run.stdout == ""
+        assert run.stderr == f"error: --limit {limit} is negative\n"
+
+
 @pytest.mark.parametrize("command,option", [("sort", "kernel"),
                                             ("bench", "kernels")])
 def test_kernel_options_removed_exit_2(capsys, command, option):
