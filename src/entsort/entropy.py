@@ -77,16 +77,12 @@ def h_order(seq: Sequence, order: int) -> float:
 
 @dataclass
 class EntropyProfile:
-    """Entropy at orders 0..max_order of a sequence of m elements, n of them
-    distinct."""
+    """Entropy at orders 0..len(h) - 1 of a sequence of m elements, n of
+    them distinct."""
 
     m: int
     n: int
     h: list[float]
-
-    @property
-    def max_order(self) -> int:
-        return len(self.h) - 1
 
 
 def profile(seq: Sequence, max_order: int) -> EntropyProfile:

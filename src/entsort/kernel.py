@@ -575,7 +575,7 @@ class StatsTree(_FlatAVL):
             raise AssertionError("cached end nodes wrong")
 
 
-def from_pairs(keys, weights, indices=None, context_ranks=None) -> StatsTree:
+def from_pairs(keys, weights, indices=None) -> StatsTree:
     """Build a balanced tree from parallel (key, weight) lists.
 
     Convenience for the given-frequencies use case and for tests; when
@@ -596,7 +596,7 @@ def from_pairs(keys, weights, indices=None, context_ranks=None) -> StatsTree:
         for w in weights:
             indices.append(list(range(nxt, nxt + w)))
             nxt += w
-    tree = StatsTree(context_ranks=context_ranks)
+    tree = StatsTree()
     if not keys:
         return tree
 
