@@ -53,10 +53,11 @@ class SortOutcome:
     """Sorting permutation plus the run's comparison accounting.
 
     permutation holds 1-based original positions in stable sorted order;
-    inverse maps each original position to its sorted position; it is
-    computed from permutation each time it is read. budget is the run's exactly
-    computed comparison bound; binary_count <= budget on every input. h0
-    and h_order report the sequence's entropy for envelope checks.
+    inverse maps each original position to its sorted position, and is
+    computed from permutation each time it is read. budget is the run's
+    exactly computed comparison bound; binary_count <= budget on every
+    input. h0 and h_order report the sequence's entropy for envelope
+    checks.
     """
 
     permutation: list[int]
