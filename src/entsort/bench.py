@@ -46,7 +46,7 @@ class SourceSpec:
             raise ValueError("n must be >= 1")
         if self.kind == "markov" and self.order < 1:
             raise ValueError("markov order must be >= 1")
-        if self.kind == "zipf" and self.skew <= 0:
+        if self.kind == "zipf" and not self.skew > 0:  # NaN fails too
             raise ValueError("zipf skew must be positive")
         if not 0.0 <= self.noise <= 1.0:
             raise ValueError("noise must be in [0, 1]")

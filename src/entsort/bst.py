@@ -83,11 +83,6 @@ class RankDictionary(_FlatAVL):
         """The ranks in key order: the in-order walk, without the keys."""
         return self._inorder()
 
-    def _fix(self, v: int) -> None:
-        h = self._height
-        lh, rh = h[self._left[v]], h[self._right[v]]
-        h[v] = 1 + (lh if lh >= rh else rh)
-
 
 class CodeDictionary(dict):
     """Rank tuples -> statistics-tree handles; never touches elements.

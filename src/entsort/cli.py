@@ -48,10 +48,15 @@ def _encode_symbols(seq: Sequence, mode: str) -> bytes:
     return " ".join(str(s) for s in seq).encode("utf-8")
 
 
-def _write_out(payload: bytes, out: Optional[str]) -> None:
+def _write_out(payload: bytes, out: Optional[str],
+               binary: bool = False) -> None:
+    """Write *payload* to the file *out*, or to stdout for None or "-".
+    On stdout a text payload ends in a newline, added if it lacks one; a
+    *binary* payload (a sequence in `bytes` mode) is written unchanged,
+    since a newline there would read back as one more element."""
     if out in (None, "-"):
         sys.stdout.buffer.write(payload)
-        if not payload.endswith(b"\n"):
+        if not binary and not payload.endswith(b"\n"):
             sys.stdout.buffer.write(b"\n")
     else:
         with open(out, "wb") as fh:
@@ -95,7 +100,7 @@ def _cmd_sort(args) -> int:
     report, outcome = bench.sort_report(seq, args.order, args.baseline)
     if args.sorted_output:
         _write_out(_encode_symbols(outcome.sorted_values(seq), args.mode),
-                   args.out)
+                   args.out, binary=args.mode == "bytes")
     else:
         if args.zero_based:
             report["permutation"] = [p - 1 for p in outcome.permutation]
@@ -143,7 +148,8 @@ def _cmd_gen(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _write_out(_encode_symbols(seq, args.mode), args.out)
+    _write_out(_encode_symbols(seq, args.mode), args.out,
+               binary=args.mode == "bytes")
     return 0
 
 

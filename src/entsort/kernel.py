@@ -5,8 +5,13 @@ and `get_kernel` name it for run reports and for callers that still pass
 `kernel_name`.
 
 The statistics tree is an AVL tree over a positional list of quadruples
-(key, weight, index list, next-context handle), augmented with subtree sizes
-and subtree weight sums. All structural operations address positions, never
+(key, weight, index list, next-context handle). Each node is augmented with
+what lies on its left, as in the RANK field of Knuth's order-statistics
+trees (TAOCP vol. 3, 6.2.3): its rank within its own subtree, and its
+offset there of F_j = 2*S_{j-1} + w_j, the scaled code value of leaf j
+(below). A walk from the root then adds up a position and an F only where
+it turns right, and an update changes only the ancestors on whose left it
+happens. All structural operations address positions, never
 keys: the tree performs zero element comparisons. Height is at most
 1.4405 * log2(t + 2) (classic AVL bound; asserted in tests).
 
@@ -31,11 +36,12 @@ Trees can share one node store (`StatsTree(nodes=...)`): the order-k
 sorter keeps its one tree per context in a single store, so that a context
 costs one small object rather than a set of lists.
 
-The AVL rules live once, in `_FlatAVL`: rotations, the single-or-double
-rebalance, `_attach`, which hangs a new leaf below a recorded search path
-and rebalances bottom-up, and the in-order walk. The statistics tree and
-`bst.RankDictionary` both derive from it and differ only in `_fix`, the
-fields a node recomputes from its children.
+The AVL rules live once, in `_FlatAVL`: rotations, the height update
+`_fix`, the single-or-double rebalance, `_attach`, which hangs a new leaf
+below a recorded search path and rebalances bottom-up, and the in-order
+walk. The statistics tree and `bst.RankDictionary` both derive from it;
+the statistics tree extends the two rotations, each of which moves its
+rank and F offset in O(1).
 """
 
 from __future__ import annotations
@@ -65,9 +71,10 @@ class _FlatAVL:
     """AVL plumbing shared by the statistics tree and `bst.RankDictionary`.
 
     Nodes live in parallel lists indexed by node id, with node 0 as the null
-    sentinel (height 0). A subclass supplies `_fix(v)`, which recomputes v's
-    height and any augmentation from its children; rotations call it on the
-    two nodes whose children change. Rotations keep node ids.
+    sentinel (height 0). Rotations keep node ids and call `_fix` on the two
+    nodes whose children change; `_fix` recomputes a node's height from its
+    children's. A subclass whose nodes carry more fields extends the
+    rotations to keep them.
     """
 
     __slots__ = ("_left", "_right", "_height", "_root")
@@ -75,6 +82,11 @@ class _FlatAVL:
     @property
     def height(self) -> int:
         return self._height[self._root]
+
+    def _fix(self, v: int) -> None:
+        h = self._height
+        lh, rh = h[self._left[v]], h[self._right[v]]
+        h[v] = 1 + (lh if lh >= rh else rh)
 
     def _rot_right(self, v: int) -> int:
         l = self._left[v]
@@ -112,11 +124,11 @@ class _FlatAVL:
 
         *path* lists the ancestors from the root down, as the node ids that
         the tree holds; *leftward* says whether the leaf is the left child of
-        the last one. Any augmentation other than the height must already
-        count the new node along the path. Going up, a balanced ancestor
-        gets its new height, an unbalanced one rotates, and the first
-        ancestor that keeps both its place and its height ends the walk,
-        since nothing above it changes.
+        the last one. Any field other than the height must already count
+        the new node along the path. Going up, a balanced ancestor gets its
+        new height, an unbalanced one rotates, and the first ancestor that
+        keeps both its place and its height ends the walk, since nothing
+        above it changes.
 
         A child pointer is written only where it changes: at the leaf, and
         above a rotation, on the side that held the rotated node. So the
@@ -160,20 +172,31 @@ class _FlatAVL:
 
 
 class StatsTree(_FlatAVL):
-    """Positional AVL tree of quadruples with subtree weight sums.
+    """Positional AVL tree of quadruples, each node augmented with what lies
+    on its left.
 
     Positions are 1-based. Node 0 is the null sentinel. Callers are
     responsible for inserting keys in sorted positional order; the tree
     never checks (it cannot compare keys).
 
     The nodes live in nine parallel lists, `_left` to `_next`, the node
-    store, which trees made with `nodes=` share (see `__init__`). Each tree
-    keeps its own root and end nodes; no operation links a node of one tree
-    into another.
+    store, which trees made with `nodes=` share (see `__init__`). Besides
+    its key, weight, index list and next handle, a node v keeps two fields
+    about its left subtree L only:
+
+    - `_rank[v]` = size(L) + 1, v's position within its own subtree;
+    - `_off[v]` = 2 * wsum(L) + weight[v], v's F offset within its own
+      subtree, where F = 2*S_{j-1} + w_j for the leaf at position j.
+
+    So a walk from the root finds v's position and F by adding the fields
+    of v and of every node where it turned right; a left turn adds
+    nothing, and an update below v changes v's fields only if it lies on
+    v's left. Each tree keeps its own root, end nodes, length and total
+    weight; no operation links a node of one tree into another.
     """
 
-    __slots__ = ("_size", "_weight", "_wsum", "_keys", "_idx", "_next",
-                 "_first", "_last", "context_ranks")
+    __slots__ = ("_rank", "_weight", "_off", "_keys", "_idx", "_next",
+                 "_first", "_last", "_len", "_total", "context_ranks")
 
     def __init__(self, context_ranks=None, nodes=None):
         """An empty tree. With *nodes*, another tree, the new tree adds its
@@ -183,23 +206,24 @@ class StatsTree(_FlatAVL):
             self._left = [0]
             self._right = [0]
             self._height = [0]
-            self._size = [0]
+            self._rank = [0]
             self._weight = [0]
-            self._wsum = [0]
+            self._off = [0]
             self._keys = [None]
             self._idx = [None]
             self._next = [None]
         else:
             self._left, self._right, self._height = \
                 nodes._left, nodes._right, nodes._height
-            self._size, self._weight, self._wsum = \
-                nodes._size, nodes._weight, nodes._wsum
+            self._rank, self._weight, self._off = \
+                nodes._rank, nodes._weight, nodes._off
             self._keys, self._idx, self._next = \
                 nodes._keys, nodes._idx, nodes._next
         self._root = 0
         # Nodes at positions 1 and len(self), 0 when empty. Rotations keep
         # node ids, so only an insert at either end moves them.
         self._first = self._last = 0
+        self._len = self._total = 0
         # The owning context's rank tuple, its key in the order-k sorter's
         # context dictionary; the last rank is that of the keys that lead
         # into this tree.
@@ -208,28 +232,27 @@ class StatsTree(_FlatAVL):
     # -- basic accessors ---------------------------------------------------
 
     def __len__(self) -> int:
-        return self._size[self._root]
+        return self._len
 
     @property
     def total_weight(self) -> int:
-        return self._wsum[self._root]
+        return self._total
 
     def _check_pos(self, j: int) -> None:
-        if not 1 <= j <= self._size[self._root]:
-            raise IndexError(f"position {j} out of range 1..{len(self)}")
+        if not 1 <= j <= self._len:
+            raise IndexError(f"position {j} out of range 1..{self._len}")
 
     def _node_at(self, j: int) -> int:
-        left, right, size = self._left, self._right, self._size
+        left, right, rank_of = self._left, self._right, self._rank
         v = self._root
-        pos = j
         while True:
-            ls = size[left[v]]
-            if pos <= ls:
+            r = rank_of[v]
+            if j < r:
                 v = left[v]
-            elif pos == ls + 1:
+            elif j == r:
                 return v
             else:
-                pos -= ls + 1
+                j -= r
                 v = right[v]
 
     def handle_at(self, j: int):
@@ -251,50 +274,49 @@ class StatsTree(_FlatAVL):
             raise ValueError("den must be positive")
         if num < 0:
             raise ValueError("num must be non-negative")
-        root = self._root
-        if self._size[root] == 0:
+        if self._len == 0:
             raise ValueError("search on empty tree")
-        if den.bit_length() + self._wsum[root].bit_length() > 126:
+        total = self._total
+        if den.bit_length() + total.bit_length() > 126:
             raise OverflowError("threshold exceeds configured word width")
-        if den * self._wsum[root] < num:
+        if den * total < num:
             raise ValueError("threshold exceeds total weight")
         if num == 0:
             return 1
-        left, right, size = self._left, self._right, self._size
-        weight, wsum = self._weight, self._wsum
-        v = root
-        acc = 0  # weight strictly before v's subtree; den*acc < num holds
-        rank = 0  # positions strictly before v's subtree
+        left, right, rank_of = self._left, self._right, self._rank
+        weight, off = self._weight, self._off
+        num2 = 2 * num  # F - w_j = 2*S_{j-1} and F + w_j = 2*S_j
+        v = self._root
+        base = 0  # twice the weight before v's subtree; den*base < num2
+        pos = 0  # positions before v's subtree
         while True:
-            l = left[v]
-            before = acc + wsum[l]
-            if den * before >= num:
-                v = l
-            elif den * (before + weight[v]) >= num:
-                return rank + size[l] + 1
+            f = base + off[v]
+            w = weight[v]
+            if den * (f - w) >= num2:
+                v = left[v]
+            elif den * (f + w) >= num2:
+                return pos + rank_of[v]
             else:
-                acc = before + weight[v]
-                rank += size[l] + 1
+                base = f + w
+                pos += rank_of[v]
                 v = right[v]
 
     def sum(self, j: int) -> int:
         """Prefix weight sum w_1 + ... + w_j."""
         self._check_pos(j)
-        left, right, size = self._left, self._right, self._size
-        weight, wsum = self._weight, self._wsum
+        left, right, rank_of = self._left, self._right, self._rank
+        weight, off = self._weight, self._off
         v = self._root
-        acc = 0
-        pos = j
+        base = 0  # twice the weight before v's subtree
         while True:
-            l = left[v]
-            ls = size[l]
-            if pos <= ls:
-                v = l
-            elif pos == ls + 1:
-                return acc + wsum[l] + weight[v]
+            r = rank_of[v]
+            if j < r:
+                v = left[v]
             else:
-                pos -= ls + 1
-                acc += wsum[l] + weight[v]
+                base += off[v] + weight[v]
+                if j == r:
+                    return base // 2
+                j -= r
                 v = right[v]
 
     def triple(self, j: int) -> tuple:
@@ -306,98 +328,103 @@ class StatsTree(_FlatAVL):
         v = self._node_at(j)
         return (self._keys[v], self._weight[v], self._idx[v], self._next[v])
 
+    def _shift_offsets(self, j: int, d: int) -> int:
+        """Add *d* to the F offset of every ancestor of the node at j that
+        has it on its left, and return that node."""
+        left, right, rank_of, off = \
+            self._left, self._right, self._rank, self._off
+        v = self._root
+        while True:
+            r = rank_of[v]
+            if j < r:
+                off[v] += d
+                v = left[v]
+            elif j == r:
+                return v
+            else:
+                j -= r
+                v = right[v]
+
     def increment(self, j: int) -> None:
         """Add 1 to w_j, and nothing else: the positional weight bump. The
         sorters record a hit with `append`, which also bumps w_j."""
         self._check_pos(j)
-        if self._wsum[self._root] + 1 > MAX_TOTAL_WEIGHT:
+        if self._total + 1 > MAX_TOTAL_WEIGHT:
             raise OverflowError("total weight exceeds configured word width")
-        left, right, size = self._left, self._right, self._size
-        weight, wsum = self._weight, self._wsum
-        v = self._root
-        pos = j
-        while True:
-            wsum[v] += 1
-            l = left[v]
-            ls = size[l]
-            if pos <= ls:
-                v = l
-            elif pos == ls + 1:
-                weight[v] += 1
-                return
-            else:
-                pos -= ls + 1
-                v = right[v]
+        v = self._shift_offsets(j, 2)
+        self._weight[v] += 1
+        self._off[v] += 1
+        self._total += 1
 
     def append(self, i: int, j: int):
         """Record a hit on leaf j: append sequence position i to the j-th
         index list, add 1 to w_j, and return the j-th next-context handle.
 
-        The position, the weight cap and the index order are checked before
-        anything changes, so a refused append leaves the tree as it was.
-        One root-to-leaf walk finds the node and its ancestors, whose weight
-        sums then gain 1."""
-        root = self._root
-        if not 1 <= j <= self._size[root]:
-            raise IndexError(f"position {j} out of range 1..{len(self)}")
-        wsum = self._wsum
-        if wsum[root] + 1 > MAX_TOTAL_WEIGHT:
+        One root-to-leaf walk finds the node and adds 2 to the F offset of
+        every ancestor where it turns left; it keeps no path. The position
+        and the weight cap are checked before the walk. The index order can
+        only be checked at the node, so a refused append walks once more
+        to take the offsets back, and leaves the tree as it was."""
+        if not 1 <= j <= self._len:
+            raise IndexError(f"position {j} out of range 1..{self._len}")
+        total = self._total
+        if total + 1 > MAX_TOTAL_WEIGHT:
             raise OverflowError("total weight exceeds configured word width")
-        left, right, size = self._left, self._right, self._size
-        path = []  # the proper ancestors of the node at j
-        v = root
+        left, right, rank_of, off = \
+            self._left, self._right, self._rank, self._off
+        v = self._root
         pos = j
         while True:
-            l = left[v]
-            ls = size[l]
-            if pos <= ls:
-                path.append(v)
-                v = l
-            elif pos == ls + 1:
+            r = rank_of[v]
+            if pos < r:
+                off[v] += 2
+                v = left[v]
+            elif pos == r:
                 break
             else:
-                path.append(v)
-                pos -= ls + 1
+                pos -= r
                 v = right[v]
         lst = self._idx[v]
         if lst and i <= lst[-1]:
+            self._shift_offsets(j, -2)
             raise ValueError("indices must be appended in increasing order")
         lst.append(i)
         self._weight[v] += 1
-        wsum[v] += 1
-        for u in path:
-            wsum[u] += 1
+        off[v] += 1
+        self._total = total + 1
         return self._next[v]
 
     def insert(self, a, i: int, j: int, next=None) -> None:
         """Insert quadruple (a, 1, [i], next) at position j, shifting
         positions >= j right by one. One walk down to the insert point
-        counts the new node in its ancestors' sizes and weight sums, then
-        `_attach` hangs it there and rebalances."""
-        root = self._root
-        t = self._size[root]
+        counts the new node in the rank and the F offset of each ancestor
+        where it turns left, then `_attach` hangs it there and
+        rebalances."""
+        t = self._len
         if not 1 <= j <= t + 1:
             raise IndexError(f"insert position {j} out of range 1..{t + 1}")
-        if self._wsum[root] + 1 > MAX_TOTAL_WEIGHT:
+        if self._total + 1 > MAX_TOTAL_WEIGHT:
             raise OverflowError("total weight exceeds configured word width")
-        left, right = self._left, self._right
-        size, wsum = self._size, self._wsum
+        left, right, rank_of, off = \
+            self._left, self._right, self._rank, self._off
         path = []  # the new node's ancestors, root first
-        v = root
+        v = self._root
         pos = j
         leftward = True  # whether the last move went left
         while v:
-            size[v] += 1
-            wsum[v] += 1
             path.append(v)
-            ls = size[left[v]]
-            leftward = pos <= ls + 1
+            r = rank_of[v]
+            leftward = pos <= r
             if leftward:
+                rank_of[v] = r + 1
+                off[v] += 2
                 v = left[v]
             else:
-                pos -= ls + 1
+                pos -= r
                 v = right[v]
         u = self._new_node(a, 1, [i], next)
+        self._len = t + 1
+        self._total += 1
         self._attach(path, u, leftward)
         if j == 1:
             self._first = u
@@ -410,20 +437,27 @@ class StatsTree(_FlatAVL):
         self._left.append(0)
         self._right.append(0)
         self._height.append(1)
-        self._size.append(1)
+        self._rank.append(1)
         self._weight.append(w)
-        self._wsum.append(w)
+        self._off.append(w)
         self._keys.append(a)
         self._idx.append(indices)
         self._next.append(next)
         return len(self._keys) - 1
 
-    def _fix(self, v: int) -> None:
-        l, r = self._left[v], self._right[v]
-        h = self._height
-        self._height[v] = 1 + (h[l] if h[l] >= h[r] else h[r])
-        self._size[v] = 1 + self._size[l] + self._size[r]
-        self._wsum[v] = self._weight[v] + self._wsum[l] + self._wsum[r]
+    def _rot_right(self, v: int) -> int:
+        # v's left subtree loses its left child l and l's left subtree.
+        l = self._left[v]
+        self._rank[v] -= self._rank[l]
+        self._off[v] -= self._off[l] + self._weight[l]
+        return super()._rot_right(v)
+
+    def _rot_left(self, v: int) -> int:
+        # The right child r gains v and v's left subtree on its left.
+        r = self._right[v]
+        self._rank[r] += self._rank[v]
+        self._off[r] += self._off[v] + self._weight[v]
+        return super()._rot_left(v)
 
     # -- virtual weighted-tree navigation ----------------------------------
 
@@ -462,13 +496,13 @@ class StatsTree(_FlatAVL):
         then costs a single AVL walk, which finds the first leaf on the
         right of the split together with its predecessor, the split leaf.
         """
-        root = self._root
-        t = self._size[root]
+        t = self._len
         if t == 0:
             return (1, SUCCESSOR, 0, 0)
-        left, right, size = self._left, self._right, self._size
-        weight, wsum = self._weight, self._wsum
-        two_w = 2 * wsum[root]
+        left, right, rank_of = self._left, self._right, self._rank
+        weight, off = self._weight, self._off
+        root = self._root
+        two_w = 2 * self._total
         p = two_w.bit_length()
         lo, hi = 1, t
         lo_node = self._first  # tree node holding leaf lo
@@ -485,18 +519,16 @@ class StatsTree(_FlatAVL):
             k = (c_lo ^ c_hi).bit_length() - 1
             g = -((-(c_hi >> k << k) * two_w) >> p)
             v = root
-            acc = rank = 0
+            base = rank = 0  # F before v's subtree, positions before it
             while v:
-                l = left[v]
-                before = acc + wsum[l]
-                f = 2 * before + weight[v]
+                f = base + off[v]
                 if f >= g:
                     succ, f_succ = v, f
-                    v = l
+                    v = left[v]
                 else:
                     pred, f_pred = v, f
-                    acc = before + weight[v]
-                    rank += size[l] + 1
+                    base = f + weight[v]
+                    rank += rank_of[v]
                     v = right[v]
             if not lo <= rank < hi:
                 raise NavigationError("split outside the descent's leaf range")
@@ -554,21 +586,23 @@ class StatsTree(_FlatAVL):
             h = 1 + max(lh, rh)
             if self._height[v] != h:
                 raise AssertionError("stored height wrong")
-            s = 1 + ls + rs
-            if self._size[v] != s:
-                raise AssertionError("stored size wrong")
+            if self._rank[v] != ls + 1:
+                raise AssertionError("stored rank wrong")
             if self._weight[v] < 1:
                 raise AssertionError("non-positive weight")
             if self._weight[v] != len(self._idx[v]):
                 raise AssertionError("weight != len(indices)")
             if any(x >= y for x, y in zip(self._idx[v], self._idx[v][1:])):
                 raise AssertionError("indices not strictly increasing")
-            w = self._weight[v] + lw + rw
-            if self._wsum[v] != w:
-                raise AssertionError("stored weight sum wrong")
-            return h, s, w
+            if self._off[v] != 2 * lw + self._weight[v]:
+                raise AssertionError("stored F offset wrong")
+            return h, 1 + ls + rs, self._weight[v] + lw + rw
 
-        walk(self._root)
+        _, size, total = walk(self._root)
+        if self._len != size:
+            raise AssertionError("stored length wrong")
+        if self._total != total:
+            raise AssertionError("stored total weight wrong")
         t = len(self)
         ends = (self._node_at(1), self._node_at(t)) if t else (0, 0)
         if (self._first, self._last) != ends:
@@ -600,17 +634,21 @@ def from_pairs(keys, weights, indices=None) -> StatsTree:
     if not keys:
         return tree
 
-    def build(lo: int, hi: int) -> int:
+    def build(lo: int, hi: int) -> tuple:
+        """(root, weight sum) of a balanced subtree over keys lo..hi."""
         if lo > hi:
-            return 0
+            return 0, 0
         mid = (lo + hi) // 2
         u = tree._new_node(keys[mid], weights[mid], list(indices[mid]), None)
-        tree._left[u] = build(lo, mid - 1)
-        tree._right[u] = build(mid + 1, hi)
+        tree._left[u], lw = build(lo, mid - 1)
+        tree._right[u], rw = build(mid + 1, hi)
+        tree._rank[u] = mid - lo + 1
+        tree._off[u] = 2 * lw + weights[mid]
         tree._fix(u)
-        return u
+        return u, lw + weights[mid] + rw
 
-    tree._root = build(0, len(keys) - 1)
+    tree._root, tree._total = build(0, len(keys) - 1)
+    tree._len = len(keys)
     tree._first = tree._node_at(1)
     tree._last = tree._node_at(len(keys))
     return tree

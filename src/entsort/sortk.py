@@ -26,13 +26,14 @@ pass over the shared node store files each index list under its key's B1
 rank, and B1's in-order walk, which is the sorted alphabet, gives the order
 of the ranks (`_read_off`). The store then drops its next-context handles,
 so that the call leaves no reference cycle. The sort ends with the
-permutation; `SortOutcome.inverse` is computed from it only when it is read.
+permutation; `SortOutcome.inverse` is computed from it when first read.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, islice, repeat
 from math import log2
 from typing import Optional, Sequence
@@ -53,11 +54,11 @@ class SortOutcome:
     """Sorting permutation plus the run's comparison accounting.
 
     permutation holds 1-based original positions in stable sorted order;
-    inverse maps each original position to its sorted position, and is
-    computed from permutation each time it is read. budget is the run's
-    exactly computed comparison bound; binary_count <= budget on every
-    input. h0 and h_order report the sequence's entropy for envelope
-    checks.
+    inverse maps each original position to its sorted position; it is
+    computed from permutation when first read, then kept, and `==`
+    compares the fields only. budget is the run's exactly computed
+    comparison bound; binary_count <= budget on every input. h0 and
+    h_order report the sequence's entropy for envelope checks.
     """
 
     permutation: list[int]
@@ -69,7 +70,7 @@ class SortOutcome:
     h_order: float
     warnings: tuple[str, ...] = ()
 
-    @property
+    @cached_property
     def inverse(self) -> list[int]:
         return invert(self.permutation)
 

@@ -1,5 +1,7 @@
+import io
 import json
 import random
+import sys
 
 import pytest
 
@@ -132,6 +134,45 @@ def test_gen_ints_mode(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "sort", str(f), "--mode", "ints")
     assert code == 0
     assert json.loads(out)["m"] == 50
+
+
+@pytest.mark.parametrize("mode", cli.MODES)
+def test_gen_stdout_matches_out_file(tmp_path, capsysbinary, monkeypatch,
+                                     mode):
+    """`gen` to stdout, read back from stdin, gives the same m and
+    permutation as `gen --out` read back from the file. In bytes mode the
+    two payloads are the same bytes: stdout gets no newline, which would
+    read back as one more element."""
+    gen = ["gen", "--kind", "zipf", "--length", "10", "--seed", "3",
+           "--mode", mode]
+    f = tmp_path / "g"
+    assert main(gen + ["--out", str(f)]) == 0
+    assert main(gen) == 0
+    piped = capsysbinary.readouterr().out
+    if mode == "bytes":
+        assert piped == f.read_bytes()
+    reports = []
+    for path, stdin in ((str(f), b""), ("-", piped)):
+        monkeypatch.setattr(sys, "stdin",
+                            io.TextIOWrapper(io.BytesIO(stdin)))
+        assert main(["sort", path, "--mode", mode]) == 0
+        reports.append(json.loads(capsysbinary.readouterr().out))
+    assert reports[0]["m"] == reports[1]["m"] == 10
+    assert reports[0]["permutation"] == reports[1]["permutation"]
+
+
+def test_gen_nan_skew_exit_2():
+    """--skew nan is a usage error: exit 2 with a one-line message and no
+    output. --skew inf, the limit of the distribution, is accepted."""
+    argv = ("-m", "entsort.cli", "gen", "--kind", "zipf", "--length", "10",
+            "--skew")
+    run = run_capped(*argv, "nan")
+    assert run.returncode == 2, run.stderr
+    assert run.stdout == ""
+    assert run.stderr == "error: zipf skew must be positive\n"
+    run = run_capped(*argv, "inf")
+    assert run.returncode == 0, run.stderr
+    assert len(run.stdout) == 10
 
 
 def test_tokens_mode(tmp_path, capsys):

@@ -383,11 +383,11 @@ def test_descend_absent_key_leaf_flags(kernel, weights, probe, want,
 
 
 def test_descend_inconsistent_tree_raises():
-    # A root weight sum that disagrees with the leaf weights must end the
+    # A stored total weight that disagrees with the leaf weights must end the
     # walk with NavigationError instead of looping or answering.
     for bad_total in (1, 6):
         tree = kernel_module.from_pairs(["a", "b", "c"], [1, 1, 1])
-        tree._wsum[tree._root] = bad_total
+        tree._total = bad_total
         for key in "abc":
             with pytest.raises(NavigationError):
                 tree.descend(key, CountingComparator())

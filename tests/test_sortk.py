@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import os
@@ -215,6 +216,26 @@ def test_inverse_computed_only_when_read(monkeypatch):
         assert (count(StatsTree), count(RankDictionary)) == before, order
 
 
+def test_inverse_computed_once(monkeypatch):
+    """Reading `SortOutcome.inverse` again does not run `invert` again: the
+    first read keeps the list. Equality still compares the fields only."""
+    sortk_module = sys.modules["entsort.sortk"]
+    original = sortk_module.invert
+    calls = []
+
+    def counted(permutation):
+        calls.append(len(permutation))
+        return original(permutation)
+
+    monkeypatch.setattr(sortk_module, "invert", counted)
+    out = sortk([3, 1, 2, 1, 3], 1)
+    fresh = dataclasses.replace(out)
+    first = out.inverse
+    assert out.inverse is first and calls == [5]
+    assert first == original(out.permutation)
+    assert out == fresh and "inverse" not in vars(fresh)
+
+
 def test_black_box_query_count(kernel, monkeypatch):
     """The dictionaries are consulted once per new distinct tuple, never on
     repeats, plus the warm-up lookups; never at order 0, whose one
@@ -372,7 +393,7 @@ def test_context_tree_count_bound(kernel, monkeypatch):
             assert distinct_ctx <= n ** order + 1
 
 
-STORE = ("_left", "_right", "_height", "_size", "_weight", "_wsum", "_keys",
+STORE = ("_left", "_right", "_height", "_rank", "_weight", "_off", "_keys",
          "_idx", "_next")
 
 

@@ -250,6 +250,27 @@ def test_total_weight_cap(monkeypatch):
         kernel_module.from_pairs("abc", [3, 4, 2])
 
 
+def test_refused_append_leaves_tree_unchanged(kernel):
+    """An append whose position is not above the leaf's last index raises
+    ValueError and changes nothing, although the walk down has already
+    moved the offsets of the ancestors where it turned left: leaf 1 is
+    reached by left turns only."""
+    tree = kernel.from_pairs("abcdefg", [2, 1, 3, 1, 1, 2, 1])
+    left, root = tree._left, tree._root
+    assert left[left[root]] == tree._node_at(1)
+    before = snapshot(tree)
+    for j, (_, _, indices, _) in enumerate(tree.quadruples(), start=1):
+        for i in (indices[-1], indices[0] - 1):
+            with pytest.raises(ValueError, match="increasing order"):
+                tree.append(i, j)
+            assert snapshot(tree) == before
+            tree._validate()
+    last = tree.quadruples()[0][2][-1]
+    tree.append(last + 20, 1)
+    tree._validate()
+    assert tree.sum(1) == 3 and tree.total_weight == 12
+
+
 def test_from_pairs_validation(kernel):
     with pytest.raises(ValueError):
         kernel.from_pairs(["a"], [0])
