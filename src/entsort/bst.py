@@ -33,7 +33,10 @@ class RankDictionary(_FlatAVL):
     to and including its first occurrence; ranks are a bijection onto
     1..len(self). Lookups walk down keeping the smallest key >= s as a
     candidate (one comparison per node), then spend one comparison to decide
-    equality — at most height + 1 comparisons per operation.
+    equality — at most height + 1 comparisons per operation. They are the
+    elements' own `<=`; a lookup counts them as it goes and charges the
+    count to the ledger once, in a `finally` clause, so that a comparison
+    that raises is counted too.
 
     The nodes live in parallel lists (`_keys` and the `_FlatAVL` lists),
     with node 0 as the null sentinel. Nodes are allocated in
@@ -55,20 +58,24 @@ class RankDictionary(_FlatAVL):
 
     def lookup_or_insert(self, elem) -> tuple[int, bool]:
         """(rank, was_new) for elem, inserting it with the next rank if new."""
-        leq = self._cmp.leq
         keys, left, right = self._keys, self._left, self._right
         path = []  # the nodes passed, root first
         candidate = 0
         v = self._root
-        while v:
-            path.append(v)
-            if leq(elem, keys[v], PHASE_B1):
-                candidate = v
-                v = left[v]
-            else:
-                v = right[v]
-        if candidate and leq(keys[candidate], elem, PHASE_B1):
-            return candidate, False
+        try:
+            while v:
+                path.append(v)
+                if elem <= keys[v]:
+                    candidate = v
+                    v = left[v]
+                else:
+                    v = right[v]
+            if candidate and keys[candidate] <= elem:
+                return candidate, False
+        finally:
+            # v is 0 only once the walk has ended, so the equality check
+            # was asked exactly when v is 0 and there is a candidate.
+            self._cmp.charge(PHASE_B1, len(path) + (not v and candidate > 0))
         # Miss: a new leaf at the fall-off point.
         rank = len(keys)
         keys.append(elem)

@@ -1,9 +1,15 @@
-"""The single choke point for element comparisons.
+"""The single choke point for counting element comparisons.
 
-Every order query between input elements anywhere in the sorting code flows
-through :meth:`CountingComparator.leq`, so each measured bound can be checked
-against a ground-truth counter. Phases attribute each comparison to the part
-of the algorithm that spent it.
+The sorter asks `x <= y` of the elements themselves, at six sites: four in
+`kernel.StatsTree.descend` and two in `bst.RankDictionary.lookup_or_insert`.
+Each of those operations counts its comparisons as it goes and charges
+them once, through :meth:`CountingComparator.charge`, in a `finally`
+clause, so that a comparison that raises is counted too. The comparator
+only keeps the ledger; the elements' own `<=` gives every answer.
+:meth:`CountingComparator.leq` counts and compares in one call, for the
+counted merge-sort baseline and the tests' reference walks. So each
+measured bound can be checked against a ground-truth counter, and phases
+attribute each comparison to the part of the algorithm that spent it.
 """
 
 from __future__ import annotations
@@ -81,6 +87,11 @@ class CountingComparator:
         """True iff x <= y; charges exactly one comparison to *phase*."""
         self._counts[phase] += 1
         return x <= y
+
+    def charge(self, phase: str, n: int) -> None:
+        """Charge *n* comparisons, which the caller made on the elements
+        itself, to *phase*; an unknown phase raises KeyError, as in `leq`."""
+        self._counts[phase] += n
 
     @property
     def binary_count(self) -> int:

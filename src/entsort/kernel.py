@@ -483,8 +483,12 @@ class StatsTree(_FlatAVL):
         rightmost leaf have one boundary split only, so a hit there costs at
         least one verification comparison. A miss between two keys may stop
         at either neighbour; the insert position is the same.
-        On an empty tree it returns (1, SUCCESSOR, 0, 0) without calling
+        On an empty tree it returns (1, SUCCESSOR, 0, 0) without touching
         the comparator: insertion at position 1 is then the only move.
+
+        Every comparison is the elements' own `<=`. The two counts are
+        charged to *comparator*, a `CountingComparator`, once per call, in
+        a `finally` clause, so that a comparison that raises is counted.
 
         The walk keeps the leaf range [lo, hi] under the current virtual
         node and the p-bit codes c = floor(F * 2^p / 2W) of f_lo and f_hi,
@@ -508,56 +512,62 @@ class StatsTree(_FlatAVL):
         lo_node = self._first  # tree node holding leaf lo
         c_lo = (weight[lo_node] << p) // two_w
         c_hi = ((two_w - weight[self._last]) << p) // two_w
-        nsearch = 0
+        nsearch = nverify = 0
         lo_le = hi_ge = False  # key[lo] <= s, s <= key[hi] already answered
         keys = self._keys
-        while lo < hi:
-            if c_hi <= c_lo:  # no split within p bits: inconsistent tree
-                raise NavigationError("descent exceeded maximum depth")
-            # Right-hand leaves have c >= c_hi with the bits below the first
-            # difference cleared, i.e. F >= g (ceiling of the scaled value).
-            k = (c_lo ^ c_hi).bit_length() - 1
-            g = -((-(c_hi >> k << k) * two_w) >> p)
-            v = root
-            base = rank = 0  # F before v's subtree, positions before it
-            while v:
-                f = base + off[v]
-                if f >= g:
-                    succ, f_succ = v, f
-                    v = left[v]
+        try:
+            while lo < hi:
+                if c_hi <= c_lo:  # no split within p bits: inconsistent tree
+                    raise NavigationError("descent exceeded maximum depth")
+                # Right-hand leaves have c >= c_hi with the bits below the
+                # first difference cleared, i.e. F >= g (ceiling of the
+                # scaled value).
+                k = (c_lo ^ c_hi).bit_length() - 1
+                g = -((-(c_hi >> k << k) * two_w) >> p)
+                v = root
+                base = rank = 0  # F before v's subtree, positions before it
+                while v:
+                    f = base + off[v]
+                    if f >= g:
+                        succ, f_succ = v, f
+                        v = left[v]
+                    else:
+                        pred, f_pred = v, f
+                        base = f + weight[v]
+                        rank += rank_of[v]
+                        v = right[v]
+                if not lo <= rank < hi:
+                    raise NavigationError(
+                        "split outside the descent's leaf range")
+                nsearch += 1
+                # The heavier leaf beside the split is the likelier
+                # destination.
+                if weight[succ] > weight[pred]:
+                    if keys[succ] <= s:
+                        lo, lo_node, lo_le = rank + 1, succ, True
+                        c_lo = (f_succ << p) // two_w
+                    else:
+                        hi, c_hi, hi_ge = rank, (f_pred << p) // two_w, False
+                elif s <= keys[pred]:
+                    hi, c_hi, hi_ge = rank, (f_pred << p) // two_w, True
                 else:
-                    pred, f_pred = v, f
-                    base = f + weight[v]
-                    rank += rank_of[v]
-                    v = right[v]
-            if not lo <= rank < hi:
-                raise NavigationError("split outside the descent's leaf range")
-            nsearch += 1
-            # The heavier leaf beside the split is the likelier destination.
-            if weight[succ] > weight[pred]:
-                if comparator.leq(keys[succ], s, _PHASE_SEARCH):
-                    lo, lo_node, lo_le = rank + 1, succ, True
+                    lo, lo_node, lo_le = rank + 1, succ, False
                     c_lo = (f_succ << p) // two_w
-                else:
-                    hi, c_hi, hi_ge = rank, (f_pred << p) // two_w, False
-            elif comparator.leq(s, keys[pred], _PHASE_SEARCH):
-                hi, c_hi, hi_ge = rank, (f_pred << p) // two_w, True
-            else:
-                lo, lo_node, lo_le = rank + 1, succ, False
-                c_lo = (f_succ << p) // two_w
-        # Ask only what the search left open: `a <= s`, then, if it holds,
-        # `s <= a`.
-        a = keys[lo_node]
-        nverify = 0
-        if not lo_le:
-            nverify = 1
-            lo_le = comparator.leq(a, s, _PHASE_VERIFY)
-        if not lo_le:
-            return (lo, SUCCESSOR, nsearch, nverify)
-        if not hi_ge:
-            nverify += 1
-            hi_ge = comparator.leq(s, a, _PHASE_VERIFY)
-        return (lo, EQUAL if hi_ge else PREDECESSOR, nsearch, nverify)
+            # Ask only what the search left open: `a <= s`, then, if it
+            # holds, `s <= a`.
+            a = keys[lo_node]
+            if not lo_le:
+                nverify = 1
+                lo_le = a <= s
+            if not lo_le:
+                return (lo, SUCCESSOR, nsearch, nverify)
+            if not hi_ge:
+                nverify += 1
+                hi_ge = s <= a
+            return (lo, EQUAL if hi_ge else PREDECESSOR, nsearch, nverify)
+        finally:
+            comparator.charge(_PHASE_SEARCH, nsearch)
+            comparator.charge(_PHASE_VERIFY, nverify)
 
     # -- whole-structure helpers -------------------------------------------
 

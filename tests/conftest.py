@@ -71,7 +71,7 @@ class Spy:
 
     Order dunders bump a class counter; equality and hashing stay free so
     measurement code (Counter-based entropy) is not charged. Used to prove
-    that every order query flows through the instrumented comparator.
+    that the ledger counts every order query the sorter makes.
     """
 
     order_comparisons = 0

@@ -66,10 +66,24 @@ def test_counts_never_decrease():
         last = cmp.binary_count
 
 
+def test_charge_adds_to_one_phase():
+    cmp = CountingComparator()
+    cmp.charge(PHASE_B1, 7)
+    cmp.charge(PHASE_SEARCH, 0)
+    cmp.charge(PHASE_B1, 2)
+    want = dict.fromkeys(PHASES, 0)
+    want[PHASE_B1] = 9
+    assert cmp.snapshot().phase_counts == want
+    assert cmp.binary_count == 9
+
+
 def test_unknown_phase_rejected():
     cmp = CountingComparator()
     with pytest.raises(KeyError):
         cmp.leq(1, 2, "no-such-phase")
+    with pytest.raises(KeyError):
+        cmp.charge("no-such-phase", 1)
+    assert cmp.binary_count == 0
 
 
 def test_report_mapping():

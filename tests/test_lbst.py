@@ -222,27 +222,54 @@ def test_descend_absent_keys(kernel):
             assert nsearch <= ceil_log2(big_w) + 1
 
 
-class RecordingComparator(CountingComparator):
-    """Counting comparator that also logs each query as (phase, x, y)."""
+class Rec:
+    """Key that logs each `<=` asked of it into a shared list, as the pair
+    of values compared, and answers by value. It hashes and compares equal
+    by value."""
 
-    __slots__ = ("calls",)
+    __slots__ = ("value", "log")
 
-    def __init__(self):
-        super().__init__()
-        self.calls = []
+    def __init__(self, value, log: list):
+        self.value = value
+        self.log = log
 
-    def leq(self, x, y, phase):
-        self.calls.append((phase, x, y))
-        return super().leq(x, y, phase)
+    def __le__(self, other):
+        self.log.append((self.value, other.value))
+        return self.value <= other.value
+
+    def __eq__(self, other):
+        return isinstance(other, Rec) and self.value == other.value
+
+    def __hash__(self):
+        return hash(self.value)
+
+
+def recording_tree(kernel, keys, weights, log):
+    return kernel.from_pairs([Rec(k, log) for k in keys], weights)
+
+
+def labelled(log: list, cmp) -> list:
+    """Empty *log* into a list of (phase, x, y), phased by the ledger of
+    *cmp*. A descent asks all its search comparisons before its
+    verifications, so the first search-count entries are the search
+    phase's; the ledger must count every logged comparison."""
+    ledger = cmp.snapshot()
+    assert ledger.binary_count == len(log)
+    nsearch = ledger.count(PHASE_SEARCH)
+    calls = [(PHASE_SEARCH if n < nsearch else PHASE_VERIFY, x, y)
+             for n, (x, y) in enumerate(log)]
+    log.clear()
+    return calls
 
 
 def test_descend_empty_tree_is_free():
     # An empty tree answers "insert at position 1" without a comparison.
-    cmp = RecordingComparator()
+    log = []
+    cmp = CountingComparator()
     for s in ("x", 0, None):
-        assert kernel_module.StatsTree().descend(s, cmp) == \
+        assert kernel_module.StatsTree().descend(Rec(s, log), cmp) == \
             (1, kernel_module.SUCCESSOR, 0, 0)
-    assert cmp.calls == []
+    assert log == []
     assert cmp.snapshot().binary_count == 0
 
 
@@ -324,16 +351,18 @@ def _differential_weights(rng):
 
 def test_descend_matches_classify_walk(kernel):
     rng = random.Random(71)
+    log = []
     for weights in _differential_weights(rng):
         t = len(weights)
-        keys = [2 * i for i in range(t)]
-        tree = kernel.from_pairs(keys, weights)
+        tree = recording_tree(kernel, [2 * i for i in range(t)], weights, log)
         for probe in range(-1, 2 * t):  # every key and every gap
-            got_cmp, want_cmp = RecordingComparator(), RecordingComparator()
-            got = tree.descend(probe, got_cmp)
-            want = _classify_descend(tree, kernel, probe, want_cmp)
+            s = Rec(probe, log)
+            got_cmp, want_cmp = CountingComparator(), CountingComparator()
+            got = tree.descend(s, got_cmp)
+            got_calls = labelled(log, got_cmp)
+            want = _classify_descend(tree, kernel, s, want_cmp)
             assert got == want, (weights, probe)
-            assert got_cmp.calls == want_cmp.calls, (weights, probe)
+            assert got_calls == labelled(log, want_cmp), (weights, probe)
             assert got_cmp.snapshot().phase_counts == \
                 want_cmp.snapshot().phase_counts
 
@@ -341,25 +370,34 @@ def test_descend_matches_classify_walk(kernel):
 def test_descend_heavy_inner_leaf_needs_no_verify(kernel):
     # Both splits beside the heavy middle leaf compare s with that leaf,
     # once in each direction, so the hit is settled by the search alone.
-    tree = kernel.from_pairs([0, 2, 4], [1, 10, 1])
-    cmp = RecordingComparator()
-    assert tree.descend(2, cmp) == (2, kernel.EQUAL, 2, 0)
-    assert sorted(cmp.calls) == [(PHASE_SEARCH, 2, 2), (PHASE_SEARCH, 2, 2)]
+    log = []
+    tree = recording_tree(kernel, [0, 2, 4], [1, 10, 1], log)
+    cmp = CountingComparator()
+    assert tree.descend(Rec(2, log), cmp) == (2, kernel.EQUAL, 2, 0)
+    assert sorted(labelled(log, cmp)) == \
+        [(PHASE_SEARCH, 2, 2), (PHASE_SEARCH, 2, 2)]
+    assert cmp.phase_count(PHASE_SEARCH) == 2
+    assert cmp.phase_count(PHASE_VERIFY) == 0
 
 
 def test_descend_outer_leaf_hit_verify_counts(kernel):
     # The leftmost leaf has one boundary split. When it is the heavier leaf
     # there, `s <= key[1]` is answered by the search and one verification
     # remains; when its neighbour is heavier, both verifications remain.
-    heavy = kernel.from_pairs([0, 2], [5, 1])
-    cmp = RecordingComparator()
-    assert heavy.descend(0, cmp) == (1, kernel.EQUAL, 1, 1)
-    assert cmp.calls == [(PHASE_SEARCH, 0, 0), (PHASE_VERIFY, 0, 0)]
-    light = kernel.from_pairs([0, 2], [1, 5])
-    cmp = RecordingComparator()
-    assert light.descend(0, cmp) == (1, kernel.EQUAL, 1, 2)
-    assert cmp.calls == [(PHASE_SEARCH, 2, 0), (PHASE_VERIFY, 0, 0),
-                         (PHASE_VERIFY, 0, 0)]
+    log = []
+    heavy = recording_tree(kernel, [0, 2], [5, 1], log)
+    cmp = CountingComparator()
+    assert heavy.descend(Rec(0, log), cmp) == (1, kernel.EQUAL, 1, 1)
+    assert labelled(log, cmp) == [(PHASE_SEARCH, 0, 0), (PHASE_VERIFY, 0, 0)]
+    assert (cmp.phase_count(PHASE_SEARCH), cmp.phase_count(PHASE_VERIFY)) \
+        == (1, 1)
+    light = recording_tree(kernel, [0, 2], [1, 5], log)
+    cmp = CountingComparator()
+    assert light.descend(Rec(0, log), cmp) == (1, kernel.EQUAL, 1, 2)
+    assert labelled(log, cmp) == [(PHASE_SEARCH, 2, 0), (PHASE_VERIFY, 0, 0),
+                                  (PHASE_VERIFY, 0, 0)]
+    assert (cmp.phase_count(PHASE_SEARCH), cmp.phase_count(PHASE_VERIFY)) \
+        == (1, 2)
 
 
 @pytest.mark.parametrize("weights, probe, want, insert_at", [
@@ -372,14 +410,16 @@ def test_descend_outer_leaf_hit_verify_counts(kernel):
 ])
 def test_descend_absent_key_leaf_flags(kernel, weights, probe, want,
                                        insert_at):
-    tree = kernel.from_pairs([0, 2, 4], weights)
-    cmp = RecordingComparator()
-    got = tree.descend(probe, cmp)
+    log = []
+    tree = recording_tree(kernel, [0, 2, 4], weights, log)
+    cmp = CountingComparator()
+    got = tree.descend(Rec(probe, log), cmp)
     assert got == want
-    assert got == _classify_descend(tree, kernel, probe, CountingComparator())
+    assert len(log) == cmp.snapshot().binary_count == got[2] + got[3]
+    assert got == _classify_descend(tree, kernel, Rec(probe, log),
+                                    CountingComparator())
     j, rel, _, _ = got
     assert (j + 1 if rel == kernel.PREDECESSOR else j) == insert_at
-    assert cmp.snapshot().binary_count == got[2] + got[3]
 
 
 def test_descend_inconsistent_tree_raises():

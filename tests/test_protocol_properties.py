@@ -5,10 +5,11 @@ compare with, and lets those answers settle the leaf. These properties run
 both sorters at orders 0-3 under that protocol: with a consistent order,
 including keys that compare equal across types and alphabets large enough
 to make B1 at least 10 levels high, the result is the stable
-permutation within budget and every order query is counted; with a
-comparator that answers at random or inconsistently, the result is still a
-permutation of 1..m or a clean error, never a lost index. Elements that
-compare but cannot be hashed fail before the first comparison.
+permutation within budget and every order query is counted; with
+elements whose `<=` answers at random or inconsistently, the result is
+still a permutation of 1..m or a clean error, never a lost index, and
+every answer was theirs. Elements that compare but cannot be hashed fail
+before the first comparison.
 """
 
 import random
@@ -69,24 +70,43 @@ def test_property_sorted_budgeted_and_fully_counted(raw, order):
     assert Spy.order_comparisons == out.ledger.binary_count
 
 
-class ArbitraryComparator(CountingComparator):
-    """Counts like the real comparator but answers by *mode*: at random,
-    always true, always false, or the negation of the true answer."""
-
-    __slots__ = ("rng", "mode")
+class Referee:
+    """Answers the `<=` of Hostile elements by *mode*: at random, always
+    true, always false, or the negation of the true answer; counts every
+    question it is asked."""
 
     def __init__(self, seed: int, mode: str):
-        super().__init__()
         self.rng = random.Random(seed)
         self.mode = mode
+        self.calls = 0
 
-    def leq(self, x, y, phase):
-        super().leq(x, y, phase)
+    def answer(self, x, y) -> bool:
+        self.calls += 1
         if self.mode == "random":
             return self.rng.random() < 0.5
         if self.mode == "negated":
             return not x <= y
         return self.mode == "true"
+
+
+class Hostile:
+    """Element whose `<=` its referee answers; it hashes and compares
+    equal by value, so the accounting sees a consistent alphabet."""
+
+    __slots__ = ("value", "referee")
+
+    def __init__(self, value, referee: Referee):
+        self.value = value
+        self.referee = referee
+
+    def __le__(self, other):
+        return self.referee.answer(self.value, other.value)
+
+    def __eq__(self, other):
+        return isinstance(other, Hostile) and self.value == other.value
+
+    def __hash__(self):
+        return hash(self.value)
 
 
 @settings(max_examples=200, deadline=None)
@@ -95,13 +115,18 @@ class ArbitraryComparator(CountingComparator):
        st.integers(min_value=0, max_value=2 ** 32))
 def test_property_inconsistent_comparator_loses_no_index(raw, order, mode,
                                                          seed):
-    cmp = ArbitraryComparator(seed, mode)
+    referee = Referee(seed, mode)
+    cmp = CountingComparator()
     try:
-        out = run(raw, order, cmp)
+        out = run([Hostile(v, referee) for v in raw], order, cmp)
     except ValueError:  # NavigationError included: a clean, typed failure
-        return
-    assert sorted(out.permutation) == list(range(1, len(raw) + 1))
-    assert out.ledger.binary_count == cmp.binary_count
+        out = None
+    # Every comparison was asked of the elements, answered by them and
+    # counted, in a run that failed too.
+    assert referee.calls == cmp.binary_count
+    if out is not None:
+        assert sorted(out.permutation) == list(range(1, len(raw) + 1))
+        assert out.ledger.binary_count == cmp.binary_count
 
 
 def test_unhashable_elements_fail_before_any_comparison():

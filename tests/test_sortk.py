@@ -275,6 +275,60 @@ def test_every_comparison_flows_through_ledger(kernel):
         assert [s.value for s in out.sorted_values(seq)] == sorted(raw)
 
 
+class RaiseOnCall:
+    """Element whose `<=` raises TypeError on the k-th call made on any
+    element of its sequence, and answers by value before that; it hashes
+    and compares equal by value."""
+
+    __slots__ = ("value", "left")
+
+    def __init__(self, value, left: list):
+        self.value = value
+        self.left = left  # [calls left until the one that raises]
+
+    def __le__(self, other):
+        self.left[0] -= 1
+        if not self.left[0]:
+            raise TypeError("comparison refused")
+        return self.value <= other.value
+
+    def __eq__(self, other):
+        return isinstance(other, RaiseOnCall) and self.value == other.value
+
+    def __hash__(self):
+        return hash(self.value)
+
+
+# The phase of each comparison that sortk(RAISE_SEQ, 1) makes, in order
+# (b: b1, s: search, v: verify). Call 19 is a descent's first verification
+# after its search, call 22 the middle one of a three-comparison B1 lookup.
+RAISE_SEQ = [5, 3, 5, 3, 5, 4, 5, 3, 4, 5, 3]
+RAISE_PHASES = "bbbbbvvvvvvbbbbbbsvvbbbvvsv"
+
+
+def test_raising_comparison_leaves_the_ledger_exact():
+    """A comparison that raises is charged to its phase, with every one
+    before it, whether a descent or a B1 lookup asked it."""
+    names = {"b": PHASE_B1, "s": PHASE_SEARCH, "v": PHASE_VERIFY}
+
+    def split(k: int) -> dict:
+        """Per-phase counts of the first k comparisons."""
+        made = Counter(RAISE_PHASES[:k])
+        return {names[c]: made[c] for c in names}
+
+    full = sortk(RAISE_SEQ, 1).ledger
+    assert full.binary_count == len(RAISE_PHASES)
+    assert {p: full.count(p) for p in names.values()} == \
+        split(len(RAISE_PHASES))
+    for k in range(1, len(RAISE_PHASES) + 1):
+        cmp = entsort.CountingComparator()
+        left = [k]  # shared by every element
+        with pytest.raises(TypeError, match="comparison refused"):
+            sortk([RaiseOnCall(v, left) for v in RAISE_SEQ], 1, cmp)
+        assert cmp.binary_count == k
+        assert {p: cmp.phase_count(p) for p in names.values()} == split(k), k
+
+
 def test_degenerate_order_at_least_m(kernel):
     """With m <= order there is no scan: every element is a warm-up
     dummy, ranked by one B1 lookup, and nothing else is compared."""
