@@ -130,10 +130,9 @@ def sort_report(seq: Sequence, order: int = 0,
                 include_baseline: bool = False) -> tuple[dict, SortOutcome]:
     """Sort *seq* with sortk and reconcile the run into a report.
 
-    H0, H_order and the budgets come from the outcome; the entropies of
-    the orders in between come from `entropy.profile`, which stops at the
-    first order whose entropy is exactly 0.0. An order above m is a usage
-    error (ValueError): it would list H_k for every k < order.
+    H0, H_order and the budgets come from the outcome, the entropies of
+    the orders in between from `entropy.profile`. An order above m is a
+    usage error (ValueError): it would list H_k for every k < order.
     """
     if order > len(seq):
         raise ValueError(f"order {order} is not in [0, m], m = {len(seq)}")

@@ -43,8 +43,10 @@ def _encode_symbols(seq: Sequence, mode: str) -> bytes:
     if mode == "bytes":
         return bytes(int(s) for s in seq)
     if mode == "chars":
-        return "".join(s if isinstance(s, str) else chr(0x61 + int(s))
-                       for s in seq).encode("utf-8")
+        text = "".join(s if isinstance(s, str) else chr(0x61 + int(s))
+                       for s in seq)
+        # read_elements strips one final newline, so a last "\n" gets two.
+        return (text + "\n" if text.endswith("\n") else text).encode("utf-8")
     return " ".join(str(s) for s in seq).encode("utf-8")
 
 

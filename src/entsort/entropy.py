@@ -8,7 +8,9 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import count, islice
 from math import log2
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 
@@ -28,23 +30,12 @@ def h0_bits(counts: Iterable[int], m: int) -> float:
     return sum(c / m * log2(m / c) for c in counts)
 
 
-def weighted_h(terms: Sequence[tuple[int, float]], m: int,
-               order: int) -> float:
-    """H_order from its per-context (|part|, H0(part)) terms: the
-    size-weighted mean over m elements. At order 0 the one context is the
-    whole input; its H0 is taken as is, because m * H0 / m can differ from
-    H0 in the last bit."""
-    if order == 0:
-        return terms[0][1]
-    return sum(size * bits for size, bits in terms) / m
-
-
 def context_sequences(seq: Sequence, order: int) -> dict[tuple, list]:
     """Successor sequence per order-tuple context, in occurrence order.
 
-    This is the reference definition of the per-context split: `h_order`
-    sums |part| * H0(part) over its parts, and the tests check the
-    sorter's one-pass accounting (`sortk.budget_breakdown`) against it. A
+    This is the reference definition of the per-context split and of the
+    summation order of H_k: the tests check `profile` and the sorter's
+    one-pass accounting (`sortk.budget_breakdown`) against it bit for bit. A
     context that only occurs as the sequence's suffix has no entry, so an
     order >= len(seq) gives an empty table, and no slice is built for it.
     """
@@ -61,18 +52,9 @@ def context_sequences(seq: Sequence, order: int) -> dict[tuple, list]:
 
 def h_order(seq: Sequence, order: int) -> float:
     """Order-k entropy: expected uncertainty about an element given the k
-    elements preceding it. A context that only occurs as the sequence's
-    suffix contributes nothing (it has no successor)."""
-    m = len(seq)
-    if m == 0:
-        raise ValueError("sequence must be non-empty")
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    if order == 0:
-        return h0(Counter(seq).values())
-    return weighted_h([(len(part), h0(Counter(part).values()))
-                       for part in context_sequences(seq, order).values()],
-                      m, order)
+    elements preceding it. It is the last entry of `profile`, and 0.0 from
+    order m on, where no context has a successor."""
+    return profile(seq, min(order, len(seq))).h[-1]
 
 
 @dataclass
@@ -86,24 +68,41 @@ class EntropyProfile:
 
 
 def profile(seq: Sequence, max_order: int) -> EntropyProfile:
-    """Entropy profile H0..H_max_order.
+    """Entropy profile H0..H_max_order, one O(m) pass per order.
+
+    Contexts are integer classes refined order by order: a window of one
+    element is classed by its element, and a window of k + 1 by the pair
+    (class of its first k, its last element), numbered as first seen. That
+    pair is a context with a successor, so the pass that names the next
+    classes also counts H_k's parts. They are summed in the order of
+    `context_sequences`, so H_k equals that definition bit for bit.
 
     An H_k that is exactly 0.0 means that every order-k context has a
     single successor value; every longer context refines one of them and
     keeps that property, so each higher order is 0.0 as well. The profile
-    stops computing there and fills the rest with 0.0, which is exact: an
-    input with few repeated contexts reaches 0.0 within a few orders, so an
-    order near m costs no order-m context tables.
+    stops computing there and fills the rest with 0.0, which is exact.
     """
     m = len(seq)
     if m == 0:
         raise ValueError("sequence must be non-empty")
     if not 0 <= max_order <= m:
         raise ValueError(f"order {max_order} is not in [0, m], m = {m}")
-    h: list[float] = []
-    for k in range(max_order + 1):
-        h.append(h_order(seq, k))
+    counts = Counter(seq)
+    h = [h0_bits(counts.values(), m)]
+    cls: Sequence = seq  # at order k, cls[j] names the window seq[j:j+k]
+    for k in range(1, max_order + 1):
         if h[-1] == 0.0:
             break
+        ids: dict = {}  # (context, successor) -> class of the longer window
+        cls = list(map(ids.setdefault, zip(cls, islice(seq, k, None)),
+                       count()))
+        contexts = list(map(itemgetter(0), ids))  # in class order
+        del ids  # its pairs are the largest objects of an order
+        # A part of one value adds an exact 0.0, so it is left out.
+        parts = {c: [] for c, fan in Counter(contexts).items() if fan > 1}
+        for c, size in zip(contexts, Counter(cls).values()):  # by class
+            if c in parts:
+                parts[c].append(size)
+        h.append(sum(sum(p) * h0_bits(p, sum(p)) for p in parts.values()) / m)
     h += [0.0] * (max_order + 1 - len(h))
-    return EntropyProfile(m=m, n=len(set(seq)), h=h)
+    return EntropyProfile(m=m, n=len(counts), h=h)

@@ -140,8 +140,8 @@ def budget_breakdown(seq: Sequence, order: int) -> BudgetBreakdown:
     after its context's first. At order 0 the one context's count map
     gives n and H0, and H_order is H0 as is (m * H0 / m can differ from it
     in the last bit); above it, n and H0 come from a `Counter`. Every sum
-    keeps the order of `entropy.h_order`, so all fields equal the
-    per-context definitions bit for bit.
+    keeps the order of the reference table `entropy.context_sequences`, so
+    all fields equal the per-context definitions bit for bit.
     """
     m = len(seq)
     if m == 0:

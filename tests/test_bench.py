@@ -150,7 +150,7 @@ def test_run_spec_record():
 
 def test_sort_report_entropies():
     # H0 and H_order come from the outcome, the orders in between from
-    # entropy.h_order; all of them equal a fresh computation exactly.
+    # entropy.profile; all of them equal a fresh computation exactly.
     seq = generate(SourceSpec(kind="markov", n=5, m=600, order=2, seed=8))
     for order in (0, 1, 2, 3):
         report, outcome = sort_report(seq, order)

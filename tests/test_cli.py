@@ -140,25 +140,52 @@ def test_gen_ints_mode(tmp_path, capsys):
 def test_gen_stdout_matches_out_file(tmp_path, capsysbinary, monkeypatch,
                                      mode):
     """`gen` to stdout, read back from stdin, gives the same m and
-    permutation as `gen --out` read back from the file. In bytes mode the
-    two payloads are the same bytes: stdout gets no newline, which would
-    read back as one more element."""
-    gen = ["gen", "--kind", "zipf", "--length", "10", "--seed", "3",
-           "--mode", mode]
-    f = tmp_path / "g"
-    assert main(gen + ["--out", str(f)]) == 0
-    assert main(gen) == 0
-    piped = capsysbinary.readouterr().out
-    if mode == "bytes":
-        assert piped == f.read_bytes()
-    reports = []
-    for path, stdin in ((str(f), b""), ("-", piped)):
-        monkeypatch.setattr(sys, "stdin",
-                            io.TextIOWrapper(io.BytesIO(stdin)))
-        assert main(["sort", path, "--mode", mode]) == 0
-        reports.append(json.loads(capsysbinary.readouterr().out))
-    assert reports[0]["m"] == reports[1]["m"] == 10
-    assert reports[0]["permutation"] == reports[1]["permutation"]
+    permutation as `gen --out` read back from the file, and m is the
+    --length asked for; so does `sort --sorted-output --out`. In bytes mode
+    the two payloads are the same bytes: stdout gets no newline, which
+    would read back as one more element. In chars mode a last "\\n"
+    element survives both ways, though a reader strips one final
+    newline."""
+    cases = [(["--kind", "zipf", "--length", "10", "--seed", "3"], 10)]
+    if mode == "chars":
+        cases.append((["--kind", "periodic", "--pattern", "a\n",
+                       "--length", "4"], 4))
+    f, g = tmp_path / "g", tmp_path / "sorted"
+    for args, m in cases:
+        gen = ["gen", *args, "--mode", mode]
+        assert main(gen + ["--out", str(f)]) == 0
+        assert main(gen) == 0
+        piped = capsysbinary.readouterr().out
+        if mode == "bytes":
+            assert piped == f.read_bytes()
+        assert main(["sort", str(f), "--mode", mode, "--sorted-output",
+                     "--out", str(g)]) == 0
+        reports = []
+        for path, stdin in ((str(f), b""), ("-", piped), (str(g), b"")):
+            monkeypatch.setattr(sys, "stdin",
+                                io.TextIOWrapper(io.BytesIO(stdin)))
+            assert main(["sort", path, "--mode", mode]) == 0
+            reports.append(json.loads(capsysbinary.readouterr().out))
+        assert [r["m"] for r in reports] == [m] * 3, args
+        assert reports[0]["permutation"] == reports[1]["permutation"]
+
+
+def test_long_repeated_context_capped(tmp_path):
+    """`a^1000 b a^1000` keeps a nonzero H_k up to order 999, and the
+    context a^1000 occurs once. `entropy` and `sort` at order 2000 list all
+    2,001 orders within 15 s and 1 GiB: one pass per order, with no
+    context table of k-tuples rebuilt at each order."""
+    f = tmp_path / "aba.txt"
+    f.write_bytes(b"a" * 1000 + b"b" + b"a" * 1000)
+    for command in ("entropy", "sort"):
+        run = run_capped("-m", "entsort.cli", command, str(f), "--order",
+                         "2000", "--format", "json", timeout=15,
+                         limit=1 << 30)
+        assert run.returncode == 0, run.stderr
+        h = json.loads(run.stdout)["entropy"]
+        assert len(h) == 2001, command
+        assert all(x > 0.0 for x in h[1:1000]), command
+        assert all(x == 0.0 for x in h[1000:]), command
 
 
 def test_gen_nan_skew_exit_2():

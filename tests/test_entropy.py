@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import sort0_budget
-from entsort.entropy import context_sequences, h0, h_order, profile
+from entsort.entropy import (context_sequences, h0, h0_bits, h_order,
+                             profile)
 from entsort.sortk import budget_breakdown
 
 TORONTO = list("TORONTO")
@@ -102,6 +103,41 @@ def test_profile_decomposition():
                         for part in context_sequences(seq, k).values())
             assert prof.m * prof.h[k] == pytest.approx(total, rel=1e-9,
                                                        abs=1e-9)
+
+
+def reference_h(seq, k):
+    """H_k by its definition over `context_sequences`: a `Counter` per
+    part, in first-occurrence order, its `h0_bits`, and the size-weighted
+    mean of those, with H_0 taken as is."""
+    terms = [(len(part), h0_bits(Counter(part).values(), len(part)))
+             for part in context_sequences(seq, k).values()]
+    if k == 0:
+        return terms[0][1]
+    return sum(size * bits for size, bits in terms) / len(seq)
+
+
+NAN = float("nan")
+# 1, 1.0 and True are one key, as are 0, 0.0 and False; the one NAN object
+# equals itself by identity only, as dicts and tuples compare it.
+KEYS = [0, 1, 1.0, True, 2, 2.5, False, 0.0, NAN]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_profile_bit_exact_against_context_sequences(data):
+    """Every entry of `profile`, and `h_order` at its top order, equals
+    `reference_h` by repr: the same floats, summed in the same order."""
+    pool = data.draw(st.lists(st.sampled_from(KEYS), min_size=1,
+                              max_size=len(KEYS)))
+    rnd = data.draw(st.randoms(use_true_random=False))
+    seq = [rnd.choice(pool) for _ in range(data.draw(
+        st.integers(min_value=1, max_value=400)))]
+    top = data.draw(st.integers(min_value=0, max_value=min(len(seq), 24)))
+    prof = profile(seq, top)
+    assert prof.m == len(seq) and prof.n == len(set(seq))
+    assert [repr(x) for x in prof.h] == \
+        [repr(reference_h(seq, k)) for k in range(top + 1)]
+    assert repr(h_order(seq, top)) == repr(prof.h[top])
 
 
 def test_context_budget_decomposition():

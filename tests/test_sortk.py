@@ -158,7 +158,11 @@ def two_pass_breakdown(seq, order):
     return BudgetBreakdown(
         order=order, n=n, context_total=context_total, b1_ops=b1_ops,
         b1=b1_ops * (avl_height_bound(n) + 1),
-        h_order=entropy.weighted_h(terms, m, order),
+        # The size-weighted mean of the parts' H0; at order 0 the one
+        # part's H0 as is, since m * H0 / m can differ from it in the last
+        # bit.
+        h_order=(sum(size * bits for size, bits in terms) / m if order
+                 else terms[0][1]),
         h0=entropy.h_order(seq, 0))
 
 
