@@ -15,7 +15,7 @@ from __future__ import annotations
 from math import floor, log2
 from typing import Iterator
 
-from .comparator import PHASE_B1
+from .comparator import B1
 from .kernel import _FlatAVL
 
 AVL_HEIGHT_FACTOR = 1.4405
@@ -34,19 +34,19 @@ class RankDictionary(_FlatAVL):
     1..len(self). Lookups walk down keeping the smallest key >= s as a
     candidate (one comparison per node), then spend one comparison to decide
     equality — at most height + 1 comparisons per operation. They are the
-    elements' own `<=`; a lookup counts them as it goes and charges the
-    count to the ledger once, in a `finally` clause, so that a comparison
-    that raises is counted too.
+    elements' own `<=`; a lookup counts them as it goes and adds the count
+    to the comparator's b1 entry (`counts[B1]`) once, in a `finally`
+    clause, so that a comparison that raises is counted too.
 
     The nodes live in parallel lists (`_keys` and the `_FlatAVL` lists),
     with node 0 as the null sentinel. Nodes are allocated in
     first-appearance order, so a node's id is its element's rank.
     """
 
-    __slots__ = ("_cmp", "_keys")
+    __slots__ = ("_counts", "_keys")
 
     def __init__(self, comparator):
-        self._cmp = comparator
+        self._counts = comparator.counts
         self._keys = [None]
         self._left = [0]
         self._right = [0]
@@ -75,7 +75,7 @@ class RankDictionary(_FlatAVL):
         finally:
             # v is 0 only once the walk has ended, so the equality check
             # was asked exactly when v is 0 and there is a candidate.
-            self._cmp.charge(PHASE_B1, len(path) + (not v and candidate > 0))
+            self._counts[B1] += len(path) + (not v and candidate > 0)
         # Miss: a new leaf at the fall-off point.
         rank = len(keys)
         keys.append(elem)

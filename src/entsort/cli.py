@@ -140,6 +140,8 @@ def _cmd_gen(args) -> int:
             pattern = tuple(int(t) for t in args.pattern.split())
         else:
             pattern = tuple(args.pattern.split())
+        if not pattern:
+            raise ValueError(f"--pattern {args.pattern!r} names no element")
     n = args.n if not pattern else len(set(pattern))
     spec = bench.SourceSpec(kind=args.kind, n=n, m=args.length,
                             order=args.markov_order, skew=args.skew,

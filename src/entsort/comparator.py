@@ -2,10 +2,12 @@
 
 The sorter asks `x <= y` of the elements themselves, at six sites: four in
 `kernel.StatsTree.descend` and two in `bst.RankDictionary.lookup_or_insert`.
-Each of those operations counts its comparisons as it goes and charges
-them once, through :meth:`CountingComparator.charge`, in a `finally`
-clause, so that a comparison that raises is counted too. The comparator
-only keeps the ledger; the elements' own `<=` gives every answer.
+Each of those operations counts its comparisons as it goes and adds them,
+in a `finally` clause, to its phase's entry of
+:attr:`CountingComparator.counts`, a list in `PHASES` order indexed by
+`SEARCH`, `VERIFY` and `B1`; so a comparison that raises is counted too,
+and no comparison site makes a method call. The comparator only keeps the
+ledger; the elements' own `<=` gives every answer.
 :meth:`CountingComparator.leq` counts and compares in one call, for the
 counted merge-sort baseline and the tests' reference walks. So each
 measured bound can be checked against a ground-truth counter, and phases
@@ -15,6 +17,7 @@ attribute each comparison to the part of the algorithm that spent it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Mapping
 
 from .errors import LedgerError
@@ -28,6 +31,9 @@ PHASE_MERGE = "final-merge"
 PHASE_BASELINE = "baseline"
 
 PHASES = (PHASE_SEARCH, PHASE_VERIFY, PHASE_B1, PHASE_MERGE, PHASE_BASELINE)
+# Each phase's index into CountingComparator.counts.
+SEARCH, VERIFY, B1, MERGE, BASELINE = range(len(PHASES))
+_INDEX = {phase: i for i, phase in enumerate(PHASES)}
 
 # Short names used by the report JSON schema.
 _REPORT_KEYS = {
@@ -58,16 +64,12 @@ class ComparisonLedger:
         out["total"] = sum(out.values())
         return out
 
-    def to_dict(self) -> dict:
-        return {"binary_count": self.binary_count,
-                "phase_counts": dict(self.phase_counts)}
-
 
 def delta(before: ComparisonLedger, after: ComparisonLedger) -> ComparisonLedger:
-    """Per-phase difference after - before; all entries must be >= 0."""
-    keys = set(before.phase_counts) | set(after.phase_counts)
+    """Per-phase difference after - before; all entries must be >= 0. The
+    phases come in *after*'s order, then any that only *before* has."""
     diff = {}
-    for k in keys:
+    for k in dict.fromkeys(chain(after.phase_counts, before.phase_counts)):
         d = after.phase_counts.get(k, 0) - before.phase_counts.get(k, 0)
         if d < 0:
             raise LedgerError(f"comparison count for {k!r} decreased by {-d}")
@@ -76,29 +78,28 @@ def delta(before: ComparisonLedger, after: ComparisonLedger) -> ComparisonLedger
 
 
 class CountingComparator:
-    """Counts binary <= queries; one instance per sorting run."""
+    """Counts binary <= queries; one instance per sorting run.
 
-    __slots__ = ("_counts",)
+    `counts[i]` counts the comparisons charged to `PHASES[i]`; the sorter
+    adds to it in place."""
+
+    __slots__ = ("counts",)
 
     def __init__(self) -> None:
-        self._counts = dict.fromkeys(PHASES, 0)
+        self.counts = [0] * len(PHASES)
 
     def leq(self, x, y, phase: str) -> bool:
         """True iff x <= y; charges exactly one comparison to *phase*."""
-        self._counts[phase] += 1
+        self.counts[_INDEX[phase]] += 1
         return x <= y
-
-    def charge(self, phase: str, n: int) -> None:
-        """Charge *n* comparisons, which the caller made on the elements
-        itself, to *phase*; an unknown phase raises KeyError, as in `leq`."""
-        self._counts[phase] += n
 
     @property
     def binary_count(self) -> int:
-        return sum(self._counts.values())
+        return sum(self.counts)
 
     def phase_count(self, phase: str) -> int:
-        return self._counts[phase]
+        return self.counts[_INDEX[phase]]
 
     def snapshot(self) -> ComparisonLedger:
-        return ComparisonLedger(dict(self._counts))
+        """The counts so far, keyed by phase in `PHASES` order."""
+        return ComparisonLedger(dict(zip(PHASES, self.counts)))

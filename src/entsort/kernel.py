@@ -50,6 +50,7 @@ import sys
 from itertools import islice
 from types import ModuleType
 
+from .comparator import SEARCH, VERIFY
 from .errors import NavigationError
 
 KERNEL_NAME = "python"
@@ -62,9 +63,6 @@ SUCCESSOR = 2  # found leaf key > searched element
 # Total weight cap, kept as an input guard: it bounds every navigation
 # product to 126 bits, so inputs past it fail loudly with OverflowError.
 MAX_TOTAL_WEIGHT = 1 << 60
-
-_PHASE_SEARCH = "search"
-_PHASE_VERIFY = "verify"
 
 
 class _FlatAVL:
@@ -487,8 +485,9 @@ class StatsTree(_FlatAVL):
         the comparator: insertion at position 1 is then the only move.
 
         Every comparison is the elements' own `<=`. The two counts are
-        charged to *comparator*, a `CountingComparator`, once per call, in
-        a `finally` clause, so that a comparison that raises is counted.
+        added to the search and verify entries of `comparator.counts` (a
+        `CountingComparator`'s counter list) once per call, in a `finally`
+        clause, so that a comparison that raises is counted.
 
         The walk keeps the leaf range [lo, hi] under the current virtual
         node and the p-bit codes c = floor(F * 2^p / 2W) of f_lo and f_hi,
@@ -566,8 +565,9 @@ class StatsTree(_FlatAVL):
                 hi_ge = s <= a
             return (lo, EQUAL if hi_ge else PREDECESSOR, nsearch, nverify)
         finally:
-            comparator.charge(_PHASE_SEARCH, nsearch)
-            comparator.charge(_PHASE_VERIFY, nverify)
+            counts = comparator.counts
+            counts[SEARCH] += nsearch
+            counts[VERIFY] += nverify
 
     # -- whole-structure helpers -------------------------------------------
 

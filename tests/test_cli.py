@@ -188,6 +188,18 @@ def test_long_repeated_context_capped(tmp_path):
         assert all(x == 0.0 for x in h[1000:]), command
 
 
+@pytest.mark.parametrize("mode,pattern", [
+    ("bytes", ""), ("chars", ""), ("tokens", " "), ("ints", " \t ")])
+def test_gen_empty_pattern_exit_2(mode, pattern):
+    """A --pattern that names no element is a usage error: exit 2 with a
+    one-line message and no output, not the default cycle 0..n-1."""
+    run = run_capped("-m", "entsort.cli", "gen", "--kind", "periodic",
+                     "--length", "5", "--mode", mode, "--pattern", pattern)
+    assert run.returncode == 2, run.stderr
+    assert run.stdout == ""
+    assert run.stderr == f"error: --pattern {pattern!r} names no element\n"
+
+
 def test_gen_nan_skew_exit_2():
     """--skew nan is a usage error: exit 2 with a one-line message and no
     output. --skew inf, the limit of the distribution, is accepted."""

@@ -1,9 +1,15 @@
+import json
+
 import pytest
 
-from entsort.comparator import (PHASE_B1, PHASE_BASELINE, PHASE_MERGE,
-                                PHASE_SEARCH, PHASE_VERIFY, PHASES,
-                                ComparisonLedger, CountingComparator, delta)
+from conftest import run_capped
+from entsort.bench import SourceSpec, generate
+from entsort.comparator import (B1, BASELINE, MERGE, PHASE_B1, PHASE_BASELINE,
+                                PHASE_MERGE, PHASE_SEARCH, PHASE_VERIFY,
+                                PHASES, SEARCH, VERIFY, ComparisonLedger,
+                                CountingComparator, delta)
 from entsort.errors import LedgerError
+from entsort.sortk import sortk
 
 
 def test_leq_counts_exactly_one():
@@ -21,7 +27,7 @@ def test_leq_counts_exactly_one():
 def test_initial_snapshot_is_zero():
     led = CountingComparator().snapshot()
     assert led.binary_count == 0
-    assert set(led.phase_counts) == set(PHASES)
+    assert list(led.phase_counts) == list(PHASES)
     assert all(v == 0 for v in led.phase_counts.values())
 
 
@@ -67,14 +73,18 @@ def test_counts_never_decrease():
 
 
 def test_charge_adds_to_one_phase():
-    cmp = CountingComparator()
-    cmp.charge(PHASE_B1, 7)
-    cmp.charge(PHASE_SEARCH, 0)
-    cmp.charge(PHASE_B1, 2)
-    want = dict.fromkeys(PHASES, 0)
-    want[PHASE_B1] = 9
-    assert cmp.snapshot().phase_counts == want
-    assert cmp.binary_count == 9
+    """The sorter charges a phase by adding to its entry of `counts`."""
+    for index, phase in zip((SEARCH, VERIFY, B1, MERGE, BASELINE), PHASES,
+                            strict=True):
+        cmp = CountingComparator()
+        assert cmp.counts == [0] * len(PHASES)
+        cmp.counts[index] += 7
+        cmp.counts[SEARCH] += 0
+        cmp.counts[index] += 2
+        want = dict.fromkeys(PHASES, 0)
+        want[phase] = 9
+        assert cmp.snapshot().phase_counts == want
+        assert cmp.binary_count == cmp.phase_count(phase) == 9
 
 
 def test_unknown_phase_rejected():
@@ -82,7 +92,7 @@ def test_unknown_phase_rejected():
     with pytest.raises(KeyError):
         cmp.leq(1, 2, "no-such-phase")
     with pytest.raises(KeyError):
-        cmp.charge("no-such-phase", 1)
+        cmp.phase_count("no-such-phase")
     assert cmp.binary_count == 0
 
 
@@ -93,3 +103,52 @@ def test_report_mapping():
     cmp.leq(1, 2, PHASE_BASELINE)
     rep = cmp.snapshot().as_report()
     assert rep == {"search": 0, "verify": 0, "b1": 1, "merge": 1, "total": 2}
+
+
+def test_phase_order_independent_of_hash_seed(monkeypatch):
+    """Snapshots and deltas list the phases in PHASES order, in every
+    process: the order `dict(out.ledger.phase_counts)` shows."""
+    script = ("import json; from entsort import PHASES, sortk; "
+              "out = sortk(list('TORONTO'), 1); "
+              "print(json.dumps([list(out.ledger.phase_counts), PHASES]))")
+    for seed in ("0", "1", "2"):
+        monkeypatch.setenv("PYTHONHASHSEED", seed)
+        run = run_capped("-c", script)
+        assert run.returncode == 0, run.stderr
+        got, phases = json.loads(run.stdout)
+        assert got == phases, seed
+
+
+def _call_counting():
+    """A CountingComparator subclass that counts calls to each of its
+    public methods, and the dict it counts them in."""
+    calls = {}
+
+    def counted(name, method):
+        def wrapper(self, *args):
+            calls[name] = calls.get(name, 0) + 1
+            return method(self, *args)
+        return wrapper
+
+    methods = {name: counted(name, attr)
+               for name, attr in vars(CountingComparator).items()
+               if callable(attr) and not name.startswith("_")}
+    return type("CallCounting", (CountingComparator,), methods), calls
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_ledger_costs_no_method_call_per_element(order):
+    """The sorter adds to the counter list in place: the number of calls
+    to the comparator's methods does not grow with m, and the ledger is
+    the one a plain comparator gives."""
+    cls, calls = _call_counting()
+    per_length, totals = [], []
+    for m in (50, 2000):
+        seq = generate(SourceSpec(kind="markov", n=8, m=m, seed=3))
+        calls.clear()
+        out = sortk(seq, order, cls())
+        assert out.ledger == sortk(seq, order, CountingComparator()).ledger
+        per_length.append(dict(calls))
+        totals.append(out.ledger.binary_count)
+    assert per_length[0] == per_length[1]
+    assert totals[1] > 2000 + totals[0]  # the comparisons did grow with m
