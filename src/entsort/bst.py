@@ -6,8 +6,9 @@ charged to the b1-dictionary phase. It is an AVL tree on the statistics
 tree's flat-array core (`kernel._FlatAVL`), with heights as its only
 field; node ids are allocated in first-appearance order, so an element's
 node id is its rank; height <= AVL_HEIGHT_FACTOR * log2(t + 2).
-CodeDictionary maps rank tuples to statistics trees; it is a hash map and
-compares no elements.
+CodeDictionary maps rank tuples to context ids, the contexts of the
+sorter's statistics-tree forest; it is a hash map and compares no
+elements.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ class RankDictionary(_FlatAVL):
     first-appearance order, so a node's id is its element's rank.
     """
 
-    __slots__ = ("_counts", "_keys")
+    __slots__ = ("_counts", "_keys", "_root")
 
     def __init__(self, comparator):
         self._counts = comparator.counts
@@ -55,6 +56,10 @@ class RankDictionary(_FlatAVL):
 
     def __len__(self) -> int:
         return len(self._keys) - 1
+
+    @property
+    def height(self) -> int:
+        return self._height[self._root]
 
     def lookup_or_insert(self, elem) -> tuple[int, bool]:
         """(rank, was_new) for elem, inserting it with the next rank if new."""
@@ -83,21 +88,21 @@ class RankDictionary(_FlatAVL):
         right.append(0)
         self._height.append(1)
         # The last move went left exactly when it set the candidate.
-        self._attach(path, rank, candidate != 0 and candidate == path[-1])
+        leftward = candidate != 0 and candidate == path[-1]
+        self._root = self._attach(path, rank, leftward)
         return rank, True
 
     def ranks(self) -> Iterator[int]:
         """The ranks in key order: the in-order walk, without the keys."""
-        return self._inorder()
+        return self._inorder(self._root)
 
 
 class CodeDictionary(dict):
-    """Rank tuples -> statistics-tree handles; never touches elements.
+    """Rank tuples -> context ids; never touches elements.
 
     A dict whose `insert` refuses a key that is already present. The
-    read-off never iterates it: above order 0 it reads every tree through
-    their shared node store, at order 0 it takes the one tree as `b2[()]`,
-    and the key order comes from RankDictionary.
+    read-off never iterates it: it reads every context through the
+    forest's node store, and the key order comes from RankDictionary.
     """
 
     def insert(self, ranks: tuple, value) -> None:

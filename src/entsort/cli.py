@@ -95,6 +95,11 @@ def _bounds_ok(report: dict) -> bool:
 
 
 def _cmd_sort(args) -> int:
+    if args.sorted_output and (args.zero_based or args.baseline
+                               or args.format == "csv"):
+        print("error: --sorted-output writes no report, so it takes no "
+              "--zero-based, --baseline or --format csv", file=sys.stderr)
+        return 2
     seq = read_elements(args.file, args.mode)
     if not seq:
         print("error: empty input", file=sys.stderr)

@@ -32,9 +32,9 @@ walk per counted comparison and none to find the end leaves, whose nodes the
 tree keeps. The single-node queries that the tests check it against
 (`sigma`, `classify`) live in `entsort.lbst`.
 
-Trees can share one node store (`StatsTree(nodes=...)`): the order-k
-sorter keeps its one tree per context in a single store, so that a context
-costs one small object rather than a set of lists.
+`StatsTree` is a forest: the order-k sorter keeps one tree per context in
+one node store, and a context is an int id, so it costs five list slots
+rather than an object. A forest of one context serves as a single tree.
 
 The AVL rules live once, in `_FlatAVL`: rotations, the height update
 `_fix`, the single-or-double rebalance, `_attach`, which hangs a new leaf
@@ -75,11 +75,7 @@ class _FlatAVL:
     rotations to keep them.
     """
 
-    __slots__ = ("_left", "_right", "_height", "_root")
-
-    @property
-    def height(self) -> int:
-        return self._height[self._root]
+    __slots__ = ("_left", "_right", "_height")
 
     def _fix(self, v: int) -> None:
         h = self._height
@@ -117,8 +113,9 @@ class _FlatAVL:
         right[v] = self._rot_right(r)
         return self._rot_left(v)
 
-    def _attach(self, path: list, node: int, leftward: bool) -> None:
-        """Hang the new leaf *node* below the end of *path* and rebalance.
+    def _attach(self, path: list, node: int, leftward: bool) -> int:
+        """Hang the new leaf *node* below the end of *path*, rebalance, and
+        return the tree's root, which the caller stores.
 
         *path* lists the ancestors from the root down, as the node ids that
         the tree holds; *leftward* says whether the leaf is the left child of
@@ -147,19 +144,18 @@ class _FlatAVL:
             if -1 <= lh - rh <= 1:
                 h = 1 + (lh if lh >= rh else rh)
                 if h == height[parent]:
-                    return
+                    return path[0]
                 height[parent] = h
                 node = below = parent
             else:
                 below = parent
                 node = self._rotate(parent)
-        self._root = node
+        return node
 
-    def _inorder(self):
-        """Node ids in key (positional) order."""
+    def _inorder(self, v: int):
+        """Node ids of the tree rooted at v in key (positional) order."""
         left, right = self._left, self._right
         stack = []
-        v = self._root
         while stack or v:
             while v:
                 stack.append(v)
@@ -170,17 +166,21 @@ class _FlatAVL:
 
 
 class StatsTree(_FlatAVL):
-    """Positional AVL tree of quadruples, each node augmented with what lies
-    on its left.
+    """A forest of positional AVL trees of quadruples, one tree per context,
+    each node augmented with what lies on its left.
+
+    Contexts are numbered 0, 1, ... as `add_context` makes them; a new
+    forest holds the empty context 0. Each operation on a tree takes its
+    context id last, 0 by default. `len` counts the leaves of every
+    context and `height` is the tallest context's.
 
     Positions are 1-based. Node 0 is the null sentinel. Callers are
     responsible for inserting keys in sorted positional order; the tree
     never checks (it cannot compare keys).
 
-    The nodes live in nine parallel lists, `_left` to `_next`, the node
-    store, which trees made with `nodes=` share (see `__init__`). Besides
-    its key, weight, index list and next handle, a node v keeps two fields
-    about its left subtree L only:
+    The nodes of every context live in nine parallel lists, `_left` to
+    `_next`, the node store. Besides its key, weight, index list and next
+    handle, a node v keeps two fields about its left subtree L only:
 
     - `_rank[v]` = size(L) + 1, v's position within its own subtree;
     - `_off[v]` = 2 * wsum(L) + weight[v], v's F offset within its own
@@ -189,60 +189,60 @@ class StatsTree(_FlatAVL):
     So a walk from the root finds v's position and F by adding the fields
     of v and of every node where it turned right; a left turn adds
     nothing, and an update below v changes v's fields only if it lies on
-    v's left. Each tree keeps its own root, end nodes, length and total
-    weight; no operation links a node of one tree into another.
+    v's left. Five lists indexed by context id keep each tree's root, end
+    nodes, length and total weight; no operation links a node of one tree
+    into another.
     """
 
     __slots__ = ("_rank", "_weight", "_off", "_keys", "_idx", "_next",
-                 "_first", "_last", "_len", "_total", "context_ranks")
+                 "_root", "_first", "_last", "_len", "_total")
 
-    def __init__(self, context_ranks=None, nodes=None):
-        """An empty tree. With *nodes*, another tree, the new tree adds its
-        nodes to that tree's node store instead of making nine fresh lists;
-        node ids are then unique across every tree that shares the store."""
-        if nodes is None:
-            self._left = [0]
-            self._right = [0]
-            self._height = [0]
-            self._rank = [0]
-            self._weight = [0]
-            self._off = [0]
-            self._keys = [None]
-            self._idx = [None]
-            self._next = [None]
-        else:
-            self._left, self._right, self._height = \
-                nodes._left, nodes._right, nodes._height
-            self._rank, self._weight, self._off = \
-                nodes._rank, nodes._weight, nodes._off
-            self._keys, self._idx, self._next = \
-                nodes._keys, nodes._idx, nodes._next
-        self._root = 0
-        # Nodes at positions 1 and len(self), 0 when empty. Rotations keep
-        # node ids, so only an insert at either end moves them.
-        self._first = self._last = 0
-        self._len = self._total = 0
-        # The owning context's rank tuple, its key in the order-k sorter's
-        # context dictionary; the last rank is that of the keys that lead
-        # into this tree.
-        self.context_ranks = context_ranks
+    def __init__(self):
+        """A forest of one empty context, 0."""
+        self._left = [0]
+        self._right = [0]
+        self._height = [0]
+        self._rank = [0]
+        self._weight = [0]
+        self._off = [0]
+        self._keys = [None]
+        self._idx = [None]
+        self._next = [None]
+        # Per context. An end node is 0 while empty; rotations keep node
+        # ids, so only an insert at either end moves it.
+        self._root = [0]
+        self._first = [0]
+        self._last = [0]
+        self._len = [0]
+        self._total = [0]
+
+    def add_context(self) -> int:
+        """Add an empty context and return its id."""
+        for per_context in (self._root, self._first, self._last, self._len,
+                            self._total):
+            per_context.append(0)
+        return len(self._root) - 1
 
     # -- basic accessors ---------------------------------------------------
 
     def __len__(self) -> int:
-        return self._len
+        return len(self._keys) - 1
+
+    @property
+    def height(self) -> int:
+        return max(self._height[r] for r in self._root)
 
     @property
     def total_weight(self) -> int:
-        return self._total
+        return sum(self._total)
 
-    def _check_pos(self, j: int) -> None:
-        if not 1 <= j <= self._len:
-            raise IndexError(f"position {j} out of range 1..{self._len}")
+    def _check_pos(self, j: int, ctx: int = 0) -> None:
+        if not 1 <= j <= self._len[ctx]:
+            raise IndexError(f"position {j} out of range 1..{self._len[ctx]}")
 
-    def _node_at(self, j: int) -> int:
+    def _node_at(self, j: int, ctx: int = 0) -> int:
         left, right, rank_of = self._left, self._right, self._rank
-        v = self._root
+        v = self._root[ctx]
         while True:
             r = rank_of[v]
             if j < r:
@@ -253,16 +253,16 @@ class StatsTree(_FlatAVL):
                 j -= r
                 v = right[v]
 
-    def handle_at(self, j: int):
+    def handle_at(self, j: int, ctx: int = 0):
         """The j-th next-context handle, read without recording a hit. No
         sorter calls it (`append` returns the handle on a hit); it is kept
         for the layer tracer."""
-        self._check_pos(j)
-        return self._next[self._node_at(j)]
+        self._check_pos(j, ctx)
+        return self._next[self._node_at(j, ctx)]
 
     # -- the six positional operations ------------------------------------
 
-    def search(self, num: int, den: int = 1) -> int:
+    def search(self, num: int, den: int = 1, ctx: int = 0) -> int:
         """Smallest position j with den * (w_1 + ... + w_j) >= num.
 
         The rational threshold num/den generalizes an integer threshold;
@@ -272,9 +272,9 @@ class StatsTree(_FlatAVL):
             raise ValueError("den must be positive")
         if num < 0:
             raise ValueError("num must be non-negative")
-        if self._len == 0:
+        if self._len[ctx] == 0:
             raise ValueError("search on empty tree")
-        total = self._total
+        total = self._total[ctx]
         if den.bit_length() + total.bit_length() > 126:
             raise OverflowError("threshold exceeds configured word width")
         if den * total < num:
@@ -284,7 +284,7 @@ class StatsTree(_FlatAVL):
         left, right, rank_of = self._left, self._right, self._rank
         weight, off = self._weight, self._off
         num2 = 2 * num  # F - w_j = 2*S_{j-1} and F + w_j = 2*S_j
-        v = self._root
+        v = self._root[ctx]
         base = 0  # twice the weight before v's subtree; den*base < num2
         pos = 0  # positions before v's subtree
         while True:
@@ -299,12 +299,12 @@ class StatsTree(_FlatAVL):
                 pos += rank_of[v]
                 v = right[v]
 
-    def sum(self, j: int) -> int:
+    def sum(self, j: int, ctx: int = 0) -> int:
         """Prefix weight sum w_1 + ... + w_j."""
-        self._check_pos(j)
+        self._check_pos(j, ctx)
         left, right, rank_of = self._left, self._right, self._rank
         weight, off = self._weight, self._off
-        v = self._root
+        v = self._root[ctx]
         base = 0  # twice the weight before v's subtree
         while True:
             r = rank_of[v]
@@ -317,21 +317,21 @@ class StatsTree(_FlatAVL):
                 j -= r
                 v = right[v]
 
-    def triple(self, j: int) -> tuple:
+    def triple(self, j: int, ctx: int = 0) -> tuple:
         """The j-th quadruple (key, weight, indices, next handle).
 
         The index list is the live list; treat it as read-only.
         """
-        self._check_pos(j)
-        v = self._node_at(j)
+        self._check_pos(j, ctx)
+        v = self._node_at(j, ctx)
         return (self._keys[v], self._weight[v], self._idx[v], self._next[v])
 
-    def _shift_offsets(self, j: int, d: int) -> int:
+    def _shift_offsets(self, j: int, d: int, ctx: int) -> int:
         """Add *d* to the F offset of every ancestor of the node at j that
         has it on its left, and return that node."""
         left, right, rank_of, off = \
             self._left, self._right, self._rank, self._off
-        v = self._root
+        v = self._root[ctx]
         while True:
             r = rank_of[v]
             if j < r:
@@ -343,18 +343,18 @@ class StatsTree(_FlatAVL):
                 j -= r
                 v = right[v]
 
-    def increment(self, j: int) -> None:
+    def increment(self, j: int, ctx: int = 0) -> None:
         """Add 1 to w_j, and nothing else: the positional weight bump. The
         sorters record a hit with `append`, which also bumps w_j."""
-        self._check_pos(j)
-        if self._total + 1 > MAX_TOTAL_WEIGHT:
+        self._check_pos(j, ctx)
+        if self._total[ctx] + 1 > MAX_TOTAL_WEIGHT:
             raise OverflowError("total weight exceeds configured word width")
-        v = self._shift_offsets(j, 2)
+        v = self._shift_offsets(j, 2, ctx)
         self._weight[v] += 1
         self._off[v] += 1
-        self._total += 1
+        self._total[ctx] += 1
 
-    def append(self, i: int, j: int):
+    def append(self, i: int, j: int, ctx: int = 0):
         """Record a hit on leaf j: append sequence position i to the j-th
         index list, add 1 to w_j, and return the j-th next-context handle.
 
@@ -363,14 +363,14 @@ class StatsTree(_FlatAVL):
         and the weight cap are checked before the walk. The index order can
         only be checked at the node, so a refused append walks once more
         to take the offsets back, and leaves the tree as it was."""
-        if not 1 <= j <= self._len:
-            raise IndexError(f"position {j} out of range 1..{self._len}")
-        total = self._total
+        if not 1 <= j <= self._len[ctx]:
+            raise IndexError(f"position {j} out of range 1..{self._len[ctx]}")
+        total = self._total[ctx]
         if total + 1 > MAX_TOTAL_WEIGHT:
             raise OverflowError("total weight exceeds configured word width")
         left, right, rank_of, off = \
             self._left, self._right, self._rank, self._off
-        v = self._root
+        v = self._root[ctx]
         pos = j
         while True:
             r = rank_of[v]
@@ -384,29 +384,29 @@ class StatsTree(_FlatAVL):
                 v = right[v]
         lst = self._idx[v]
         if lst and i <= lst[-1]:
-            self._shift_offsets(j, -2)
+            self._shift_offsets(j, -2, ctx)
             raise ValueError("indices must be appended in increasing order")
         lst.append(i)
         self._weight[v] += 1
         off[v] += 1
-        self._total = total + 1
+        self._total[ctx] = total + 1
         return self._next[v]
 
-    def insert(self, a, i: int, j: int, next=None) -> None:
+    def insert(self, a, i: int, j: int, next=None, ctx: int = 0) -> None:
         """Insert quadruple (a, 1, [i], next) at position j, shifting
         positions >= j right by one. One walk down to the insert point
         counts the new node in the rank and the F offset of each ancestor
         where it turns left, then `_attach` hangs it there and
         rebalances."""
-        t = self._len
+        t = self._len[ctx]
         if not 1 <= j <= t + 1:
             raise IndexError(f"insert position {j} out of range 1..{t + 1}")
-        if self._total + 1 > MAX_TOTAL_WEIGHT:
+        if self._total[ctx] + 1 > MAX_TOTAL_WEIGHT:
             raise OverflowError("total weight exceeds configured word width")
         left, right, rank_of, off = \
             self._left, self._right, self._rank, self._off
         path = []  # the new node's ancestors, root first
-        v = self._root
+        v = self._root[ctx]
         pos = j
         leftward = True  # whether the last move went left
         while v:
@@ -421,13 +421,13 @@ class StatsTree(_FlatAVL):
                 pos -= r
                 v = right[v]
         u = self._new_node(a, 1, [i], next)
-        self._len = t + 1
-        self._total += 1
-        self._attach(path, u, leftward)
+        self._len[ctx] = t + 1
+        self._total[ctx] += 1
+        self._root[ctx] = self._attach(path, u, leftward)
         if j == 1:
-            self._first = u
+            self._first[ctx] = u
         if j == t + 1:
-            self._last = u
+            self._last[ctx] = u
 
     def _new_node(self, a, w: int, indices: list, next) -> int:
         """Append a childless node holding quadruple (a, w, indices, next)
@@ -459,7 +459,7 @@ class StatsTree(_FlatAVL):
 
     # -- virtual weighted-tree navigation ----------------------------------
 
-    def descend(self, s, comparator) -> tuple:
+    def descend(self, s, comparator, ctx: int = 0) -> tuple:
         """Search for element s in the implicit weighted tree.
 
         Returns (position, relation, search_comparisons, verify_comparisons)
@@ -499,18 +499,18 @@ class StatsTree(_FlatAVL):
         then costs a single AVL walk, which finds the first leaf on the
         right of the split together with its predecessor, the split leaf.
         """
-        t = self._len
+        t = self._len[ctx]
         if t == 0:
             return (1, SUCCESSOR, 0, 0)
         left, right, rank_of = self._left, self._right, self._rank
         weight, off = self._weight, self._off
-        root = self._root
-        two_w = 2 * self._total
+        root = self._root[ctx]
+        two_w = 2 * self._total[ctx]
         p = two_w.bit_length()
         lo, hi = 1, t
-        lo_node = self._first  # tree node holding leaf lo
+        lo_node = self._first[ctx]  # tree node holding leaf lo
         c_lo = (weight[lo_node] << p) // two_w
-        c_hi = ((two_w - weight[self._last]) << p) // two_w
+        c_hi = ((two_w - weight[self._last[ctx]]) << p) // two_w
         nsearch = nverify = 0
         lo_le = hi_ge = False  # key[lo] <= s, s <= key[hi] already answered
         keys = self._keys
@@ -571,20 +571,21 @@ class StatsTree(_FlatAVL):
 
     # -- whole-structure helpers -------------------------------------------
 
-    def quadruples(self) -> list:
-        """All quadruples in positional order."""
+    def quadruples(self, ctx: int = 0) -> list:
+        """All quadruples of context *ctx* in positional order."""
         keys, weight = self._keys, self._weight
         idx, nxt = self._idx, self._next
-        return [(keys[v], weight[v], idx[v], nxt[v]) for v in self._inorder()]
+        return [(keys[v], weight[v], idx[v], nxt[v])
+                for v in self._inorder(self._root[ctx])]
 
     def store_entries(self) -> tuple:
         """(index lists, next handles) of every node in the node store, as
-        two parallel iterables in allocation order, for every tree that
-        shares the store."""
+        two parallel iterables in allocation order, for every context."""
         return islice(self._idx, 1, None), islice(self._next, 1, None)
 
-    def _validate(self) -> None:
-        """Check AVL and augmentation invariants (test support)."""
+    def _validate(self, ctx: int = 0) -> None:
+        """Check AVL and augmentation invariants of context *ctx* (test
+        support)."""
 
         def walk(v: int) -> tuple:
             if v == 0:
@@ -608,19 +609,20 @@ class StatsTree(_FlatAVL):
                 raise AssertionError("stored F offset wrong")
             return h, 1 + ls + rs, self._weight[v] + lw + rw
 
-        _, size, total = walk(self._root)
-        if self._len != size:
+        _, size, total = walk(self._root[ctx])
+        if self._len[ctx] != size:
             raise AssertionError("stored length wrong")
-        if self._total != total:
+        if self._total[ctx] != total:
             raise AssertionError("stored total weight wrong")
-        t = len(self)
-        ends = (self._node_at(1), self._node_at(t)) if t else (0, 0)
-        if (self._first, self._last) != ends:
+        ends = ((self._node_at(1, ctx), self._node_at(size, ctx)) if size
+                else (0, 0))
+        if (self._first[ctx], self._last[ctx]) != ends:
             raise AssertionError("cached end nodes wrong")
 
 
 def from_pairs(keys, weights, indices=None) -> StatsTree:
-    """Build a balanced tree from parallel (key, weight) lists.
+    """A one-context forest whose tree is built balanced from parallel
+    (key, weight) lists.
 
     Convenience for the given-frequencies use case and for tests; when
     *indices* is omitted, consecutive positions are synthesized so the
@@ -657,10 +659,10 @@ def from_pairs(keys, weights, indices=None) -> StatsTree:
         tree._fix(u)
         return u, lw + weights[mid] + rw
 
-    tree._root, tree._total = build(0, len(keys) - 1)
-    tree._len = len(keys)
-    tree._first = tree._node_at(1)
-    tree._last = tree._node_at(len(keys))
+    tree._root[0], tree._total[0] = build(0, len(keys) - 1)
+    tree._len[0] = len(keys)
+    tree._first[0] = tree._node_at(1)
+    tree._last[0] = tree._node_at(len(keys))
     return tree
 
 

@@ -1,4 +1,4 @@
-"""The sorter: one statistics tree per context, chained by rank codes.
+"""The sorter: one statistics tree per context, chained by context ids.
 
 This is the one sorter; `sort0.sort0` is `sortk(seq, 0)`, and `sortk` reads
 top to bottom: the accounting, the element loop, the read-off. It maintains
@@ -7,26 +7,24 @@ is searched only in its context's tree, so search costs track the order-k
 entropy rather than the order-0 entropy. Two dictionaries realize the
 context lookup on a miss: RankDictionary (element -> first-appearance rank,
 the only dictionary that compares elements) and CodeDictionary (rank tuple
--> tree, a hash map that compares no elements). A repeat (k+1)-tuple never
-touches either dictionary: the quadruple found by the search carries a
-handle to the successor context's tree. At order 0 there is one context,
-so there is no lookup at all: every successor is the one tree, and B1
-stays empty.
+-> context id, a hash map that compares no elements). A repeat
+(k+1)-tuple never touches either dictionary: the quadruple found by the
+search carries the successor context's id as its handle. At order 0
+there is one context, 0, so there is no lookup at all, and B1 stays empty.
 
-All context trees of one call share one node store (`StatsTree(nodes=...)`),
-so a context costs one tree object, not nine lists. That matters where an
+The trees of one call are the contexts of one forest (`kernel.StatsTree`),
+so a context costs five list slots, not an object. That matters where an
 input breaks the premise n^(k+1) log n in O(m) and the contexts are many.
 The accounting (budgets, H_order, H_0 and n) is one pass over the input
 that runs before the element loop (`budget_breakdown`): it compares
-nothing, and its tables are freed before the first tree is built.
+nothing, and its tables are freed before the forest is built.
 
 The read-off compares no elements. At order 0 the one tree is already in
 key order, and its index lists are concatenated (`flatten`). Above it, one
-pass over the shared node store files each index list under its key's B1
-rank, and B1's in-order walk, which is the sorted alphabet, gives the order
-of the ranks (`_read_off`). The store then drops its next-context handles,
-so that the call leaves no reference cycle. The sort ends with the
-permutation; `SortOutcome.inverse` is computed from it when first read.
+pass over the forest's node store files each index list under its key's
+B1 rank, and B1's in-order walk, which is the sorted alphabet, gives the
+order of the ranks (`_read_off`). The sort ends with the permutation;
+`SortOutcome.inverse` is computed from it when first read.
 """
 
 from __future__ import annotations
@@ -202,32 +200,31 @@ def premise_holds(n: int, m: int, order: int) -> bool:
 
 
 def flatten(tree) -> list[int]:
-    """The tree's index lists in positional (key) order, concatenated."""
+    """Context 0's index lists in positional (key) order, concatenated."""
     permutation: list[int] = []
     for _, _, indices, _ in tree.quadruples():
         permutation.extend(indices)
     return permutation
 
 
-def _read_off(b1: RankDictionary, store, boot: tuple) -> list[int]:
+def _read_off(b1: RankDictionary, forest, ranks_of: list) -> list[int]:
     """The stable permutation at order >= 1, with no comparison.
 
     Every index list goes to its key's rank: each warm-up position's from
-    *boot*, and each one in the forest's node store (*store*, None when no
-    tree was built) as the last rank of its next context. One pass over
-    the store reads every tree, whose nodes it holds, without walking any.
-    Each rank has one slot for its first list; a rank that gets several
-    (one key in several contexts) keeps them in *shared* and has them
-    merged by index, so the permutation is stable. B1's in-order walk then
-    visits the ranks in key order.
+    context 0's rank tuple, and each one in the forest's node store as the
+    last rank of its next context (*ranks_of* maps context ids to rank
+    tuples). One pass over the store reads every tree, whose nodes it
+    holds, without walking any. Each rank has one slot for its first list;
+    a rank that gets several (one key in several contexts) keeps them in
+    *shared* and has them merged by index, so the permutation is stable.
+    B1's in-order walk then visits the ranks in key order.
     """
     slots: list = [None] * (len(b1) + 1)
     shared: dict[int, list] = {}
-    entries = zip([[k] for k in range(1, len(boot) + 1)], boot)
-    if store is not None:
-        index_lists, handles = store.store_entries()
-        entries = chain(entries, zip(
-            index_lists, [nxt.context_ranks[-1] for nxt in handles]))
+    index_lists, handles = forest.store_entries()
+    entries = chain(
+        (([k], rank) for k, rank in enumerate(ranks_of[0], start=1)),
+        zip(index_lists, [ranks_of[c][-1] for c in handles]))
     for indices, rank in entries:
         first = slots[rank]
         if first is None:
@@ -251,14 +248,15 @@ def sortk(seq: Sequence, order: int = 0,
 
     The accounting comes first (`budget_breakdown`, one pass that compares
     nothing). Then the element loop, from position order + 1 on: each
-    element is searched in the current context's tree. On a hit, `append`
-    gives the leaf the element's position and one more unit of weight,
-    and the loop moves to the leaf's next-context handle, which it
-    returns. On a miss, the element is inserted next to the leaf the
-    search reached, with the successor context's tree as its handle, and
-    the loop moves there: above order 0 that tree comes from B1 (the
-    element's rank) and B2 (the rank tuple), and at order 0 it is the one
-    tree. The permutation is then read off with no comparison.
+    element is searched in the current context's tree, from context 0,
+    that of the warm-up ranks, on. On a hit, `append` gives the leaf the
+    element's position and one more unit of weight, and the loop moves to
+    the leaf's next-context handle, which it returns. On a miss, the
+    element is inserted next to the leaf the search reached, with the
+    successor context's id as its handle, and the loop moves there: above
+    order 0 that id comes from B1 (the element's rank) and B2 (the rank
+    tuple; a new tuple adds a context), and at order 0 it is context 0.
+    The permutation is then read off with no comparison.
     """
     m = len(seq)
     if order < 0:
@@ -266,44 +264,34 @@ def sortk(seq: Sequence, order: int = 0,
     cmp = comparator if comparator is not None else CountingComparator()
     breakdown = budget_breakdown(seq, order)
     before = cmp.snapshot()
-    tree_cls = get_kernel(kernel_name).StatsTree
+    forest = get_kernel(kernel_name).StatsTree()
     b1 = RankDictionary(cmp)
     b2 = CodeDictionary()
-    store = None  # the first context tree, whose node store all share
-
-    def tree_for(ranks: tuple) -> object:
-        nonlocal store
-        tree = b2.get(ranks)
-        if tree is None:
-            tree = tree_cls(context_ranks=ranks, nodes=store)
-            if store is None:  # not `not store`: an empty tree is falsy
-                store = tree
-            b2.insert(ranks, tree)
-        return tree
-
     boot = tuple(b1.lookup_or_insert(seq[k])[0]
                  for k in range(min(order, m)))
-    if m > order:
-        current = tree_for(boot)
-        for i in range(order + 1, m + 1):
-            s = seq[i - 1]
-            j, rel, _, _ = current.descend(s, cmp)
-            if rel == EQUAL:
-                current = current.append(i, j)
-            else:
-                nxt = current
-                if order:
-                    rank, _ = b1.lookup_or_insert(s)
-                    nxt = tree_for(current.context_ranks[1:] + (rank,))
-                current.insert(s, i, j + 1 if rel == PREDECESSOR else j, nxt)
-                current = nxt
+    ranks_of = [boot]  # context id -> rank tuple
+    b2.insert(boot, 0)
+    current = 0
+    for i in range(order + 1, m + 1):
+        s = seq[i - 1]
+        j, rel, _, _ = forest.descend(s, cmp, current)
+        if rel == EQUAL:
+            current = forest.append(i, j, current)
+        else:
+            nxt = current
+            if order:
+                rank, _ = b1.lookup_or_insert(s)
+                ranks = ranks_of[current][1:] + (rank,)
+                nxt = b2.get(ranks)
+                if nxt is None:
+                    nxt = forest.add_context()
+                    ranks_of.append(ranks)
+                    b2.insert(ranks, nxt)
+            forest.insert(s, i, j + 1 if rel == PREDECESSOR else j, nxt,
+                          current)
+            current = nxt
 
-    permutation = _read_off(b1, store, boot) if order else \
-        flatten(b2[()])
-    if store is not None:
-        # Every tree refers to the shared handle list, which holds trees:
-        # emptying it leaves nothing for the cyclic collector.
-        store._next.clear()
+    permutation = _read_off(b1, forest, ranks_of) if order else flatten(forest)
     warnings: tuple[str, ...] = ()
     n = breakdown.n
     if not premise_holds(n, m, order):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import os
 import random
 import resource
@@ -208,31 +209,34 @@ class FlatStatsTree:
 
 
 def random_op_mix(tree, oracle, rng: random.Random, ops: int,
-                  key_pool=None) -> None:
-    """Drive tree and oracle with the same random op stream, checking
-    outputs agree after every step."""
+                  key_pool=None, ctx: int = 0, indices=None) -> None:
+    """Drive context *ctx* of the forest *tree* and *oracle* with the same
+    random op stream, checking outputs agree after every step. Positions
+    come from *indices*, an iterator of increasing ints (1, 2, ... by
+    default), which calls on several contexts may share."""
     if key_pool is None:
-        key_pool = list(range(10 ** 6))
-    next_index = 1
+        key_pool = range(10 ** 6)
+    if indices is None:
+        indices = itertools.count(1)
     for _ in range(ops):
         t = len(oracle)
         choice = rng.random()
         if t == 0 or choice < 0.25:
             j = rng.randrange(1, t + 2)
             key = rng.choice(key_pool)
-            tree.insert(key, next_index, j)
-            oracle.insert(key, next_index, j)
-            next_index += 1
+            i = next(indices)
+            tree.insert(key, i, j, None, ctx)
+            oracle.insert(key, i, j)
         elif choice < 0.6:
             # Hit update: append bumps the weight and records the index,
             # keeping weight == len(indices).
             j = rng.randrange(1, t + 1)
-            assert tree.append(next_index, j) is oracle.append(next_index, j)
-            next_index += 1
+            i = next(indices)
+            assert tree.append(i, j, ctx) is oracle.append(i, j)
         elif choice < 0.75:
             j = rng.randrange(1, t + 1)
-            assert tree.sum(j) == oracle.sum(j)
-            got = tree.triple(j)
+            assert tree.sum(j, ctx) == oracle.sum(j)
+            got = tree.triple(j, ctx)
             want = oracle.triple(j)
             assert got[0] == want[0] and got[1] == want[1]
             assert list(got[2]) == list(want[2])
@@ -240,4 +244,4 @@ def random_op_mix(tree, oracle, rng: random.Random, ops: int,
             total = oracle.total_weight
             den = rng.randrange(1, 5)
             num = rng.randrange(0, den * total + 1)
-            assert tree.search(num, den) == oracle.search(num, den)
+            assert tree.search(num, den, ctx) == oracle.search(num, den)

@@ -78,6 +78,26 @@ def test_sort_sorted_output(tmp_path, capsys):
     assert out.strip() == "NOOORTT"
 
 
+@pytest.mark.parametrize("option", [["--zero-based"], ["--baseline"],
+                                    ["--format", "csv"]])
+def test_sort_sorted_output_refuses_report_options(tmp_path, capsys,
+                                                   monkeypatch, option):
+    """--sorted-output writes no report, so an option that shapes the
+    report exits 2 with one error line, before anything is sorted;
+    --check-bounds still applies."""
+    f = tmp_path / "t.txt"
+    f.write_text("TORONTO")
+    monkeypatch.setattr(cli.bench, "sort_report", None)
+    code, out, err = run_cli(capsys, "sort", str(f), "--mode", "chars",
+                             "--sorted-output", *option)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    monkeypatch.undo()
+    code, out, _ = run_cli(capsys, "sort", str(f), "--mode", "chars",
+                           "--sorted-output", "--check-bounds")
+    assert code == 0 and out.strip() == "NOOORTT"
+
+
 def test_sort_orders_agree(tmp_path, capsys):
     f = tmp_path / "t.txt"
     f.write_text("TORONTO")

@@ -427,7 +427,7 @@ def test_descend_inconsistent_tree_raises():
     # walk with NavigationError instead of looping or answering.
     for bad_total in (1, 6):
         tree = kernel_module.from_pairs(["a", "b", "c"], [1, 1, 1])
-        tree._total = bad_total
+        tree._total[0] = bad_total
         for key in "abc":
             with pytest.raises(NavigationError):
                 tree.descend(key, CountingComparator())

@@ -138,18 +138,19 @@ def test_one_kernel_surface(monkeypatch):
     assert get_kernel("python") is module
     assert get_kernel("auto") is module
     # Wrapping the module's StatsTree, as the layer profiler does, must
-    # reach the trees that sort0 builds. The first element descends the
-    # empty tree, which costs no comparison.
+    # reach the forest that sort0 builds, and each descent names context 0,
+    # the only one at order 0. The first element descends the empty tree,
+    # which costs no comparison.
     seen = []
     descend = module.StatsTree.descend
 
-    def spy(tree, s, comparator):
-        seen.append(s)
-        return descend(tree, s, comparator)
+    def spy(tree, s, comparator, ctx):
+        seen.append((s, ctx))
+        return descend(tree, s, comparator, ctx)
 
     monkeypatch.setattr(module.StatsTree, "descend", spy)
     sort0(TORONTO)
-    assert seen == TORONTO
+    assert seen == [(s, 0) for s in TORONTO]
 
 
 def test_unknown_kernel_raises():

@@ -425,9 +425,11 @@ def test_property_stable_across_orders(seq, order):
     assert out.ledger.binary_count <= out.budget
 
 
-def test_context_tree_count_bound(kernel, monkeypatch):
-    """sortk builds exactly one tree per distinct order-tuple context that
-    occurs at positions order..m, and none when m <= order."""
+def test_one_forest_per_call(kernel, monkeypatch):
+    """sortk builds one StatsTree per call. It holds exactly one context
+    per distinct order-tuple that occurs at positions order..m, with as
+    many leaves as that context has distinct successors; an input shorter
+    than the order has the one empty context of its warm-up ranks."""
     built = []
     original = kernel.StatsTree.__init__
 
@@ -442,36 +444,35 @@ def test_context_tree_count_bound(kernel, monkeypatch):
             m = rng.randrange(1, 150)
             n = rng.choice([2, 3, 6])
             seq = [rng.randrange(n) for _ in range(m)]
-            distinct_ctx = len({tuple(seq[i - order:i])
-                                for i in range(order, m + 1)})
+            successors = {tuple(seq[i - order:i]): set()
+                          for i in range(order, m + 1)}
+            for i in range(order, m):
+                successors[tuple(seq[i - order:i])].add(seq[i])
             built.clear()
             out = sortk(seq, order, kernel_name=kernel.KERNEL_NAME)
             assert out.permutation == stable_perm(seq)
-            assert len(built) == (distinct_ctx if m > order else 0)
-            assert distinct_ctx <= n ** order + 1
+            assert len(built) == 1
+            lengths = [len(s) for s in successors.values()] or [0]
+            assert sorted(built[0]._len) == sorted(lengths)
+            assert len(successors) <= n ** order + 1
 
 
-STORE = ("_left", "_right", "_height", "_rank", "_weight", "_off", "_keys",
-         "_idx", "_next")
-
-
-def reachable_nodes(tree):
-    """Node ids reachable from the tree's root."""
-    out, stack = [], [tree._root]
+def reachable_nodes(forest, ctx):
+    """Node ids reachable from the root of context *ctx*."""
+    out, stack = [], [forest._root[ctx]]
     while stack:
         v = stack.pop()
         if v:
             out.append(v)
-            stack += (tree._left[v], tree._right[v])
+            stack += (forest._left[v], forest._right[v])
     return out
 
 
 def test_context_forest_shares_one_node_store(kernel, monkeypatch):
-    """The context trees of one sortk call keep their nodes in the first
-    tree's node store and partition it: every tree is valid, and the node
-    ids reachable from the roots are pairwise disjoint and together are
-    exactly 1..len(store) - 1. Trees made outside sortk keep private
-    stores."""
+    """The contexts of one sortk call's forest partition its node store:
+    every context is valid, the node ids reachable from the roots are
+    pairwise disjoint and together are exactly 1..len(store) - 1, and
+    every next-context handle is a context id."""
     built = []
     original = kernel.StatsTree.__init__
 
@@ -492,21 +493,14 @@ def test_context_forest_shares_one_node_store(kernel, monkeypatch):
         built.clear()
         out = sortk(seq, order, kernel_name=kernel.KERNEL_NAME)
         assert out.permutation == stable_perm(seq)
-        first = built[0]
-        for tree in built:
-            tree._validate()
-            for attr in STORE:
-                assert getattr(tree, attr) is getattr(first, attr), attr
-        ids = sorted(v for tree in built for v in reachable_nodes(tree))
-        assert ids == list(range(1, len(first._keys))), (order, len(seq))
-
-    monkeypatch.undo()
-    forest = built[0]
-    for private in (kernel.StatsTree(), kernel.StatsTree(),
-                    kernel.from_pairs("ab", [1, 2])):
-        for attr in STORE:
-            assert getattr(private, attr) is not getattr(forest, attr)
-        assert len(private._keys) == len(private) + 1
+        forest, = built
+        contexts = range(len(forest._root))
+        for ctx in contexts:
+            forest._validate(ctx)
+        ids = sorted(v for ctx in contexts
+                     for v in reachable_nodes(forest, ctx))
+        assert ids == list(range(1, len(forest._keys))), (order, len(seq))
+        assert set(forest._next[1:]) <= set(contexts)
 
 
 def test_no_cyclic_garbage_after_a_call():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -139,22 +140,26 @@ def test_oracle_equivalence_randomized(kernel):
 
 
 def test_shared_node_store(kernel):
-    """Trees made with nodes= add their nodes to one store and stay
-    independent: each one, driven in turn, still matches its own oracle
-    after the others have grown and rotated in the same lists."""
+    """The contexts of one forest share its node store and stay
+    independent: operations on four contexts, interleaved one at a time,
+    keep each context equal to its own oracle while the others grow and
+    rotate in the same lists."""
     rng = random.Random(99)
-    first = kernel.StatsTree()
-    trees = [first] + [kernel.StatsTree(nodes=first) for _ in range(3)]
-    oracles = [FlatStatsTree() for _ in trees]
-    for tree, oracle in zip(trees, oracles):
-        assert len(tree) == 0 and tree._keys is first._keys
-        random_op_mix(tree, oracle, rng, 400)
-    for tree, oracle in zip(trees, oracles):
-        tree._validate()
-        got = [(k, w, list(ix)) for k, w, ix, _ in tree.quadruples()]
+    forest = kernel.StatsTree()
+    for _ in range(3):
+        forest.add_context()
+    oracles = [FlatStatsTree() for _ in range(4)]
+    indices = itertools.count(1)
+    for _ in range(1600):
+        ctx = rng.randrange(4)
+        random_op_mix(forest, oracles[ctx], rng, 1, ctx=ctx, indices=indices)
+    for ctx, oracle in enumerate(oracles):
+        forest._validate(ctx)
+        got = [(k, w, list(ix)) for k, w, ix, _ in forest.quadruples(ctx)]
         assert got == [(k, w, list(ix)) for k, w, ix, _ in
                        oracle.quadruples()]
-    assert len(first._keys) == 1 + sum(len(tree) for tree in trees)
+    assert len(forest) == sum(len(oracle) for oracle in oracles)
+    assert forest.total_weight == sum(o.total_weight for o in oracles)
 
 
 def test_zero_element_comparisons(kernel):
@@ -256,7 +261,7 @@ def test_refused_append_leaves_tree_unchanged(kernel):
     moved the offsets of the ancestors where it turned left: leaf 1 is
     reached by left turns only."""
     tree = kernel.from_pairs("abcdefg", [2, 1, 3, 1, 1, 2, 1])
-    left, root = tree._left, tree._root
+    left, root = tree._left, tree._root[0]
     assert left[left[root]] == tree._node_at(1)
     before = snapshot(tree)
     for j, (_, _, indices, _) in enumerate(tree.quadruples(), start=1):
@@ -280,7 +285,24 @@ def test_from_pairs_validation(kernel):
     assert len(empty) == 0 and empty.total_weight == 0
 
 
-def test_context_ranks_attribute(kernel):
-    tree = kernel.StatsTree(context_ranks=[3, 1])
-    assert tree.context_ranks == [3, 1]
-    assert kernel.StatsTree().context_ranks is None
+def test_context_ids_are_dense(kernel):
+    """A new forest holds the empty context 0, and `add_context` numbers
+    the next ones 1, 2, ... Each starts empty, and an operation on one
+    changes no other. `len` counts the leaves of every context and
+    `height` is the tallest context's."""
+    forest = kernel.StatsTree()
+    assert [forest.add_context() for _ in range(3)] == [1, 2, 3]
+    for ctx in range(4):
+        assert forest.quadruples(ctx) == []
+        assert forest.descend(0, CountingComparator(), ctx) == \
+            (1, kernel.SUCCESSOR, 0, 0)
+    forest.insert("a", 1, 1, 2, 3)
+    for i, key in enumerate("xyz", start=2):
+        forest.insert(key, i, i - 1, 0, 1)
+    assert forest.quadruples(3) == [("a", 1, [1], 2)]
+    assert [q[0] for q in forest.quadruples(1)] == ["x", "y", "z"]
+    assert forest.quadruples(0) == forest.quadruples(2) == []
+    assert len(forest) == 4 and forest.total_weight == 4
+    assert forest.height == 2
+    for ctx in range(4):
+        forest._validate(ctx)
