@@ -5,15 +5,17 @@ and `get_kernel` name it for run reports and for callers that still pass
 `kernel_name`.
 
 The statistics tree is an AVL tree over a positional list of quadruples
-(key, weight, index list, next-context handle). Each node is augmented with
-what lies on its left, as in the RANK field of Knuth's order-statistics
-trees (TAOCP vol. 3, 6.2.3): its rank within its own subtree, and its
-offset there of F_j = 2*S_{j-1} + w_j, the scaled code value of leaf j
-(below). A walk from the root then adds up a position and an F only where
-it turns right, and an update changes only the ancestors on whose left it
-happens. All structural operations address positions, never
-keys: the tree performs zero element comparisons. Height is at most
-1.4405 * log2(t + 2) (classic AVL bound; asserted in tests).
+(key, weight, index list, next-context handle); a leaf's index list is
+threaded through one forest-wide array of machine ints (see `StatsTree`).
+Each node is augmented with what lies on its left, as in the RANK field of
+Knuth's order-statistics trees (TAOCP vol. 3, 6.2.3): its rank within its
+own subtree, and its offset there of F_j = 2*S_{j-1} + w_j, the scaled
+code value of leaf j (below). A walk from the root then adds up a position
+and an F only where it turns right, and an update changes only the
+ancestors on whose left it happens. All structural operations address
+positions, never keys: the tree performs zero element comparisons.
+Height is at most 1.4405 * log2(t + 2) (classic AVL bound; asserted in
+tests).
 
 The sorters need two things from it: the positional updates (`append`
 records a hit in one walk; `insert` adds a leaf), and `descend`, a counted
@@ -35,6 +37,8 @@ tree keeps. The single-node queries that the tests check it against
 `StatsTree` is a forest: the order-k sorter keeps one tree per context in
 one node store, and a context is an int id, so it costs five list slots
 rather than an object. A forest of one context serves as a single tree.
+A recorded position costs one 8-byte slot of the forest's position chain
+and no Python object.
 
 The AVL rules live once, in `_FlatAVL`: rotations, the height update
 `_fix`, the single-or-double rebalance, `_attach`, which hangs a new leaf
@@ -47,7 +51,8 @@ rank and F offset in O(1).
 from __future__ import annotations
 
 import sys
-from itertools import islice
+from array import array
+from itertools import accumulate, islice, repeat
 from types import ModuleType
 
 from .comparator import SEARCH, VERIFY
@@ -174,13 +179,14 @@ class StatsTree(_FlatAVL):
     context id last, 0 by default. `len` counts the leaves of every
     context and `height` is the tallest context's.
 
-    Positions are 1-based. Node 0 is the null sentinel. Callers are
+    Leaf positions are 1-based. Node 0 is the null sentinel. Callers are
     responsible for inserting keys in sorted positional order; the tree
     never checks (it cannot compare keys).
 
     The nodes of every context live in nine parallel lists, `_left` to
-    `_next`, the node store. Besides its key, weight, index list and next
-    handle, a node v keeps two fields about its left subtree L only:
+    `_next`, the node store. Besides its key, weight and next handle, a
+    node v keeps its index list's last sequence position, `_tail[v]`, and
+    two fields about its left subtree L only:
 
     - `_rank[v]` = size(L) + 1, v's position within its own subtree;
     - `_off[v]` = 2 * wsum(L) + weight[v], v's F offset within its own
@@ -192,10 +198,21 @@ class StatsTree(_FlatAVL):
     v's left. Five lists indexed by context id keep each tree's root, end
     nodes, length and total weight; no operation links a node of one tree
     into another.
+
+    The index lists are threaded through `_chain`, one array of machine
+    ints indexed by sequence position: `_chain[i]` is the position before
+    i in i's leaf, and 0 marks a leaf's first. A leaf's list is read by
+    following the chain back from its tail (`read_back`), so callers name
+    lists by their tails and never see the chain. Sequence positions are
+    >= 1 and strictly increase across the forest, in the order `append`
+    and `insert` record them; each refuses any other position with
+    ValueError before it changes anything. So the chain only grows at its
+    end, and a position never recorded (a warm-up position of the order-k
+    sorter) links to 0, whether it was skipped over or lies past the end.
     """
 
-    __slots__ = ("_rank", "_weight", "_off", "_keys", "_idx", "_next",
-                 "_root", "_first", "_last", "_len", "_total")
+    __slots__ = ("_rank", "_weight", "_off", "_keys", "_tail", "_next",
+                 "_root", "_first", "_last", "_len", "_total", "_chain")
 
     def __init__(self):
         """A forest of one empty context, 0."""
@@ -206,7 +223,7 @@ class StatsTree(_FlatAVL):
         self._weight = [0]
         self._off = [0]
         self._keys = [None]
-        self._idx = [None]
+        self._tail = [0]
         self._next = [None]
         # Per context. An end node is 0 while empty; rotations keep node
         # ids, so only an insert at either end moves it.
@@ -215,6 +232,8 @@ class StatsTree(_FlatAVL):
         self._last = [0]
         self._len = [0]
         self._total = [0]
+        # Forest-wide, by sequence position; position 0 is the terminator.
+        self._chain = array("q", (0,))
 
     def add_context(self) -> int:
         """Add an empty context and return its id."""
@@ -317,31 +336,41 @@ class StatsTree(_FlatAVL):
                 j -= r
                 v = right[v]
 
+    def leaf(self, j: int, ctx: int = 0) -> tuple:
+        """The j-th leaf's key and weight, read without its index list."""
+        self._check_pos(j, ctx)
+        v = self._node_at(j, ctx)
+        return (self._keys[v], self._weight[v])
+
     def triple(self, j: int, ctx: int = 0) -> tuple:
         """The j-th quadruple (key, weight, indices, next handle).
 
-        The index list is the live list; treat it as read-only.
+        The index list is a new list read off the position chain, so it
+        costs a step per index; `leaf` reads the key and weight alone.
         """
         self._check_pos(j, ctx)
         v = self._node_at(j, ctx)
-        return (self._keys[v], self._weight[v], self._idx[v], self._next[v])
+        return (self._keys[v], self._weight[v], self._indices(v),
+                self._next[v])
 
-    def _shift_offsets(self, j: int, d: int, ctx: int) -> int:
-        """Add *d* to the F offset of every ancestor of the node at j that
-        has it on its left, and return that node."""
-        left, right, rank_of, off = \
-            self._left, self._right, self._rank, self._off
-        v = self._root[ctx]
-        while True:
-            r = rank_of[v]
-            if j < r:
-                off[v] += d
-                v = left[v]
-            elif j == r:
-                return v
-            else:
-                j -= r
-                v = right[v]
+    def _indices(self, v: int) -> list:
+        """Node v's index list, read back from its tail and reversed."""
+        out: list = []
+        self.read_back([(self._tail[v],)], out)
+        out.reverse()
+        return out
+
+    def _skip_to(self, i: int) -> None:
+        """Refuse sequence position i unless it lies above every position
+        recorded so far; otherwise pad the chain with zeros up to i, so that
+        i's link is the next slot appended."""
+        chain = self._chain
+        if i < len(chain):
+            raise ValueError(
+                f"position {i} refused: positions are >= 1 and must be "
+                f"recorded in increasing order (the highest so far is "
+                f"{len(chain) - 1})")
+        chain.extend(repeat(0, i - len(chain)))
 
     def increment(self, j: int, ctx: int = 0) -> None:
         """Add 1 to w_j, and nothing else: the positional weight bump. The
@@ -349,44 +378,56 @@ class StatsTree(_FlatAVL):
         self._check_pos(j, ctx)
         if self._total[ctx] + 1 > MAX_TOTAL_WEIGHT:
             raise OverflowError("total weight exceeds configured word width")
-        v = self._shift_offsets(j, 2, ctx)
+        left, right, rank_of, off = \
+            self._left, self._right, self._rank, self._off
+        v = self._root[ctx]
+        while True:
+            r = rank_of[v]
+            if j < r:
+                off[v] += 2
+                v = left[v]
+            elif j == r:
+                break
+            else:
+                j -= r
+                v = right[v]
         self._weight[v] += 1
-        self._off[v] += 1
+        off[v] += 1
         self._total[ctx] += 1
 
     def append(self, i: int, j: int, ctx: int = 0):
         """Record a hit on leaf j: append sequence position i to the j-th
         index list, add 1 to w_j, and return the j-th next-context handle.
 
-        One root-to-leaf walk finds the node and adds 2 to the F offset of
-        every ancestor where it turns left; it keeps no path. The position
-        and the weight cap are checked before the walk. The index order can
-        only be checked at the node, so a refused append walks once more
-        to take the offsets back, and leaves the tree as it was."""
+        The leaf position, the weight cap and the sequence position are
+        checked first, and a refused append changes nothing. Then one
+        root-to-leaf walk finds the node and adds 2 to the F offset of
+        every ancestor where it turns left; it keeps no path. Position i
+        links to the leaf's old tail in the chain and becomes its tail."""
         if not 1 <= j <= self._len[ctx]:
             raise IndexError(f"position {j} out of range 1..{self._len[ctx]}")
         total = self._total[ctx]
         if total + 1 > MAX_TOTAL_WEIGHT:
             raise OverflowError("total weight exceeds configured word width")
+        chain = self._chain
+        if i != len(chain):
+            self._skip_to(i)
         left, right, rank_of, off = \
             self._left, self._right, self._rank, self._off
         v = self._root[ctx]
-        pos = j
         while True:
             r = rank_of[v]
-            if pos < r:
+            if j < r:
                 off[v] += 2
                 v = left[v]
-            elif pos == r:
+            elif j == r:
                 break
             else:
-                pos -= r
+                j -= r
                 v = right[v]
-        lst = self._idx[v]
-        if lst and i <= lst[-1]:
-            self._shift_offsets(j, -2, ctx)
-            raise ValueError("indices must be appended in increasing order")
-        lst.append(i)
+        tail = self._tail
+        chain.append(tail[v])
+        tail[v] = i
         self._weight[v] += 1
         off[v] += 1
         self._total[ctx] = total + 1
@@ -394,15 +435,18 @@ class StatsTree(_FlatAVL):
 
     def insert(self, a, i: int, j: int, next=None, ctx: int = 0) -> None:
         """Insert quadruple (a, 1, [i], next) at position j, shifting
-        positions >= j right by one. One walk down to the insert point
-        counts the new node in the rank and the F offset of each ancestor
-        where it turns left, then `_attach` hangs it there and
-        rebalances."""
+        positions >= j right by one. The checks are `append`'s. One walk
+        down to the insert point counts the new node in the rank and the F
+        offset of each ancestor where it turns left, then `_attach` hangs
+        it there and rebalances. Position i starts a chain of its own."""
         t = self._len[ctx]
         if not 1 <= j <= t + 1:
             raise IndexError(f"insert position {j} out of range 1..{t + 1}")
         if self._total[ctx] + 1 > MAX_TOTAL_WEIGHT:
             raise OverflowError("total weight exceeds configured word width")
+        chain = self._chain
+        if i != len(chain):
+            self._skip_to(i)
         left, right, rank_of, off = \
             self._left, self._right, self._rank, self._off
         path = []  # the new node's ancestors, root first
@@ -420,7 +464,8 @@ class StatsTree(_FlatAVL):
             else:
                 pos -= r
                 v = right[v]
-        u = self._new_node(a, 1, [i], next)
+        chain.append(0)
+        u = self._new_node(a, 1, i, next)
         self._len[ctx] = t + 1
         self._total[ctx] += 1
         self._root[ctx] = self._attach(path, u, leftward)
@@ -429,9 +474,9 @@ class StatsTree(_FlatAVL):
         if j == t + 1:
             self._last[ctx] = u
 
-    def _new_node(self, a, w: int, indices: list, next) -> int:
-        """Append a childless node holding quadruple (a, w, indices, next)
-        to the node store; return its id."""
+    def _new_node(self, a, w: int, tail: int, next) -> int:
+        """Append a childless node holding key a, weight w, the tail of its
+        index list and next to the node store; return its id."""
         self._left.append(0)
         self._right.append(0)
         self._height.append(1)
@@ -439,7 +484,7 @@ class StatsTree(_FlatAVL):
         self._weight.append(w)
         self._off.append(w)
         self._keys.append(a)
-        self._idx.append(indices)
+        self._tail.append(tail)
         self._next.append(next)
         return len(self._keys) - 1
 
@@ -572,20 +617,60 @@ class StatsTree(_FlatAVL):
     # -- whole-structure helpers -------------------------------------------
 
     def quadruples(self, ctx: int = 0) -> list:
-        """All quadruples of context *ctx* in positional order."""
-        keys, weight = self._keys, self._weight
-        idx, nxt = self._idx, self._next
-        return [(keys[v], weight[v], idx[v], nxt[v])
+        """All quadruples of context *ctx* in positional order, each index
+        list read off the chain (test and oracle support)."""
+        keys, weight, nxt = self._keys, self._weight, self._next
+        return [(keys[v], weight[v], self._indices(v), nxt[v])
                 for v in self._inorder(self._root[ctx])]
 
+    def tails(self, ctx: int = 0) -> list:
+        """The last sequence position of each leaf of context *ctx*, in
+        positional order."""
+        tail = self._tail
+        return [tail[v] for v in self._inorder(self._root[ctx])]
+
     def store_entries(self) -> tuple:
-        """(index lists, next handles) of every node in the node store, as
-        two parallel iterables in allocation order, for every context."""
-        return islice(self._idx, 1, None), islice(self._next, 1, None)
+        """(tails, next handles) of every node in the node store, as two
+        parallel iterables in allocation order, for every context."""
+        return islice(self._tail, 1, None), islice(self._next, 1, None)
+
+    def read_back(self, groups, out: list) -> None:
+        """Append to *out*, for each group of tails, the positions of the
+        index lists that end at them, highest first: one list is read from
+        its tail back, several are merged by index. A position that no
+        `append` or `insert` recorded reads as a list of its own."""
+        chain = self._chain
+        end = len(chain)
+        append = out.append
+        for group in groups:
+            start = len(out)
+            for i in group:
+                if i >= end:
+                    append(i)
+                    continue
+                while i:
+                    append(i)
+                    i = chain[i]
+            if len(group) > 1:
+                out[start:] = sorted(out[start:], reverse=True)
 
     def _validate(self, ctx: int = 0) -> None:
-        """Check AVL and augmentation invariants of context *ctx* (test
-        support)."""
+        """Check AVL, augmentation and chain invariants of context *ctx*
+        (test support)."""
+        chain = self._chain
+        seen: set = set()  # positions in the context's leaves so far
+
+        def indices(v: int) -> int:
+            """The length of v's index list, checked on the way back: each
+            position in the chain, new to the context and above the next."""
+            count, i = 0, self._tail[v]
+            while i:
+                if not 0 < i < len(chain) or i in seen or chain[i] >= i:
+                    raise AssertionError(f"index chain broken at {i}")
+                seen.add(i)
+                count += 1
+                i = chain[i]
+            return count
 
         def walk(v: int) -> tuple:
             if v == 0:
@@ -601,10 +686,8 @@ class StatsTree(_FlatAVL):
                 raise AssertionError("stored rank wrong")
             if self._weight[v] < 1:
                 raise AssertionError("non-positive weight")
-            if self._weight[v] != len(self._idx[v]):
+            if self._weight[v] != indices(v):
                 raise AssertionError("weight != len(indices)")
-            if any(x >= y for x, y in zip(self._idx[v], self._idx[v][1:])):
-                raise AssertionError("indices not strictly increasing")
             if self._off[v] != 2 * lw + self._weight[v]:
                 raise AssertionError("stored F offset wrong")
             return h, 1 + ls + rs, self._weight[v] + lw + rw
@@ -624,9 +707,13 @@ def from_pairs(keys, weights, indices=None) -> StatsTree:
     """A one-context forest whose tree is built balanced from parallel
     (key, weight) lists.
 
-    Convenience for the given-frequencies use case and for tests; when
-    *indices* is omitted, consecutive positions are synthesized so the
-    weight == len(indices) invariant holds.
+    Convenience for the given-frequencies use case and for tests. When
+    *indices* is omitted, leaf j gets the next w_j positions from 1 on, so
+    the weight == len(indices) invariant holds, and one extend links them
+    all (each position to the one before it; a leaf's first to 0). Given
+    index lists are recorded under the forest's rule, list after list, so
+    their positions must be >= 1 and increase from each to the next;
+    ValueError refuses any other.
     """
     keys = list(keys)
     weights = [int(w) for w in weights]
@@ -636,13 +723,25 @@ def from_pairs(keys, weights, indices=None) -> StatsTree:
         raise ValueError("weights must be positive")
     if sum(weights) > MAX_TOTAL_WEIGHT:
         raise OverflowError("total weight exceeds configured word width")
-    if indices is None:
-        indices = []
-        nxt = 1
-        for w in weights:
-            indices.append(list(range(nxt, nxt + w)))
-            nxt += w
     tree = StatsTree()
+    chain = tree._chain
+    if indices is None:
+        ends = list(accumulate(weights))
+        chain.extend(range(ends[-1] if ends else 0))
+        for end, w in zip(ends, weights):
+            chain[end - w + 1] = 0
+        tails = ends
+    else:
+        if len(indices) != len(keys):
+            raise ValueError("keys and indices must have equal length")
+        tails = []
+        for ix in indices:
+            prev = 0
+            for i in ix:
+                tree._skip_to(i)
+                chain.append(prev)
+                prev = i
+            tails.append(prev)
     if not keys:
         return tree
 
@@ -651,7 +750,7 @@ def from_pairs(keys, weights, indices=None) -> StatsTree:
         if lo > hi:
             return 0, 0
         mid = (lo + hi) // 2
-        u = tree._new_node(keys[mid], weights[mid], list(indices[mid]), None)
+        u = tree._new_node(keys[mid], weights[mid], tails[mid], None)
         tree._left[u], lw = build(lo, mid - 1)
         tree._right[u], rw = build(mid + 1, hi)
         tree._rank[u] = mid - lo + 1

@@ -9,7 +9,7 @@ counted comparison per two-child node. No sorter needs anything else from
 it. This module holds the oracles the tests check `descend` against:
 `leaf_code` computes a leaf's code from a weight list, `sigma` and
 `classify` answer single-node queries straight off a statistics tree
-through its public operations (`search`, `sum`, `triple`, `total_weight`
+through its public operations (`search`, `sum`, `leaf`, `total_weight`
 and `len`), and `build_explicit` materializes the same tree as linked
 nodes. Codes are extracted with exact integer arithmetic: f_j may be a
 non-terminating binary fraction, so floating point is unsound.
@@ -70,7 +70,7 @@ def leaf_code(position: int, weights: list[int]) -> tuple[int, int]:
 
 def _f(tree, j: int) -> tuple[int, int]:
     """(2W * f_j, w_j) = (2 * S_{j-1} + w_j, w_j) for leaf j of *tree*."""
-    w = tree.triple(j)[1]
+    w = tree.leaf(j)[1]
     return 2 * tree.sum(j) - w, w
 
 

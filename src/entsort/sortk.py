@@ -19,12 +19,16 @@ The accounting (budgets, H_order, H_0 and n) is one pass over the input
 that runs before the element loop (`budget_breakdown`): it compares
 nothing, and its tables are freed before the forest is built.
 
-The read-off compares no elements. At order 0 the one tree is already in
-key order, and its index lists are concatenated (`flatten`). Above it, one
-pass over the forest's node store files each index list under its key's
-B1 rank, and B1's in-order walk, which is the sorted alphabet, gives the
-order of the ranks (`_read_off`). The sort ends with the permutation;
-`SortOutcome.inverse` is computed from it when first read.
+The read-off compares no elements. The forest keeps each leaf's index
+list as a chain of positions in one array of machine ints, and reads it
+from the leaf's last position back (`StatsTree.read_back`). At order 0
+the one tree is already in key order, and its index lists are
+concatenated (`flatten`). Above it, one pass over the forest's node store
+files each leaf's list under its key's B1 rank, and B1's in-order walk,
+which is the sorted alphabet, gives the order of the ranks (`_read_off`).
+Both hand the lists over last key first and reverse the permutation once.
+The sort ends with the permutation; `SortOutcome.inverse` is computed
+from it when first read.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 from math import log2
 from typing import Optional, Sequence
 
@@ -199,45 +203,55 @@ def premise_holds(n: int, m: int, order: int) -> bool:
     return (n ** (order + 1)) * log2(n) <= m
 
 
-def flatten(tree) -> list[int]:
-    """Context 0's index lists in positional (key) order, concatenated."""
+def flatten(forest) -> list[int]:
+    """Context 0's index lists in positional (key) order, concatenated.
+
+    The forest reads each list from its last position back, so the leaves
+    go to it last first, each as a group of one tail, and the whole is
+    reversed once."""
     permutation: list[int] = []
-    for _, _, indices, _ in tree.quadruples():
-        permutation.extend(indices)
+    forest.read_back(zip(reversed(forest.tails(0))), permutation)
+    permutation.reverse()
     return permutation
 
 
 def _read_off(b1: RankDictionary, forest, ranks_of: list) -> list[int]:
     """The stable permutation at order >= 1, with no comparison.
 
-    Every index list goes to its key's rank: each warm-up position's from
-    context 0's rank tuple, and each one in the forest's node store as the
-    last rank of its next context (*ranks_of* maps context ids to rank
-    tuples). One pass over the store reads every tree, whose nodes it
-    holds, without walking any. Each rank has one slot for its first list;
-    a rank that gets several (one key in several contexts) keeps them in
-    *shared* and has them merged by index, so the permutation is stable.
-    B1's in-order walk then visits the ranks in key order.
+    Every index list goes to its key's rank: each warm-up position, a list
+    of one, to its rank in context 0's rank tuple, and each leaf in the
+    forest's node store to the last rank of its next context (*ranks_of*
+    maps context ids to rank tuples). One pass over the store reads every
+    tree, whose nodes it holds, without walking any. A list is named by
+    its last position, its tail. Each rank has one slot for its first
+    leaf's tail; a rank that gets several lists (one key in several
+    contexts, or a warm-up position) keeps them all in *shared*.
+
+    B1's in-order walk, taken backwards, then visits the ranks from the
+    largest key down, and the forest reads each rank's lists as one group,
+    highest position first: one list from its tail back, several merged
+    by index, so the permutation is stable. The whole is reversed once at
+    the end.
     """
-    slots: list = [None] * (len(b1) + 1)
-    shared: dict[int, list] = {}
-    index_lists, handles = forest.store_entries()
-    entries = chain(
-        (([k], rank) for k, rank in enumerate(ranks_of[0], start=1)),
-        zip(index_lists, [ranks_of[c][-1] for c in handles]))
-    for indices, rank in entries:
-        first = slots[rank]
-        if first is None:
-            slots[rank] = indices
-        elif rank in shared:
-            shared[rank].append(indices)
+    slots = [0] * (len(b1) + 1)  # rank -> the tail of its first leaf
+    shared: dict[int, list] = {}  # rank -> the tails of all its lists
+    for k, rank in enumerate(ranks_of[0], start=1):
+        shared.setdefault(rank, []).append(k)
+    tails, handles = forest.store_entries()
+    for tail, rank in zip(tails, [ranks_of[c][-1] for c in handles]):
+        if rank in shared:
+            shared[rank].append(tail)
+        elif slots[rank]:
+            shared[rank] = [slots[rank], tail]
         else:
-            shared[rank] = [first, indices]
-    for rank, lists in shared.items():
-        slots[rank] = sorted(chain.from_iterable(lists))
+            slots[rank] = tail
+    ranks = list(b1.ranks())
+    ranks.reverse()
+    # Each rank's group is its shared list, or else its slot as a 1-tuple.
+    groups = map(shared.get, ranks, zip(map(slots.__getitem__, ranks)))
     permutation: list[int] = []
-    for rank in b1.ranks():
-        permutation.extend(slots[rank])
+    forest.read_back(groups, permutation)
+    permutation.reverse()
     return permutation
 
 

@@ -239,6 +239,7 @@ def random_op_mix(tree, oracle, rng: random.Random, ops: int,
             got = tree.triple(j, ctx)
             want = oracle.triple(j)
             assert got[0] == want[0] and got[1] == want[1]
+            assert tree.leaf(j, ctx) == (want[0], want[1])
             assert list(got[2]) == list(want[2])
         else:
             total = oracle.total_weight

@@ -199,6 +199,7 @@ def test_criterion_7_zero_comparison_audit():
             j = rng.randrange(1, t + 1)
             tree.sum(j)
             tree.triple(j)
+            tree.leaf(j)
             sigma(tree, j)
         else:
             total = tree.total_weight

@@ -291,8 +291,8 @@ def _classify_descend(tree, kernel, s, comparator):
             break
         if has_left and has_right:
             nsearch += 1
-            pred_key, pred_weight = tree.triple(split)[:2]
-            succ_key, succ_weight = tree.triple(split + 1)[:2]
+            pred_key, pred_weight = tree.leaf(split)
+            succ_key, succ_weight = tree.leaf(split + 1)
             if succ_weight > pred_weight:
                 bit = 1 if comparator.leq(succ_key, s, PHASE_SEARCH) else 0
                 if bit:
@@ -308,7 +308,7 @@ def _classify_descend(tree, kernel, s, comparator):
         else:
             bit = 0 if has_left else 1
         sig, depth = 2 * sig + bit, depth + 1
-    a = tree.triple(j)[0]
+    a = tree.leaf(j)[0]
     if knows_le and knows_ge:
         return (j, kernel.EQUAL, nsearch, 0)
     if knows_ge:

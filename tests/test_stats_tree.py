@@ -115,22 +115,20 @@ def test_oracle_equivalence_randomized(kernel):
     for trial in range(6):
         tree = kernel.StatsTree()
         oracle = FlatStatsTree()
+        positions = itertools.count(1)
         if trial >= 4:
             # Start from a balanced tree: its cached end nodes come from
-            # from_pairs. Indices below 1 keep the op mix's appends
-            # increasing.
+            # from_pairs. The op mix's positions go on above its indices,
+            # since positions increase across the forest.
             t = rng.randrange(1, 40)
             keys = sorted(rng.sample(range(10 ** 6), t))
             weights = [rng.randrange(1, 5) for _ in range(t)]
-            indices, nxt = [], -sum(weights)
-            for w in weights:
-                indices.append(list(range(nxt, nxt + w)))
-                nxt += w
+            indices = [[next(positions) for _ in range(w)] for w in weights]
             tree = kernel.from_pairs(keys, weights, indices)
             tree._validate()
             oracle.rows = [[k, w, list(ix), None]
                            for k, w, ix in zip(keys, weights, indices)]
-        random_op_mix(tree, oracle, rng, 2500)
+        random_op_mix(tree, oracle, rng, 2500, indices=positions)
         got = tree.quadruples()
         want = oracle.quadruples()
         assert len(got) == len(want)
@@ -204,11 +202,11 @@ def test_overflow_guard(kernel):
         tree.search(1, 1 << 130)
 
 
-def snapshot(tree):
-    """Copies of the quadruples (index lists included) and of every prefix
-    sum, to show that a refused update changed nothing."""
-    return ([(k, w, list(ix), n) for k, w, ix, n in tree.quadruples()],
-            [tree.sum(j) for j in range(1, len(tree) + 1)])
+def snapshot(tree, ctx=0):
+    """Copies of context *ctx*'s quadruples (index lists included) and of
+    every prefix sum, to show that a refused update changed nothing."""
+    return ([(k, w, list(ix), n) for k, w, ix, n in tree.quadruples(ctx)],
+            [tree.sum(j, ctx) for j in range(1, tree._len[ctx] + 1)])
 
 
 def test_total_weight_cap(monkeypatch):
@@ -220,7 +218,7 @@ def test_total_weight_cap(monkeypatch):
     # Index lists of that length cannot be built, so each key carries one.
     weights = [1, cap // 2, cap // 4, cap // 4 - 1]
     assert sum(weights) == cap
-    tree = kernel_module.from_pairs(keys, weights, [[i] for i in range(4)])
+    tree = kernel_module.from_pairs(keys, weights, [[i] for i in range(1, 5)])
     assert tree.total_weight == cap
     before = snapshot(tree)
     with pytest.raises(OverflowError):
@@ -235,7 +233,7 @@ def test_total_weight_cap(monkeypatch):
         assert tree.descend(key, cmp)[:2] == (j, kernel_module.EQUAL)
     with pytest.raises(OverflowError):
         kernel_module.from_pairs(keys, weights[:-1] + [cap // 4],
-                                 [[i] for i in range(4)])
+                                 [[i] for i in range(1, 5)])
     # The same guard under a small cap, where real index lists fit and
     # every invariant can be checked after the refused update.
     monkeypatch.setattr(kernel_module, "MAX_TOTAL_WEIGHT", 8)
@@ -257,9 +255,9 @@ def test_total_weight_cap(monkeypatch):
 
 def test_refused_append_leaves_tree_unchanged(kernel):
     """An append whose position is not above the leaf's last index raises
-    ValueError and changes nothing, although the walk down has already
-    moved the offsets of the ancestors where it turned left: leaf 1 is
-    reached by left turns only."""
+    ValueError and changes nothing: it is refused before the walk down,
+    which would move the offsets of the ancestors where it turns left
+    (leaf 1 is reached by left turns only)."""
     tree = kernel.from_pairs("abcdefg", [2, 1, 3, 1, 1, 2, 1])
     left, root = tree._left, tree._root[0]
     assert left[left[root]] == tree._node_at(1)
@@ -276,11 +274,55 @@ def test_refused_append_leaves_tree_unchanged(kernel):
     assert tree.sum(1) == 3 and tree.total_weight == 12
 
 
+def test_refused_positions_leave_the_forest_unchanged(kernel):
+    """Sequence positions are >= 1 and strictly increase across the forest.
+    `append` and `insert` refuse position 0, a negative position, and a
+    position already used, whether by the same leaf, another leaf or
+    another context, with ValueError; the forest, its position chain
+    included, stays as it was, and the next valid position is taken."""
+    forest = kernel.StatsTree()
+    other = forest.add_context()
+    forest.insert("a", 1, 1)
+    forest.insert("b", 2, 2)
+    forest.append(3, 1)
+    forest.insert("x", 5, 1, None, other)  # position 4 is skipped
+    before = [snapshot(forest, ctx) for ctx in (0, other)]
+    chain = forest._chain.tolist()
+    for i in (0, -1, -6, 1, 2, 3, 4, 5):
+        for ctx in (0, other):
+            with pytest.raises(ValueError, match="increasing order"):
+                forest.append(i, 1, ctx)
+            with pytest.raises(ValueError, match="increasing order"):
+                forest.insert("c", i, 2, None, ctx)
+        assert [snapshot(forest, ctx) for ctx in (0, other)] == before
+        assert forest._chain.tolist() == chain
+    forest._validate(0)
+    forest._validate(other)
+    forest.append(6, 2)
+    forest.insert("y", 8, 2, None, other)
+    assert forest.triple(2) == ("b", 2, [2, 6], None)
+    assert forest.triple(2, other) == ("y", 1, [8], None)
+    assert forest.triple(1) == ("a", 2, [1, 3], None)
+    forest._validate(0)
+    forest._validate(other)
+
+
 def test_from_pairs_validation(kernel):
     with pytest.raises(ValueError):
         kernel.from_pairs(["a"], [0])
     with pytest.raises(ValueError):
         kernel.from_pairs(["a", "b"], [1])
+    # Given index lists keep the forest's position rule, list after list.
+    for indices in ([[0], [1]], [[-2], [1]], [[1, 2], [2]], [[2, 1], [3]],
+                    [[3, 7], [5]], [[1]]):
+        with pytest.raises(ValueError):
+            kernel.from_pairs(["a", "b"], [2, 1], indices)
+    tree = kernel.from_pairs(["a", "b"], [2, 1], [[3, 5], [7]])
+    assert [q[2] for q in tree.quadruples()] == [[3, 5], [7]]
+    with pytest.raises(ValueError, match="increasing order"):
+        tree.append(7, 2)
+    tree.append(8, 2)
+    tree._validate()
     empty = kernel.from_pairs([], [])
     assert len(empty) == 0 and empty.total_weight == 0
 
