@@ -11,7 +11,7 @@ from .comparator import (ComparisonLedger, CountingComparator, PHASES,
                          PHASE_VERIFY, delta)
 from .entropy import EntropyProfile, h0, h_order, profile
 from .gamma import decode_all, encode_tuple, gamma_decode, gamma_encode
-from .kernel import KERNEL_NAME, available_kernels, from_pairs, get_kernel
+from .kernel import KERNEL_NAME, available_kernels, get_kernel
 from .sort0 import comparison_budget, sort0
 from .sortk import SortOutcome, budget_breakdown, invert, sortk
 
@@ -29,3 +29,12 @@ __all__ = [
     "from_pairs",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    # from_pairs lives with the oracles in entsort.lbst, which no sorter
+    # imports; it is loaded when first asked for.
+    if name == "from_pairs":
+        from .lbst import from_pairs
+        return from_pairs
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -32,7 +32,8 @@ The walk tracks the leaf range under the current node, skips chains of
 one-child nodes by arithmetic on the range's end codes, and pays one AVL
 walk per counted comparison and none to find the end leaves, whose nodes the
 tree keeps. The single-node queries that the tests check it against
-(`sigma`, `classify`) live in `entsort.lbst`.
+(`sigma`, `classify`) live in `entsort.lbst`, with `from_pairs`, which
+builds a tree from given keys and weights.
 
 `StatsTree` is a forest: the order-k sorter keeps one tree per context in
 one node store, and a context is an int id, so it costs five list slots
@@ -52,7 +53,7 @@ from __future__ import annotations
 
 import sys
 from array import array
-from itertools import accumulate, islice, repeat
+from itertools import islice, repeat
 from types import ModuleType
 
 from .comparator import SEARCH, VERIFY
@@ -68,6 +69,12 @@ SUCCESSOR = 2  # found leaf key > searched element
 # Total weight cap, kept as an input guard: it bounds every navigation
 # product to 126 bits, so inputs past it fail loudly with OverflowError.
 MAX_TOTAL_WEIGHT = 1 << 60
+
+# Largest sequence position that a forest skips ahead to. The position
+# chain takes 8 bytes per position up to the largest recorded, 16 GiB at
+# this cap, so a stray huge position is refused with ValueError rather
+# than allocated.
+MAX_POSITION = 1 << 31
 
 
 class _FlatAVL:
@@ -209,6 +216,9 @@ class StatsTree(_FlatAVL):
     ValueError before it changes anything. So the chain only grows at its
     end, and a position never recorded (a warm-up position of the order-k
     sorter) links to 0, whether it was skipped over or lies past the end.
+    The chain's memory is 8 bytes per position up to the largest recorded
+    one, recorded or skipped, so a position that skips ahead past
+    MAX_POSITION is refused too.
     """
 
     __slots__ = ("_rank", "_weight", "_off", "_keys", "_tail", "_next",
@@ -362,14 +372,15 @@ class StatsTree(_FlatAVL):
 
     def _skip_to(self, i: int) -> None:
         """Refuse sequence position i unless it lies above every position
-        recorded so far; otherwise pad the chain with zeros up to i, so that
-        i's link is the next slot appended."""
+        recorded so far and at most MAX_POSITION; otherwise pad the chain
+        with zeros up to i, so that i's link is the next slot appended.
+        `append` and `insert` call it only when i is not the next slot."""
         chain = self._chain
-        if i < len(chain):
+        if not len(chain) <= i <= MAX_POSITION:
             raise ValueError(
-                f"position {i} refused: positions are >= 1 and must be "
-                f"recorded in increasing order (the highest so far is "
-                f"{len(chain) - 1})")
+                f"position {i} refused: positions are recorded in "
+                f"increasing order, from {len(chain)} here, up to "
+                f"MAX_POSITION = {MAX_POSITION}")
         chain.extend(repeat(0, i - len(chain)))
 
     def increment(self, j: int, ctx: int = 0) -> None:
@@ -653,116 +664,6 @@ class StatsTree(_FlatAVL):
                     i = chain[i]
             if len(group) > 1:
                 out[start:] = sorted(out[start:], reverse=True)
-
-    def _validate(self, ctx: int = 0) -> None:
-        """Check AVL, augmentation and chain invariants of context *ctx*
-        (test support)."""
-        chain = self._chain
-        seen: set = set()  # positions in the context's leaves so far
-
-        def indices(v: int) -> int:
-            """The length of v's index list, checked on the way back: each
-            position in the chain, new to the context and above the next."""
-            count, i = 0, self._tail[v]
-            while i:
-                if not 0 < i < len(chain) or i in seen or chain[i] >= i:
-                    raise AssertionError(f"index chain broken at {i}")
-                seen.add(i)
-                count += 1
-                i = chain[i]
-            return count
-
-        def walk(v: int) -> tuple:
-            if v == 0:
-                return 0, 0, 0
-            lh, ls, lw = walk(self._left[v])
-            rh, rs, rw = walk(self._right[v])
-            if abs(lh - rh) > 1:
-                raise AssertionError("AVL balance violated")
-            h = 1 + max(lh, rh)
-            if self._height[v] != h:
-                raise AssertionError("stored height wrong")
-            if self._rank[v] != ls + 1:
-                raise AssertionError("stored rank wrong")
-            if self._weight[v] < 1:
-                raise AssertionError("non-positive weight")
-            if self._weight[v] != indices(v):
-                raise AssertionError("weight != len(indices)")
-            if self._off[v] != 2 * lw + self._weight[v]:
-                raise AssertionError("stored F offset wrong")
-            return h, 1 + ls + rs, self._weight[v] + lw + rw
-
-        _, size, total = walk(self._root[ctx])
-        if self._len[ctx] != size:
-            raise AssertionError("stored length wrong")
-        if self._total[ctx] != total:
-            raise AssertionError("stored total weight wrong")
-        ends = ((self._node_at(1, ctx), self._node_at(size, ctx)) if size
-                else (0, 0))
-        if (self._first[ctx], self._last[ctx]) != ends:
-            raise AssertionError("cached end nodes wrong")
-
-
-def from_pairs(keys, weights, indices=None) -> StatsTree:
-    """A one-context forest whose tree is built balanced from parallel
-    (key, weight) lists.
-
-    Convenience for the given-frequencies use case and for tests. When
-    *indices* is omitted, leaf j gets the next w_j positions from 1 on, so
-    the weight == len(indices) invariant holds, and one extend links them
-    all (each position to the one before it; a leaf's first to 0). Given
-    index lists are recorded under the forest's rule, list after list, so
-    their positions must be >= 1 and increase from each to the next;
-    ValueError refuses any other.
-    """
-    keys = list(keys)
-    weights = [int(w) for w in weights]
-    if len(keys) != len(weights):
-        raise ValueError("keys and weights must have equal length")
-    if any(w < 1 for w in weights):
-        raise ValueError("weights must be positive")
-    if sum(weights) > MAX_TOTAL_WEIGHT:
-        raise OverflowError("total weight exceeds configured word width")
-    tree = StatsTree()
-    chain = tree._chain
-    if indices is None:
-        ends = list(accumulate(weights))
-        chain.extend(range(ends[-1] if ends else 0))
-        for end, w in zip(ends, weights):
-            chain[end - w + 1] = 0
-        tails = ends
-    else:
-        if len(indices) != len(keys):
-            raise ValueError("keys and indices must have equal length")
-        tails = []
-        for ix in indices:
-            prev = 0
-            for i in ix:
-                tree._skip_to(i)
-                chain.append(prev)
-                prev = i
-            tails.append(prev)
-    if not keys:
-        return tree
-
-    def build(lo: int, hi: int) -> tuple:
-        """(root, weight sum) of a balanced subtree over keys lo..hi."""
-        if lo > hi:
-            return 0, 0
-        mid = (lo + hi) // 2
-        u = tree._new_node(keys[mid], weights[mid], tails[mid], None)
-        tree._left[u], lw = build(lo, mid - 1)
-        tree._right[u], rw = build(mid + 1, hi)
-        tree._rank[u] = mid - lo + 1
-        tree._off[u] = 2 * lw + weights[mid]
-        tree._fix(u)
-        return u, lw + weights[mid] + rw
-
-    tree._root[0], tree._total[0] = build(0, len(keys) - 1)
-    tree._len[0] = len(keys)
-    tree._first[0] = tree._node_at(1)
-    tree._last[0] = tree._node_at(len(keys))
-    return tree
 
 
 def available_kernels() -> tuple[str, ...]:

@@ -11,14 +11,18 @@ it. This module holds the oracles the tests check `descend` against:
 `classify` answer single-node queries straight off a statistics tree
 through its public operations (`search`, `sum`, `leaf`, `total_weight`
 and `len`), and `build_explicit` materializes the same tree as linked
-nodes. Codes are extracted with exact integer arithmetic: f_j may be a
-non-terminating binary fraction, so floating point is unsound.
+nodes. `from_pairs` builds the statistics tree of given keys and weights,
+the given-frequencies case that these oracles are checked on. Codes are
+extracted with exact integer arithmetic: f_j may be a non-terminating
+binary fraction, so floating point is unsound.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate, repeat
 from typing import Optional
 
+from . import kernel
 from .errors import NavigationError
 from .intmath import ceil_div, ceil_log2
 
@@ -178,3 +182,77 @@ def build_explicit(keys: list, weights: list[int]) -> ExplicitNode:
 
     annotate(root)
     return root
+
+
+def from_pairs(keys, weights, indices=None) -> kernel.StatsTree:
+    """A one-context forest whose tree is built balanced from parallel
+    (key, weight) lists.
+
+    When *indices* is omitted, leaf j gets the next w_j positions from 1
+    on, so the weight == len(indices) invariant holds, and one extend links
+    them all (each position to the one before it; a leaf's first to 0).
+    Given index lists may interleave, as the lists [1, 3] and [2, 4] of the
+    sequence "abab" do; each must increase, and no position may appear
+    twice or lie outside 1..MAX_POSITION, else ValueError. The position
+    chain then spans the largest position given, at 8 bytes per position,
+    and a later `append` or `insert` must record a position above it.
+    """
+    keys = list(keys)
+    weights = [int(w) for w in weights]
+    if len(keys) != len(weights):
+        raise ValueError("keys and weights must have equal length")
+    if any(w < 1 for w in weights):
+        raise ValueError("weights must be positive")
+    if sum(weights) > kernel.MAX_TOTAL_WEIGHT:
+        raise OverflowError("total weight exceeds configured word width")
+    tree = kernel.StatsTree()
+    chain = tree._chain
+    if indices is None:
+        tails = list(accumulate(weights))
+        if tails and tails[-1] > kernel.MAX_POSITION:
+            raise ValueError(f"positions 1..{tails[-1]} pass MAX_POSITION")
+        chain.extend(range(tails[-1] if tails else 0))
+        for end, w in zip(tails, weights):
+            chain[end - w + 1] = 0
+    else:
+        if len(indices) != len(keys):
+            raise ValueError("keys and indices must have equal length")
+        indices = [list(ix) for ix in indices]
+        top = max((i for ix in indices for i in ix), default=0)
+        if top > kernel.MAX_POSITION:
+            raise ValueError(f"position {top} is past MAX_POSITION")
+        chain.extend(repeat(0, top))
+        linked: set = set()
+        tails = []
+        for ix in indices:
+            prev = 0
+            for i in ix:
+                if i <= prev or i in linked:
+                    raise ValueError(
+                        f"position {i} refused: each index list increases "
+                        "from 1 on, and no position is in two lists")
+                chain[i] = prev
+                linked.add(i)
+                prev = i
+            tails.append(prev)
+    if not keys:
+        return tree
+
+    def build(lo: int, hi: int) -> tuple:
+        """(root, weight sum) of a balanced subtree over keys lo..hi."""
+        if lo > hi:
+            return 0, 0
+        mid = (lo + hi) // 2
+        u = tree._new_node(keys[mid], weights[mid], tails[mid], None)
+        tree._left[u], lw = build(lo, mid - 1)
+        tree._right[u], rw = build(mid + 1, hi)
+        tree._rank[u] = mid - lo + 1
+        tree._off[u] = 2 * lw + weights[mid]
+        tree._fix(u)
+        return u, lw + weights[mid] + rw
+
+    tree._root[0], tree._total[0] = build(0, len(keys) - 1)
+    tree._len[0] = len(keys)
+    tree._first[0] = tree._node_at(1)
+    tree._last[0] = tree._node_at(len(keys))
+    return tree

@@ -286,8 +286,7 @@ def sortk(seq: Sequence, order: int = 0,
     ranks_of = [boot]  # context id -> rank tuple
     b2.insert(boot, 0)
     current = 0
-    for i in range(order + 1, m + 1):
-        s = seq[i - 1]
+    for i, s in enumerate(islice(seq, min(order, m), None), order + 1):
         j, rel, _, _ = forest.descend(s, cmp, current)
         if rel == EQUAL:
             current = forest.append(i, j, current)

@@ -208,6 +208,55 @@ class FlatStatsTree:
         return (0, 0, has_left, has_right, split)
 
 
+def validate(tree, ctx: int = 0) -> None:
+    """Check the AVL, augmentation and position-chain invariants of
+    context *ctx* of the statistics forest *tree*."""
+    chain = tree._chain
+    seen: set = set()  # positions in the context's leaves so far
+
+    def indices(v: int) -> int:
+        """The length of v's index list, checked on the way back: each
+        position in the chain, new to the context and above the next."""
+        count, i = 0, tree._tail[v]
+        while i:
+            if not 0 < i < len(chain) or i in seen or chain[i] >= i:
+                raise AssertionError(f"index chain broken at {i}")
+            seen.add(i)
+            count += 1
+            i = chain[i]
+        return count
+
+    def walk(v: int) -> tuple:
+        if v == 0:
+            return 0, 0, 0
+        lh, ls, lw = walk(tree._left[v])
+        rh, rs, rw = walk(tree._right[v])
+        if abs(lh - rh) > 1:
+            raise AssertionError("AVL balance violated")
+        h = 1 + max(lh, rh)
+        if tree._height[v] != h:
+            raise AssertionError("stored height wrong")
+        if tree._rank[v] != ls + 1:
+            raise AssertionError("stored rank wrong")
+        if tree._weight[v] < 1:
+            raise AssertionError("non-positive weight")
+        if tree._weight[v] != indices(v):
+            raise AssertionError("weight != len(indices)")
+        if tree._off[v] != 2 * lw + tree._weight[v]:
+            raise AssertionError("stored F offset wrong")
+        return h, 1 + ls + rs, tree._weight[v] + lw + rw
+
+    _, size, total = walk(tree._root[ctx])
+    if tree._len[ctx] != size:
+        raise AssertionError("stored length wrong")
+    if tree._total[ctx] != total:
+        raise AssertionError("stored total weight wrong")
+    ends = ((tree._node_at(1, ctx), tree._node_at(size, ctx)) if size
+            else (0, 0))
+    if (tree._first[ctx], tree._last[ctx]) != ends:
+        raise AssertionError("cached end nodes wrong")
+
+
 def random_op_mix(tree, oracle, rng: random.Random, ops: int,
                   key_pool=None, ctx: int = 0, indices=None) -> None:
     """Drive context *ctx* of the forest *tree* and *oracle* with the same

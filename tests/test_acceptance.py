@@ -21,7 +21,7 @@ from entsort.entropy import h_order, profile
 from entsort.gamma import encode_tuple, gamma_decode, gamma_encode
 from entsort.intmath import ceil_div, ceil_log2
 from entsort.kernel import KERNEL_NAME, get_kernel
-from entsort.lbst import build_explicit, classify, sigma
+from entsort.lbst import build_explicit, classify, from_pairs, sigma
 from entsort.sort0 import sort0
 from entsort.sortk import premise_holds, sortk
 
@@ -85,7 +85,6 @@ def _walk_match(tree, node, sig, depth):
 
 
 def test_criterion_2_depth_formula():
-    kern = get_kernel()
     rng = random.Random(64064)
     start = time.perf_counter()
     nodes_checked = 0
@@ -93,7 +92,7 @@ def test_criterion_2_depth_formula():
         t = rng.randrange(1, 65)
         weights = [rng.randrange(1, 1024) for _ in range(t)]
         keys = list(range(t))
-        tree = kern.from_pairs(keys, weights)
+        tree = from_pairs(keys, weights)
         big_w = sum(weights)
         for j in range(1, t + 1):
             _, depth = sigma(tree, j)

@@ -9,7 +9,8 @@ from entsort.comparator import (PHASE_SEARCH, PHASE_VERIFY,
 from entsort.errors import NavigationError
 from entsort.intmath import ceil_div, ceil_log2
 from entsort import kernel as kernel_module
-from entsort.lbst import build_explicit, classify, leaf_code, sigma
+from entsort.lbst import (build_explicit, classify, from_pairs, leaf_code,
+                          sigma)
 
 TORONTO_KEYS = list("NORT")
 TORONTO_WEIGHTS = [1, 3, 1, 2]
@@ -22,13 +23,13 @@ def code_bits(tree, j):
 
 
 def test_toronto_depths(kernel):
-    tree = kernel.from_pairs(TORONTO_KEYS, TORONTO_WEIGHTS)
+    tree = from_pairs(TORONTO_KEYS, TORONTO_WEIGHTS)
     depths = [sigma(tree, j)[1] for j in range(1, 5)]
     assert depths == [4, 3, 4, 3]
 
 
 def test_single_leaf_code(kernel):
-    tree = kernel.from_pairs(["x"], [9])
+    tree = from_pairs(["x"], [9])
     assert sigma(tree, 1) == (1, 1)
     assert code_bits(tree, 1) == "1"
 
@@ -38,7 +39,7 @@ def test_codes_lexicographically_increase(kernel):
     for _ in range(80):
         t = rng.randrange(1, 40)
         weights = [rng.randrange(1, 60) for _ in range(t)]
-        tree = kernel.from_pairs(list(range(t)), weights)
+        tree = from_pairs(list(range(t)), weights)
         codes = [code_bits(tree, j) for j in range(1, t + 1)]
         assert codes == sorted(codes)
         assert len(set(codes)) == t
@@ -53,7 +54,7 @@ def test_depth_formula_exact(kernel):
     for _ in range(80):
         t = rng.randrange(1, 50)
         weights = [rng.randrange(1, 100) for _ in range(t)]
-        tree = kernel.from_pairs(list(range(t)), weights)
+        tree = from_pairs(list(range(t)), weights)
         big_w = sum(weights)
         for j in range(1, t + 1):
             depth = sigma(tree, j)[1]
@@ -66,7 +67,7 @@ def test_sigma_matches_definition_oracle(kernel):
     for _ in range(60):
         t = rng.randrange(1, 30)
         weights = [rng.randrange(1, 40) for _ in range(t)]
-        tree = kernel.from_pairs(list(range(t)), weights)
+        tree = from_pairs(list(range(t)), weights)
         flat = FlatStatsTree()
         for i, w in enumerate(weights):
             flat.insert(i, 1, i + 1)
@@ -106,7 +107,7 @@ def test_classify_matches_explicit_tree(kernel):
         t = rng.randrange(1, 33)
         weights = [rng.randrange(1, 64) for _ in range(t)]
         keys = list(range(t))
-        tree = kernel.from_pairs(keys, weights)
+        tree = from_pairs(keys, weights)
         explicit = build_explicit(keys, weights)
         _walk_and_compare(tree, explicit, 0, 0)
 
@@ -116,7 +117,7 @@ def test_classify_matches_flat_oracle(kernel):
     for _ in range(60):
         t = rng.randrange(1, 25)
         weights = [rng.randrange(1, 30) for _ in range(t)]
-        tree = kernel.from_pairs(list(range(t)), weights)
+        tree = from_pairs(list(range(t)), weights)
         flat = FlatStatsTree()
         for i, w in enumerate(weights):
             flat.insert(i, 1, i + 1)
@@ -131,7 +132,7 @@ def test_classify_matches_flat_oracle(kernel):
 
 
 def test_classify_single_leaf(kernel):
-    tree = kernel.from_pairs(["x"], [5])
+    tree = from_pairs(["x"], [5])
     assert classify(tree, 0, 0)[0]  # the root is the only leaf
     assert classify(tree, 1, 1) == (1, 1, 0, 0, 0)
     with pytest.raises(NavigationError):
@@ -139,7 +140,7 @@ def test_classify_single_leaf(kernel):
 
 
 def test_classify_root_of_multi_leaf(kernel):
-    tree = kernel.from_pairs(TORONTO_KEYS, TORONTO_WEIGHTS)
+    tree = from_pairs(TORONTO_KEYS, TORONTO_WEIGHTS)
     leaf, _, has_left, has_right, _ = classify(tree, 0, 0)
     assert not leaf
     assert has_left or has_right
@@ -148,7 +149,7 @@ def test_classify_root_of_multi_leaf(kernel):
 def test_classify_toronto_shared_prefix(kernel):
     # N and O codes share their first bit; that node is internal and its
     # split names the rightmost leaf of its left subtree.
-    tree = kernel.from_pairs(TORONTO_KEYS, TORONTO_WEIGHTS)
+    tree = from_pairs(TORONTO_KEYS, TORONTO_WEIGHTS)
     code_n = code_bits(tree, 1)
     code_o = code_bits(tree, 2)
     assert code_n[0] == code_o[0]
@@ -161,7 +162,7 @@ def test_classify_toronto_shared_prefix(kernel):
 
 
 def test_descend_toronto_costs(kernel):
-    tree = kernel.from_pairs(TORONTO_KEYS, TORONTO_WEIGHTS)
+    tree = from_pairs(TORONTO_KEYS, TORONTO_WEIGHTS)
     cmp = CountingComparator()
     j, rel, nsearch, _ = tree.descend("O", cmp)
     assert rel == kernel.EQUAL
@@ -170,7 +171,7 @@ def test_descend_toronto_costs(kernel):
 
 
 def test_classify_rejects_bad_inputs(kernel):
-    tree = kernel.from_pairs(["a", "b"], [1, 1])
+    tree = from_pairs(["a", "b"], [1, 1])
     with pytest.raises(ValueError):
         classify(tree, 4, 2)  # bits exceed depth
     with pytest.raises(NavigationError):
@@ -183,7 +184,7 @@ def test_descend_finds_each_key(kernel):
         t = rng.randrange(1, 30)
         weights = [rng.randrange(1, 20) for _ in range(t)]
         keys = [2 * i for i in range(t)]
-        tree = kernel.from_pairs(keys, weights)
+        tree = from_pairs(keys, weights)
         big_w = sum(weights)
         cmp = CountingComparator()
         for j, key in enumerate(keys, start=1):
@@ -205,7 +206,7 @@ def test_descend_absent_keys(kernel):
         t = rng.randrange(1, 30)
         weights = [rng.randrange(1, 20) for _ in range(t)]
         keys = [2 * i for i in range(t)]
-        tree = kernel.from_pairs(keys, weights)
+        tree = from_pairs(keys, weights)
         big_w = sum(weights)
         cmp = CountingComparator()
         for probe in range(-1, 2 * t, 2):  # all gaps
@@ -245,7 +246,7 @@ class Rec:
 
 
 def recording_tree(kernel, keys, weights, log):
-    return kernel.from_pairs([Rec(k, log) for k in keys], weights)
+    return from_pairs([Rec(k, log) for k in keys], weights)
 
 
 def labelled(log: list, cmp) -> list:
@@ -426,7 +427,7 @@ def test_descend_inconsistent_tree_raises():
     # A stored total weight that disagrees with the leaf weights must end the
     # walk with NavigationError instead of looping or answering.
     for bad_total in (1, 6):
-        tree = kernel_module.from_pairs(["a", "b", "c"], [1, 1, 1])
+        tree = from_pairs(["a", "b", "c"], [1, 1, 1])
         tree._total[0] = bad_total
         for key in "abc":
             with pytest.raises(NavigationError):
@@ -434,7 +435,7 @@ def test_descend_inconsistent_tree_raises():
 
 
 def test_descend_single_leaf_costs(kernel):
-    tree = kernel.from_pairs([10], [4])
+    tree = from_pairs([10], [4])
     cmp = CountingComparator()
     assert tree.descend(10, cmp) == (1, kernel.EQUAL, 0, 2)
     # Smaller than the key: one strict answer.
@@ -449,7 +450,7 @@ def test_weighted_descent_cost_bound(kernel):
     for _ in range(60):
         t = rng.randrange(1, 40)
         weights = [rng.randrange(1, 50) for _ in range(t)]
-        tree = kernel.from_pairs(list(range(t)), weights)
+        tree = from_pairs(list(range(t)), weights)
         big_w = sum(weights)
         total = sum(w * sigma(tree, j)[1]
                     for j, w in enumerate(weights, start=1))

@@ -11,7 +11,8 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import Spy, run_capped, sort0_budget, stable_perm
+from conftest import (Spy, run_capped, sort0_budget, stable_perm,
+                      validate)
 import entsort
 from entsort import entropy
 from entsort.bench import SourceSpec, generate
@@ -497,7 +498,7 @@ def test_context_forest_shares_one_node_store(kernel, monkeypatch):
         forest, = built
         contexts = range(len(forest._root))
         for ctx in contexts:
-            forest._validate(ctx)
+            validate(forest, ctx)
         ids = sorted(v for ctx in contexts
                      for v in reachable_nodes(forest, ctx))
         assert ids == list(range(1, len(forest._keys))), (order, len(seq))
@@ -525,7 +526,7 @@ def test_every_context_within_its_own_avl_bound(kernel, monkeypatch):
         forest, = built
         for ctx, (root, t) in enumerate(zip(forest._root, forest._len)):
             assert forest._height[root] <= avl_height_bound(t), ctx
-            forest._validate(ctx)
+            validate(forest, ctx)
         assert len(forest._root) > 1000
 
 

@@ -4,13 +4,14 @@ import random
 
 import pytest
 
-from conftest import FlatStatsTree, Spy, random_op_mix
+from conftest import FlatStatsTree, Spy, random_op_mix, validate
 from entsort import kernel as kernel_module
 from entsort.comparator import CountingComparator
+from entsort.lbst import from_pairs
 
 
 def make(kernel, keys, weights):
-    return kernel.from_pairs(keys, weights)
+    return from_pairs(keys, weights)
 
 
 def test_search_spec_examples(kernel):
@@ -70,7 +71,7 @@ def test_increment_and_append(kernel):
     tree.append(99, 2)  # a hit: the weight and the index together
     assert [q[1] for q in tree.quadruples()] == [1, 4, 1, 2]
     assert tree.triple(2)[2][-1] == 99
-    tree._validate()
+    validate(tree)
     sums = [tree.sum(j) for j in range(1, 5)]
     for i in (98, 99):  # not increasing: refused before anything changes
         with pytest.raises(ValueError):
@@ -82,7 +83,7 @@ def test_increment_and_append(kernel):
     with pytest.raises(IndexError):
         tree.append(100, 0)
     assert [tree.sum(j) for j in range(1, 5)] == sums
-    tree._validate()
+    validate(tree)
 
 
 def test_append_and_handle_at_return_inserted_handle():
@@ -101,7 +102,7 @@ def test_append_and_handle_at_return_inserted_handle():
         assert tree.append(100 + j, j) is handles[key]
     assert tree.handle_at(61) is None
     assert tree.append(200, 61) is None
-    tree._validate()
+    validate(tree)
 
 
 def test_quadruple_view(kernel):
@@ -124,8 +125,8 @@ def test_oracle_equivalence_randomized(kernel):
             keys = sorted(rng.sample(range(10 ** 6), t))
             weights = [rng.randrange(1, 5) for _ in range(t)]
             indices = [[next(positions) for _ in range(w)] for w in weights]
-            tree = kernel.from_pairs(keys, weights, indices)
-            tree._validate()
+            tree = from_pairs(keys, weights, indices)
+            validate(tree)
             oracle.rows = [[k, w, list(ix), None]
                            for k, w, ix in zip(keys, weights, indices)]
         random_op_mix(tree, oracle, rng, 2500, indices=positions)
@@ -134,7 +135,7 @@ def test_oracle_equivalence_randomized(kernel):
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert g[0] == w[0] and g[1] == w[1] and list(g[2]) == list(w[2])
-        tree._validate()
+        validate(tree)
 
 
 def test_shared_node_store(kernel):
@@ -152,7 +153,7 @@ def test_shared_node_store(kernel):
         ctx = rng.randrange(4)
         random_op_mix(forest, oracles[ctx], rng, 1, ctx=ctx, indices=indices)
     for ctx, oracle in enumerate(oracles):
-        forest._validate(ctx)
+        validate(forest, ctx)
         got = [(k, w, list(ix)) for k, w, ix, _ in forest.quadruples(ctx)]
         assert got == [(k, w, list(ix)) for k, w, ix, _ in
                        oracle.quadruples()]
@@ -192,7 +193,7 @@ def test_balance_bound(kernel):
             tree.insert(i, i, j)
         t = len(tree)
         assert tree.height <= 1.4405 * math.log2(t + 2)
-        tree._validate()
+        validate(tree)
 
 
 def test_overflow_guard(kernel):
@@ -218,7 +219,7 @@ def test_total_weight_cap(monkeypatch):
     # Index lists of that length cannot be built, so each key carries one.
     weights = [1, cap // 2, cap // 4, cap // 4 - 1]
     assert sum(weights) == cap
-    tree = kernel_module.from_pairs(keys, weights, [[i] for i in range(1, 5)])
+    tree = from_pairs(keys, weights, [[i] for i in range(1, 5)])
     assert tree.total_weight == cap
     before = snapshot(tree)
     with pytest.raises(OverflowError):
@@ -232,12 +233,12 @@ def test_total_weight_cap(monkeypatch):
     for j, key in enumerate(keys, start=1):
         assert tree.descend(key, cmp)[:2] == (j, kernel_module.EQUAL)
     with pytest.raises(OverflowError):
-        kernel_module.from_pairs(keys, weights[:-1] + [cap // 4],
+        from_pairs(keys, weights[:-1] + [cap // 4],
                                  [[i] for i in range(1, 5)])
     # The same guard under a small cap, where real index lists fit and
     # every invariant can be checked after the refused update.
     monkeypatch.setattr(kernel_module, "MAX_TOTAL_WEIGHT", 8)
-    small = kernel_module.from_pairs("abc", [3, 4, 1])
+    small = from_pairs("abc", [3, 4, 1])
     for j, key in enumerate("abc", start=1):
         assert small.descend(key, cmp)[:2] == (j, kernel_module.EQUAL)
     before = snapshot(small)
@@ -248,9 +249,9 @@ def test_total_weight_cap(monkeypatch):
     with pytest.raises(OverflowError):
         small.insert("d", 9, 4)
     assert snapshot(small) == before and small.total_weight == 8
-    small._validate()
+    validate(small)
     with pytest.raises(OverflowError):
-        kernel_module.from_pairs("abc", [3, 4, 2])
+        from_pairs("abc", [3, 4, 2])
 
 
 def test_refused_append_leaves_tree_unchanged(kernel):
@@ -258,7 +259,7 @@ def test_refused_append_leaves_tree_unchanged(kernel):
     ValueError and changes nothing: it is refused before the walk down,
     which would move the offsets of the ancestors where it turns left
     (leaf 1 is reached by left turns only)."""
-    tree = kernel.from_pairs("abcdefg", [2, 1, 3, 1, 1, 2, 1])
+    tree = from_pairs("abcdefg", [2, 1, 3, 1, 1, 2, 1])
     left, root = tree._left, tree._root[0]
     assert left[left[root]] == tree._node_at(1)
     before = snapshot(tree)
@@ -267,10 +268,10 @@ def test_refused_append_leaves_tree_unchanged(kernel):
             with pytest.raises(ValueError, match="increasing order"):
                 tree.append(i, j)
             assert snapshot(tree) == before
-            tree._validate()
+            validate(tree)
     last = tree.quadruples()[0][2][-1]
     tree.append(last + 20, 1)
-    tree._validate()
+    validate(tree)
     assert tree.sum(1) == 3 and tree.total_weight == 12
 
 
@@ -296,35 +297,78 @@ def test_refused_positions_leave_the_forest_unchanged(kernel):
                 forest.insert("c", i, 2, None, ctx)
         assert [snapshot(forest, ctx) for ctx in (0, other)] == before
         assert forest._chain.tolist() == chain
-    forest._validate(0)
-    forest._validate(other)
+    validate(forest, 0)
+    validate(forest, other)
     forest.append(6, 2)
     forest.insert("y", 8, 2, None, other)
     assert forest.triple(2) == ("b", 2, [2, 6], None)
     assert forest.triple(2, other) == ("y", 1, [8], None)
     assert forest.triple(1) == ("a", 2, [1, 3], None)
-    forest._validate(0)
-    forest._validate(other)
+    validate(forest, 0)
+    validate(forest, other)
 
 
 def test_from_pairs_validation(kernel):
     with pytest.raises(ValueError):
-        kernel.from_pairs(["a"], [0])
+        from_pairs(["a"], [0])
     with pytest.raises(ValueError):
-        kernel.from_pairs(["a", "b"], [1])
-    # Given index lists keep the forest's position rule, list after list.
+        from_pairs(["a", "b"], [1])
+    # A given index list increases from 1 on, and no position is in two
+    # lists.
     for indices in ([[0], [1]], [[-2], [1]], [[1, 2], [2]], [[2, 1], [3]],
-                    [[3, 7], [5]], [[1]]):
+                    [[3, 3], [5]], [[1]]):
         with pytest.raises(ValueError):
-            kernel.from_pairs(["a", "b"], [2, 1], indices)
-    tree = kernel.from_pairs(["a", "b"], [2, 1], [[3, 5], [7]])
+            from_pairs(["a", "b"], [2, 1], indices)
+    tree = from_pairs(["a", "b"], [2, 1], [[3, 5], [7]])
     assert [q[2] for q in tree.quadruples()] == [[3, 5], [7]]
     with pytest.raises(ValueError, match="increasing order"):
         tree.append(7, 2)
     tree.append(8, 2)
-    tree._validate()
-    empty = kernel.from_pairs([], [])
+    validate(tree)
+    empty = from_pairs([], [])
     assert len(empty) == 0 and empty.total_weight == 0
+
+
+def test_from_pairs_interleaved_index_lists(kernel):
+    """Index lists may interleave, as those of "abab" do; a later append
+    or insert records a position above the largest given."""
+    tree = from_pairs(["a", "b"], [2, 2], [[1, 3], [2, 4]])
+    assert tree.quadruples() == [("a", 2, [1, 3], None),
+                                 ("b", 2, [2, 4], None)]
+    validate(tree)
+    tree = from_pairs(["a", "b", "c"], [2, 1, 3], [[3, 7], [5], [1, 2, 9]])
+    assert [q[2] for q in tree.quadruples()] == [[3, 7], [5], [1, 2, 9]]
+    validate(tree)
+    for i in (4, 6, 8, 9):  # skipped or given: not above 9
+        with pytest.raises(ValueError, match="increasing order"):
+            tree.append(i, 2)
+        with pytest.raises(ValueError, match="increasing order"):
+            tree.insert("d", i, 4)
+    tree.append(10, 2)
+    tree.insert("d", 12, 4)
+    assert [q[2] for q in tree.quadruples()] == [[3, 7], [5, 10], [1, 2, 9],
+                                                 [12]]
+    validate(tree)
+
+
+def test_positions_past_the_cap_are_refused(kernel):
+    """The position chain takes 8 bytes per position up to the largest, so
+    a position past MAX_POSITION is refused before anything is allocated
+    or changed."""
+    cap = kernel.MAX_POSITION
+    tree = from_pairs(["a", "b"], [1, 1])
+    before = snapshot(tree)
+    for i in (cap + 1, 10 ** 10):
+        with pytest.raises(ValueError, match="MAX_POSITION"):
+            tree.append(i, 1)
+        with pytest.raises(ValueError, match="MAX_POSITION"):
+            tree.insert("c", i, 3)
+        with pytest.raises(ValueError, match="MAX_POSITION"):
+            from_pairs(["a"], [1], [[i]])
+        with pytest.raises(ValueError, match="MAX_POSITION"):
+            from_pairs(["a"], [i])
+    assert snapshot(tree) == before and len(tree._chain) == 3
+    validate(tree)
 
 
 def test_context_ids_are_dense(kernel):
@@ -347,4 +391,4 @@ def test_context_ids_are_dense(kernel):
     assert len(forest) == 4 and forest.total_weight == 4
     assert forest.height == 2
     for ctx in range(4):
-        forest._validate(ctx)
+        validate(forest, ctx)

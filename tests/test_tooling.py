@@ -50,9 +50,8 @@ def test_opcount_is_deterministic():
     for hash_seed in ("1", "2"):
         env = dict(os.environ, PYTHONHASHSEED=hash_seed)
         run = subprocess.run(
-            [sys.executable, OPCOUNT, "--sequences", "2", "--limit", "100",
-             "--json"], env=env, capture_output=True, text=True,
-            timeout=300)
+            [sys.executable, OPCOUNT, "--limit", "100", "--json"], env=env,
+            capture_output=True, text=True, timeout=300)
         assert run.returncode == 0, run.stderr
         reports.append(json.loads(run.stdout))
     assert reports[0] == reports[1]

@@ -3,7 +3,7 @@
 
 A deterministic companion to wall time. For the `entsort` package found
 under --src (default: this checkout's `src/`), the script sorts the first
---sequences inputs of each chosen perfbench workload with the call that
+two seed-101 inputs of each chosen perfbench workload with the call that
 perfbench times (`sort0` at order 0, `sortk` above it) and counts, per
 function of the package:
 
@@ -21,7 +21,7 @@ probes, the garbage collector) is not weighed. Tracing makes a call about
 The inputs come from `perfbench/corpus.py`, imported as is; nothing under
 `perfbench/` is written. Usage:
 
-    python tools/opcount.py                      # all workloads, seed 101
+    python tools/opcount.py                      # all workloads
     python tools/opcount.py --src /tmp/other/src --workload markov-k1
     python tools/opcount.py --limit 200 --json   # small inputs, JSON out
 """
@@ -37,6 +37,8 @@ from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SEED = 101
+SEQUENCES = 2  # the first two inputs of each workload's corpus
 
 
 def load(src: Path):
@@ -84,11 +86,10 @@ def count(call, package: str) -> tuple[Counter, Counter]:
     return ops, calls
 
 
-def measure(entsort, corpus, workload: str, seed: int, sequences: int,
-            limit: int | None) -> dict:
+def measure(entsort, corpus, workload: str, limit: int | None) -> dict:
     """Per-element counts of one workload: totals and per function."""
     spec = corpus.WORKLOADS[workload]
-    seqs = [seq[:limit] for seq in corpus.corpus(spec, seed)[:sequences]]
+    seqs = [seq[:limit] for seq in corpus.corpus(spec, SEED)[:SEQUENCES]]
     package = str(Path(entsort.__file__).resolve().parent) + "/"
     if spec.order == 0:
         sorter = entsort.sort0
@@ -117,16 +118,13 @@ def main(argv=None) -> int:
                         help="directory holding the entsort package")
     parser.add_argument("--workload", action="append",
                         help="perfbench workload (repeatable; default all)")
-    parser.add_argument("--seed", type=int, default=101)
-    parser.add_argument("--sequences", type=int, default=2,
-                        help="first N sequences of each corpus (default 2)")
     parser.add_argument("--limit", type=int,
                         help="cut each sequence to its first N elements")
     parser.add_argument("--json", action="store_true",
                         help="print one JSON object instead of tables")
     args = parser.parse_args(argv)
-    if args.sequences < 1 or (args.limit is not None and args.limit < 1):
-        parser.error("--sequences and --limit must be positive")
+    if args.limit is not None and args.limit < 1:
+        parser.error("--limit must be positive")
 
     entsort, corpus = load(args.src)
     workloads = args.workload or list(corpus.WORKLOADS)
@@ -135,8 +133,7 @@ def main(argv=None) -> int:
         parser.error(f"unknown workload {unknown[0]!r}")
     report = {"python": platform.python_version(),
               "src": str(args.src.resolve()),
-              "workloads": {w: measure(entsort, corpus, w, args.seed,
-                                       args.sequences, args.limit)
+              "workloads": {w: measure(entsort, corpus, w, args.limit)
                             for w in workloads}}
     if args.json:
         print(json.dumps(report, indent=1))
