@@ -277,10 +277,12 @@ def test_refused_append_leaves_tree_unchanged(kernel):
 
 def test_refused_positions_leave_the_forest_unchanged(kernel):
     """Sequence positions are >= 1 and strictly increase across the forest.
-    `append` and `insert` refuse position 0, a negative position, and a
+    `append` and `insert` refuse position 0, a negative position, a
     position already used, whether by the same leaf, another leaf or
-    another context, with ValueError; the forest, its position chain
-    included, stays as it was, and the next valid position is taken."""
+    another context, and a skip past MAX_POSITION (the chain would take 8
+    bytes per position up to it), with ValueError; the forest, its
+    position chain included, stays as it was, and the next valid position
+    is taken."""
     forest = kernel.StatsTree()
     other = forest.add_context()
     forest.insert("a", 1, 1)
@@ -289,7 +291,7 @@ def test_refused_positions_leave_the_forest_unchanged(kernel):
     forest.insert("x", 5, 1, None, other)  # position 4 is skipped
     before = [snapshot(forest, ctx) for ctx in (0, other)]
     chain = forest._chain.tolist()
-    for i in (0, -1, -6, 1, 2, 3, 4, 5):
+    for i in (0, -1, -6, 1, 2, 3, 4, 5, kernel.MAX_POSITION + 1, 10 ** 10):
         for ctx in (0, other):
             with pytest.raises(ValueError, match="increasing order"):
                 forest.append(i, 1, ctx)
@@ -313,12 +315,15 @@ def test_from_pairs_validation(kernel):
         from_pairs(["a"], [0])
     with pytest.raises(ValueError):
         from_pairs(["a", "b"], [1])
-    # A given index list increases from 1 on, and no position is in two
-    # lists.
+    # A given index list increases from 1 on, no position is in two lists,
+    # and none is past MAX_POSITION, given or implied by the weights.
+    past = kernel.MAX_POSITION + 1
     for indices in ([[0], [1]], [[-2], [1]], [[1, 2], [2]], [[2, 1], [3]],
-                    [[3, 3], [5]], [[1]]):
+                    [[3, 3], [5]], [[1]], [[1, 2], [past]]):
         with pytest.raises(ValueError):
             from_pairs(["a", "b"], [2, 1], indices)
+    with pytest.raises(ValueError, match="MAX_POSITION"):
+        from_pairs(["a", "b"], [2, past - 2])
     tree = from_pairs(["a", "b"], [2, 1], [[3, 5], [7]])
     assert [q[2] for q in tree.quadruples()] == [[3, 5], [7]]
     with pytest.raises(ValueError, match="increasing order"):
@@ -348,26 +353,6 @@ def test_from_pairs_interleaved_index_lists(kernel):
     tree.insert("d", 12, 4)
     assert [q[2] for q in tree.quadruples()] == [[3, 7], [5, 10], [1, 2, 9],
                                                  [12]]
-    validate(tree)
-
-
-def test_positions_past_the_cap_are_refused(kernel):
-    """The position chain takes 8 bytes per position up to the largest, so
-    a position past MAX_POSITION is refused before anything is allocated
-    or changed."""
-    cap = kernel.MAX_POSITION
-    tree = from_pairs(["a", "b"], [1, 1])
-    before = snapshot(tree)
-    for i in (cap + 1, 10 ** 10):
-        with pytest.raises(ValueError, match="MAX_POSITION"):
-            tree.append(i, 1)
-        with pytest.raises(ValueError, match="MAX_POSITION"):
-            tree.insert("c", i, 3)
-        with pytest.raises(ValueError, match="MAX_POSITION"):
-            from_pairs(["a"], [1], [[i]])
-        with pytest.raises(ValueError, match="MAX_POSITION"):
-            from_pairs(["a"], [i])
-    assert snapshot(tree) == before and len(tree._chain) == 3
     validate(tree)
 
 
