@@ -7,8 +7,8 @@ tree's flat-array core (`kernel._FlatAVL`), with heights as its only
 field; node ids are allocated in first-appearance order, so an element's
 node id is its rank; height <= AVL_HEIGHT_FACTOR * log2(t + 2).
 CodeDictionary maps rank tuples to context ids, the contexts of the
-sorter's statistics-tree forest; it is a hash map and compares no
-elements.
+sorter's statistics-tree forest, above order 1 (at order 1 a context's id
+is its element's rank); it is a hash map and compares no elements.
 """
 
 from __future__ import annotations

@@ -38,7 +38,7 @@ builds a tree from given keys and weights.
 `StatsTree` is a forest: the order-k sorter keeps one tree per context in
 one node store, and a context is an int id, so it costs five list slots
 rather than an object. A forest of one context serves as a single tree.
-A recorded position costs one 8-byte slot of the forest's position chain
+A recorded position costs one 4-byte slot of the forest's position chain
 and no Python object.
 
 The AVL rules live once, in `_FlatAVL`: rotations, the height update
@@ -71,9 +71,9 @@ SUCCESSOR = 2  # found leaf key > searched element
 MAX_TOTAL_WEIGHT = 1 << 60
 
 # Largest sequence position that a forest skips ahead to. The position
-# chain takes 8 bytes per position up to the largest recorded, 16 GiB at
+# chain takes 4 bytes per position up to the largest recorded, 8 GiB at
 # this cap, so a stray huge position is refused with ValueError rather
-# than allocated.
+# than allocated. It fits the chain's 32-bit unsigned entries.
 MAX_POSITION = 1 << 31
 
 
@@ -206,19 +206,19 @@ class StatsTree(_FlatAVL):
     nodes, length and total weight; no operation links a node of one tree
     into another.
 
-    The index lists are threaded through `_chain`, one array of machine
-    ints indexed by sequence position: `_chain[i]` is the position before
-    i in i's leaf, and 0 marks a leaf's first. A leaf's list is read by
-    following the chain back from its tail (`read_back`), so callers name
-    lists by their tails and never see the chain. Sequence positions are
-    >= 1 and strictly increase across the forest, in the order `append`
+    The index lists are threaded through `_chain`, one array of 32-bit
+    unsigned ints indexed by sequence position: `_chain[i]` is the position
+    before i in i's leaf, and 0 marks a leaf's first. A leaf's list is read
+    by following the chain back from its tail (`read_back`), so callers
+    name lists by their tails and never see the chain. Sequence positions
+    are >= 1 and strictly increase across the forest, in the order `append`
     and `insert` record them; each refuses any other position with
     ValueError before it changes anything. So the chain only grows at its
     end, and a position never recorded (a warm-up position of the order-k
     sorter) links to 0, whether it was skipped over or lies past the end.
-    The chain's memory is 8 bytes per position up to the largest recorded
+    The chain's memory is 4 bytes per position up to the largest recorded
     one, recorded or skipped, so a position that skips ahead past
-    MAX_POSITION is refused too.
+    MAX_POSITION is refused too. `_tail` is an array of the same ints.
     """
 
     __slots__ = ("_rank", "_weight", "_off", "_keys", "_tail", "_next",
@@ -233,7 +233,7 @@ class StatsTree(_FlatAVL):
         self._weight = [0]
         self._off = [0]
         self._keys = [None]
-        self._tail = [0]
+        self._tail = array("I", (0,))
         self._next = [None]
         # Per context. An end node is 0 while empty; rotations keep node
         # ids, so only an insert at either end moves it.
@@ -243,13 +243,15 @@ class StatsTree(_FlatAVL):
         self._len = [0]
         self._total = [0]
         # Forest-wide, by sequence position; position 0 is the terminator.
-        self._chain = array("q", (0,))
+        self._chain = array("I", (0,))
 
     def add_context(self) -> int:
         """Add an empty context and return its id."""
-        for per_context in (self._root, self._first, self._last, self._len,
-                            self._total):
-            per_context.append(0)
+        self._first.append(0)
+        self._last.append(0)
+        self._len.append(0)
+        self._total.append(0)
+        self._root.append(0)
         return len(self._root) - 1
 
     # -- basic accessors ---------------------------------------------------
@@ -366,7 +368,7 @@ class StatsTree(_FlatAVL):
     def _indices(self, v: int) -> list:
         """Node v's index list, read back from its tail and reversed."""
         out: list = []
-        self.read_back([(self._tail[v],)], out)
+        self.read_back([self._tail[v]], out)
         out.reverse()
         return out
 
@@ -646,24 +648,24 @@ class StatsTree(_FlatAVL):
         return islice(self._tail, 1, None), islice(self._next, 1, None)
 
     def read_back(self, groups, out: list) -> None:
-        """Append to *out*, for each group of tails, the positions of the
-        index lists that end at them, highest first: one list is read from
-        its tail back, several are merged by index. A position that no
-        `append` or `insert` recorded reads as a list of its own."""
+        """Append to *out*, for each group (a bare tail, or a list of tails)
+        the positions of the index lists ending there, highest first: one
+        list is read from its tail back, several are merged by index. A
+        position that no `append` or `insert` recorded is a list of its own."""
         chain = self._chain
         end = len(chain)
         append = out.append
-        for group in groups:
-            start = len(out)
-            for i in group:
-                if i >= end:
-                    append(i)
-                    continue
+        for i in groups:
+            if i.__class__ is not int:
+                start = len(out)
+                self.read_back(i, out)
+                out[start:] = sorted(out[start:], reverse=True)
+            elif i < end:
                 while i:
                     append(i)
                     i = chain[i]
-            if len(group) > 1:
-                out[start:] = sorted(out[start:], reverse=True)
+            else:
+                append(i)
 
 
 def available_kernels() -> tuple[str, ...]:

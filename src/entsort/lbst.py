@@ -196,7 +196,7 @@ def from_pairs(keys, weights, indices=None) -> kernel.StatsTree:
     Given index lists may interleave, as the lists [1, 3] and [2, 4] of the
     sequence "abab" do; each must increase, and no position may appear
     twice or lie outside 1..MAX_POSITION, else ValueError. The position
-    chain then spans the largest position given, at 8 bytes per position,
+    chain then spans the largest position given, at 4 bytes per position,
     and a later `append` or `insert` must record a position above it.
     """
     keys = list(keys)
@@ -215,7 +215,7 @@ def from_pairs(keys, weights, indices=None) -> kernel.StatsTree:
         if total > kernel.MAX_POSITION:
             raise ValueError(f"positions 1..{total} pass MAX_POSITION")
         # struct packs the run about twice as fast as array.extend.
-        chain.frombytes(struct.pack(f"{total}q", *range(total)))
+        chain.frombytes(struct.pack(f"{total}I", *range(total)))
         for end, w in zip(tails, weights):
             chain[end - w + 1] = 0
     else:

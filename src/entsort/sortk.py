@@ -7,7 +7,8 @@ is searched only in its context's tree, so search costs track the order-k
 entropy rather than the order-0 entropy. Two dictionaries realize the
 context lookup on a miss: RankDictionary (element -> first-appearance rank,
 the only dictionary that compares elements) and CodeDictionary (rank tuple
--> context id, a hash map that compares no elements). A repeat
+-> context id, a hash map that compares no elements, used above order 1
+only: at order 1 the context after an element is its B1 rank). A repeat
 (k+1)-tuple never touches either dictionary: the quadruple found by the
 search carries the successor context's id as its handle. At order 0
 there is one context, 0, so there is no lookup at all, and B1 stays empty.
@@ -141,9 +142,11 @@ def budget_breakdown(seq: Sequence, order: int) -> BudgetBreakdown:
     changes no bit. The +3 charges are added at the end, one per successor
     after its context's first. At order 0 the one context's count map
     gives n and H0, and H_order is H0 as is (m * H0 / m can differ from it
-    in the last bit); above it, n and H0 come from a `Counter`. Every sum
-    keeps the order of the reference table `entropy.context_sequences`, so
-    all fields equal the per-context definitions bit for bit.
+    in the last bit); above it, n and H0 come from a `Counter`, built once
+    the context table is freed, so that the two never share the peak.
+    Every sum keeps the order of the reference table
+    `entropy.context_sequences`, so all fields equal the per-context
+    definitions bit for bit.
     """
     m = len(seq)
     if m == 0:
@@ -176,14 +179,17 @@ def budget_breakdown(seq: Sequence, order: int) -> BudgetBreakdown:
         new_tuples += len(counts)
         if order and len(counts) > 1:
             terms.append(size * entropy.h0_bits(counts.values(), size))
-    counts0 = state[()][1] if order == 0 else Counter(seq)
+    contexts = len(state)
+    if order:
+        state = None  # freed before the Counter: the two never share the peak
+    counts0 = Counter(seq) if order else state[()][1]
     n = len(counts0)
     h0 = entropy.h0_bits(counts0.values(), m)
     b1_ops = min(order, m) + new_tuples if order else 0
     return BudgetBreakdown(
         order=order,
         n=n,
-        context_total=logs + 3 * (max(m - order, 0) - len(state)),
+        context_total=logs + 3 * (max(m - order, 0) - contexts),
         b1_ops=b1_ops,
         b1=b1_ops * (avl_height_bound(n) + 1),
         h_order=sum(terms) / m if order else h0,
@@ -210,18 +216,19 @@ def flatten(forest) -> list[int]:
     go to it last first, each as a group of one tail, and the whole is
     reversed once."""
     permutation: list[int] = []
-    forest.read_back(zip(reversed(forest.tails(0))), permutation)
+    forest.read_back(reversed(forest.tails(0)), permutation)
     permutation.reverse()
     return permutation
 
 
-def _read_off(b1: RankDictionary, forest, ranks_of: list) -> list[int]:
+def _read_off(b1: RankDictionary, forest, ranks_of, order) -> list[int]:
     """The stable permutation at order >= 1, with no comparison.
 
     Every index list goes to its key's rank: each warm-up position, a list
     of one, to its rank in context 0's rank tuple, and each leaf in the
-    forest's node store to the last rank of its next context (*ranks_of*
-    maps context ids to rank tuples). One pass over the store reads every
+    forest's node store to the last rank of its next context: at order 1
+    its handle is that rank, and above it *ranks_of* maps the handle, a
+    context id, to its rank tuple. One pass over the store reads every
     tree, whose nodes it holds, without walking any. A list is named by
     its last position, its tail. Each rank has one slot for its first
     leaf's tail; a rank that gets several lists (one key in several
@@ -237,8 +244,10 @@ def _read_off(b1: RankDictionary, forest, ranks_of: list) -> list[int]:
     shared: dict[int, list] = {}  # rank -> the tails of all its lists
     for k, rank in enumerate(ranks_of[0], start=1):
         shared.setdefault(rank, []).append(k)
-    tails, handles = forest.store_entries()
-    for tail, rank in zip(tails, [ranks_of[c][-1] for c in handles]):
+    tails, ranks = forest.store_entries()
+    if order > 1:  # handles are context ids, not ranks
+        ranks = [ranks_of[c][-1] for c in ranks]
+    for tail, rank in zip(tails, ranks):
         if rank in shared:
             shared[rank].append(tail)
         elif slots[rank]:
@@ -247,8 +256,8 @@ def _read_off(b1: RankDictionary, forest, ranks_of: list) -> list[int]:
             slots[rank] = tail
     ranks = list(b1.ranks())
     ranks.reverse()
-    # Each rank's group is its shared list, or else its slot as a 1-tuple.
-    groups = map(shared.get, ranks, zip(map(slots.__getitem__, ranks)))
+    # Each rank's group is its shared list, or else its slot's bare tail.
+    groups = map(shared.get, ranks, map(slots.__getitem__, ranks))
     permutation: list[int] = []
     forest.read_back(groups, permutation)
     permutation.reverse()
@@ -262,14 +271,15 @@ def sortk(seq: Sequence, order: int = 0,
 
     The accounting comes first (`budget_breakdown`, one pass that compares
     nothing). Then the element loop, from position order + 1 on: each
-    element is searched in the current context's tree, from context 0,
-    that of the warm-up ranks, on. On a hit, `append` gives the leaf the
-    element's position and one more unit of weight, and the loop moves to
-    the leaf's next-context handle, which it returns. On a miss, the
-    element is inserted next to the leaf the search reached, with the
-    successor context's id as its handle, and the loop moves there: above
-    order 0 that id comes from B1 (the element's rank) and B2 (the rank
-    tuple; a new tuple adds a context), and at order 0 it is context 0.
+    element is searched in the current context's tree, from that of the
+    warm-up ranks on. On a hit, `append` gives the leaf the element's
+    position and one more unit of weight, and the loop moves to the leaf's
+    next-context handle, which it returns. On a miss, the element is
+    inserted next to the leaf the search reached, with the successor
+    context's id as its handle, and the loop moves there. At order 1 that
+    id is the element's B1 rank (a new rank adds a context; context 0
+    stays empty), above it B2 maps the rank tuple to it (a new tuple adds
+    a context), and at order 0 it is context 0.
     The permutation is then read off with no comparison.
     """
     m = len(seq)
@@ -283,16 +293,21 @@ def sortk(seq: Sequence, order: int = 0,
     b2 = CodeDictionary()
     boot = tuple(b1.lookup_or_insert(seq[k])[0]
                  for k in range(min(order, m)))
-    ranks_of = [boot]  # context id -> rank tuple
-    b2.insert(boot, 0)
-    current = 0
+    ranks_of = [boot]  # context id -> rank tuple, above order 1
+    current = forest.add_context() if order == 1 else 0  # seq[0]'s rank, 1
+    if order != 1:
+        b2.insert(boot, 0)
     for i, s in enumerate(islice(seq, min(order, m), None), order + 1):
         j, rel, _, _ = forest.descend(s, cmp, current)
         if rel == EQUAL:
             current = forest.append(i, j, current)
         else:
             nxt = current
-            if order:
+            if order == 1:
+                nxt, new = b1.lookup_or_insert(s)
+                if new:
+                    forest.add_context()
+            elif order:
                 rank, _ = b1.lookup_or_insert(s)
                 ranks = ranks_of[current][1:] + (rank,)
                 nxt = b2.get(ranks)
@@ -304,7 +319,8 @@ def sortk(seq: Sequence, order: int = 0,
                           current)
             current = nxt
 
-    permutation = _read_off(b1, forest, ranks_of) if order else flatten(forest)
+    permutation = (_read_off(b1, forest, ranks_of, order) if order
+                   else flatten(forest))
     warnings: tuple[str, ...] = ()
     n = breakdown.n
     if not premise_holds(n, m, order):

@@ -16,7 +16,7 @@ from conftest import (Spy, run_capped, sort0_budget, stable_perm,
 import entsort
 from entsort import entropy
 from entsort.bench import SourceSpec, generate
-from entsort.bst import RankDictionary, avl_height_bound
+from entsort.bst import CodeDictionary, RankDictionary, avl_height_bound
 from entsort.comparator import (PHASE_B1, PHASE_MERGE, PHASE_SEARCH,
                                 PHASE_VERIFY)
 from entsort.kernel import StatsTree
@@ -431,7 +431,9 @@ def test_one_forest_per_call(kernel, monkeypatch):
     """sortk builds one StatsTree per call. It holds exactly one context
     per distinct order-tuple that occurs at positions order..m, with as
     many leaves as that context has distinct successors; an input shorter
-    than the order has the one empty context of its warm-up ranks."""
+    than the order has the one empty context of its warm-up ranks. At
+    order 1 a context's id is its element's B1 rank, from 1 on, so
+    context 0 is there too and stays empty."""
     built = []
     original = kernel.StatsTree.__init__
 
@@ -455,7 +457,11 @@ def test_one_forest_per_call(kernel, monkeypatch):
             assert out.permutation == stable_perm(seq)
             assert len(built) == 1
             lengths = [len(s) for s in successors.values()] or [0]
-            assert sorted(built[0]._len) == sorted(lengths)
+            used = built[0]._len
+            if order == 1:
+                assert used[0] == 0
+                used = used[1:]
+            assert sorted(used) == sorted(lengths)
             assert len(successors) <= n ** order + 1
 
 
@@ -534,7 +540,9 @@ def test_peak_memory_per_element():
     """The tracemalloc peak of sortk on 20,000 seeded random bytes at order
     1 stays below 190 bytes per element. Set on CPython 3.11.7, where it
     reads about 157 with positions threaded through the forest's position
-    chain, and about 219 with a Python list of positions per leaf."""
+    chain, and about 219 with a Python list of positions per leaf; about
+    143 with order-1 contexts numbered by B1 rank and 4-byte position
+    arrays."""
     seq = list(random.Random(2022).randbytes(20_000))
     sortk(seq[:100], 1)
     gc.collect()
@@ -546,6 +554,59 @@ def test_peak_memory_per_element():
         tracemalloc.stop()
     assert out.permutation == stable_perm(seq)
     assert peak / len(seq) < 190
+
+
+def test_bigalpha_peak_memory_per_element():
+    """The tracemalloc peak of sortk on BIGALPHA at order 1, where about
+    half of the elements start a context, stays below 185 bytes per
+    element. Set on CPython 3.11.7, where it reads about 153 with a
+    context per B1 rank, 4-byte position arrays and the budget pass's
+    Counter built after its context table is freed, and about 217 with a
+    rank tuple and a B2 entry per context and 8-byte position arrays."""
+    sortk(BIGALPHA[:100], 1)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        out = sortk(BIGALPHA, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.permutation == stable_perm(BIGALPHA)
+    assert peak / len(BIGALPHA) < 185
+
+
+def test_order_one_contexts_are_b1_ranks(monkeypatch):
+    """At order 1 a context's id is its element's B1 rank: every node's
+    handle is its key's rank, there is one context per rank plus the
+    empty context 0, and B2 is never asked."""
+    made = {}
+    for cls in (StatsTree, RankDictionary):
+        def record(self, *args, _cls=cls, _init=cls.__init__):
+            made[_cls] = self
+            _init(self, *args)
+        monkeypatch.setattr(cls, "__init__", record)
+    b2_calls = []
+    for name in ("get", "insert"):
+        def spy(self, *args, _name=name,
+                _original=getattr(CodeDictionary, name)):
+            b2_calls.append(_name)
+            return _original(self, *args)
+        monkeypatch.setattr(CodeDictionary, name, spy)
+    rng = random.Random(23)
+    for seq in (TORONTO, MARKOV, BIGALPHA,
+                [rng.randrange(40) for _ in range(500)]):
+        out = sortk(seq, 1)
+        assert out.permutation == stable_perm(seq)
+        forest, b1 = made[StatsTree], made[RankDictionary]
+        rank_of = {b1._keys[r]: r for r in range(1, len(b1) + 1)}
+        assert len(forest._root) == len(b1) + 1
+        assert forest._len[0] == 0
+        assert len(forest) > 0
+        for v in range(1, len(forest) + 1):
+            assert forest._next[v] == rank_of[forest._keys[v]]
+    assert b2_calls == []
+    sortk(TORONTO, 2)
+    assert "get" in b2_calls and "insert" in b2_calls
 
 
 def test_no_cyclic_garbage_after_a_call():

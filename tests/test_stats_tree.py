@@ -275,11 +275,38 @@ def test_refused_append_leaves_tree_unchanged(kernel):
     assert tree.sum(1) == 3 and tree.total_weight == 12
 
 
+def test_position_arrays_take_four_bytes(kernel):
+    """The position chain and the tails are arrays of 4-byte unsigned
+    ints, and MAX_POSITION fits them. A position past it, or past what 32
+    bits hold, is still refused with ValueError, before the forest, its
+    chain or its tails change."""
+    forest = from_pairs(list("ab"), [2, 1])
+    other = forest.add_context()
+    forest.insert("x", 5, 1, None, other)
+    for store in (forest._chain, forest._tail):
+        assert store.typecode == "I" and store.itemsize == 4
+        assert kernel.MAX_POSITION < 1 << (8 * store.itemsize)
+    before = [snapshot(forest, ctx) for ctx in (0, other)]
+    chain, tails = forest._chain.tolist(), forest._tail.tolist()
+    for i in (kernel.MAX_POSITION + 1, 1 << 32, (1 << 32) + 6):
+        with pytest.raises(ValueError, match="MAX_POSITION"):
+            forest.append(i, 1, other)
+        with pytest.raises(ValueError, match="MAX_POSITION"):
+            forest.insert("c", i, 3)
+    assert [snapshot(forest, ctx) for ctx in (0, other)] == before
+    assert forest._chain.tolist() == chain
+    assert forest._tail.tolist() == tails
+    forest.append(6, 1, other)
+    assert forest.triple(1, other) == ("x", 2, [5, 6], None)
+    validate(forest, 0)
+    validate(forest, other)
+
+
 def test_refused_positions_leave_the_forest_unchanged(kernel):
     """Sequence positions are >= 1 and strictly increase across the forest.
     `append` and `insert` refuse position 0, a negative position, a
     position already used, whether by the same leaf, another leaf or
-    another context, and a skip past MAX_POSITION (the chain would take 8
+    another context, and a skip past MAX_POSITION (the chain would take 4
     bytes per position up to it), with ValueError; the forest, its
     position chain included, stays as it was, and the next valid position
     is taken."""

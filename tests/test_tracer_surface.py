@@ -2,9 +2,10 @@
 
 The tracer patches sorter internals by name, so renaming or removing one of
 them breaks `perfbench/run.py --trace 1`. This test loads spans.py from its
-source without writing anything under perfbench/, runs both sorters inside
-`Tracer().patched()`, and checks that every named callable is patched and
-restored afterwards, and that those still on the sorting path record spans.
+source without writing anything under perfbench/, runs the sorter at
+orders 0, 1 and 2 inside `Tracer().patched()`, and checks that every named
+callable is patched and restored afterwards, and that those still on the
+sorting path record spans.
 """
 
 import importlib
@@ -59,7 +60,9 @@ def test_tracer_wraps_the_sorter_surface():
             assert getattr(owner, attr) is not original, attr
         a = sort0(seq)
         b = sortk(seq, order=1)
-    assert a.permutation == b.permutation
+        # B2 runs above order 1 only: at order 1 a context is a B1 rank.
+        c = sortk(seq, order=2)
+    assert a.permutation == b.permutation == c.permutation
     assert tracer.unmeasured == set()
     recorded = {tracer.names[code] for code, *_ in tracer.spans}
     for name in ("StatsTree.descend", "StatsTree.append",

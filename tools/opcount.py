@@ -18,21 +18,30 @@ the report names. C-level work (big-int arithmetic, list growth, dict
 probes, the garbage collector) is not weighed. Tracing makes a call about
 100x slower.
 
+With --peak, the report also gives each workload's memory: the tracemalloc
+peak of one untraced call on its first seed-101 input, whole (--limit does
+not cut it), in bytes per element. That is perfbench's
+`peak_bytes_per_elem`, so a memory claim can be checked without a timed
+run.
+
 The inputs come from `perfbench/corpus.py`, imported as is; nothing under
 `perfbench/` is written. Usage:
 
     python tools/opcount.py                      # all workloads
     python tools/opcount.py --src /tmp/other/src --workload markov-k1
     python tools/opcount.py --limit 200 --json   # small inputs, JSON out
+    python tools/opcount.py --peak               # with peak memory
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import json
 import platform
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -86,10 +95,27 @@ def count(call, package: str) -> tuple[Counter, Counter]:
     return ops, calls
 
 
-def measure(entsort, corpus, workload: str, limit: int | None) -> dict:
-    """Per-element counts of one workload: totals and per function."""
+def peak_per_elem(sorter, seq) -> float:
+    """tracemalloc peak of one sorter(seq) call, after a warm-up call, in
+    bytes per element."""
+    sorter(seq)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        sorter(seq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / len(seq)
+
+
+def measure(entsort, corpus, workload: str, limit: int | None,
+            peak: bool) -> dict:
+    """Per-element counts of one workload: totals and per function, and
+    with *peak* its peak memory per element."""
     spec = corpus.WORKLOADS[workload]
-    seqs = [seq[:limit] for seq in corpus.corpus(spec, SEED)[:SEQUENCES]]
+    whole = corpus.corpus(spec, SEED)[:SEQUENCES]
+    seqs = [seq[:limit] for seq in whole]
     package = str(Path(entsort.__file__).resolve().parent) + "/"
     if spec.order == 0:
         sorter = entsort.sort0
@@ -106,10 +132,13 @@ def measure(entsort, corpus, workload: str, limit: int | None) -> dict:
     functions = {name: {"ops": ops[name] / elems, "calls": calls[name] / elems}
                  for name in sorted(ops.keys() | calls.keys(),
                                     key=lambda n: (-ops[n], n))}
-    return {"elements": elems,
-            "ops": sum(ops.values()) / elems,
-            "calls": sum(calls.values()) / elems,
-            "functions": functions}
+    report = {"elements": elems,
+              "ops": sum(ops.values()) / elems,
+              "calls": sum(calls.values()) / elems,
+              "functions": functions}
+    if peak:
+        report["peak_bytes_per_elem"] = peak_per_elem(sorter, whole[0])
+    return report
 
 
 def main(argv=None) -> int:
@@ -122,6 +151,9 @@ def main(argv=None) -> int:
                         help="cut each sequence to its first N elements")
     parser.add_argument("--json", action="store_true",
                         help="print one JSON object instead of tables")
+    parser.add_argument("--peak", action="store_true",
+                        help="also report the tracemalloc peak (B/elem) "
+                             "of one call on the first whole input")
     args = parser.parse_args(argv)
     if args.limit is not None and args.limit < 1:
         parser.error("--limit must be positive")
@@ -133,7 +165,8 @@ def main(argv=None) -> int:
         parser.error(f"unknown workload {unknown[0]!r}")
     report = {"python": platform.python_version(),
               "src": str(args.src.resolve()),
-              "workloads": {w: measure(entsort, corpus, w, args.limit)
+              "workloads": {w: measure(entsort, corpus, w, args.limit,
+                                       args.peak)
                             for w in workloads}}
     if args.json:
         print(json.dumps(report, indent=1))
@@ -143,6 +176,9 @@ def main(argv=None) -> int:
         print(f"\n{w}: {r['elements']} elements, "
               f"{r['ops']:.1f} bytecodes and {r['calls']:.2f} calls "
               "per element")
+        if "peak_bytes_per_elem" in r:
+            print(f"  peak {r['peak_bytes_per_elem']:.1f} B/elem "
+                  "(one call on the first whole input)")
         print(f"  {'function':<40}{'ops/elem':>10}{'calls/elem':>12}")
         for name, f in r["functions"].items():
             print(f"  {name:<40}{f['ops']:>10.1f}{f['calls']:>12.3f}")
