@@ -290,12 +290,12 @@ def sortk(seq: Sequence, order: int = 0,
     before = cmp.snapshot()
     forest = get_kernel(kernel_name).StatsTree()
     b1 = RankDictionary(cmp)
-    b2 = CodeDictionary()
+    b2 = CodeDictionary() if order > 1 else None
     boot = tuple(b1.lookup_or_insert(seq[k])[0]
                  for k in range(min(order, m)))
     ranks_of = [boot]  # context id -> rank tuple, above order 1
     current = forest.add_context() if order == 1 else 0  # seq[0]'s rank, 1
-    if order != 1:
+    if order > 1:
         b2.insert(boot, 0)
     for i, s in enumerate(islice(seq, min(order, m), None), order + 1):
         j, rel, _, _ = forest.descend(s, cmp, current)

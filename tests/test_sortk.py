@@ -537,42 +537,28 @@ def test_every_context_within_its_own_avl_bound(kernel, monkeypatch):
 
 
 def test_peak_memory_per_element():
-    """The tracemalloc peak of sortk on 20,000 seeded random bytes at order
-    1 stays below 190 bytes per element. Set on CPython 3.11.7, where it
-    reads about 157 with positions threaded through the forest's position
-    chain, and about 219 with a Python list of positions per leaf; about
-    143 with order-1 contexts numbered by B1 rank and 4-byte position
-    arrays."""
-    seq = list(random.Random(2022).randbytes(20_000))
-    sortk(seq[:100], 1)
-    gc.collect()
-    tracemalloc.start()
-    try:
-        out = sortk(seq, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert out.permutation == stable_perm(seq)
-    assert peak / len(seq) < 190
-
-
-def test_bigalpha_peak_memory_per_element():
-    """The tracemalloc peak of sortk on BIGALPHA at order 1, where about
-    half of the elements start a context, stays below 185 bytes per
-    element. Set on CPython 3.11.7, where it reads about 153 with a
+    """The tracemalloc peak of sortk at order 1 stays below 190 bytes per
+    element on 20,000 seeded random bytes, and below 185 on BIGALPHA,
+    where about half of the elements start a context. Set on CPython
+    3.11.7. On the random bytes it reads about 157 with positions threaded
+    through the forest's position chain, and about 219 with a Python list
+    of positions per leaf; about 143 with order-1 contexts numbered by B1
+    rank and 4-byte position arrays. On BIGALPHA it reads about 153 with a
     context per B1 rank, 4-byte position arrays and the budget pass's
     Counter built after its context table is freed, and about 217 with a
     rank tuple and a B2 entry per context and 8-byte position arrays."""
-    sortk(BIGALPHA[:100], 1)
-    gc.collect()
-    tracemalloc.start()
-    try:
-        out = sortk(BIGALPHA, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert out.permutation == stable_perm(BIGALPHA)
-    assert peak / len(BIGALPHA) < 185
+    random_bytes = list(random.Random(2022).randbytes(20_000))
+    for seq, bound in ((random_bytes, 190), (BIGALPHA, 185)):
+        sortk(seq[:100], 1)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            out = sortk(seq, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.permutation == stable_perm(seq)
+        assert peak / len(seq) < bound, bound
 
 
 def test_order_one_contexts_are_b1_ranks(monkeypatch):

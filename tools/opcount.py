@@ -18,11 +18,10 @@ the report names. C-level work (big-int arithmetic, list growth, dict
 probes, the garbage collector) is not weighed. Tracing makes a call about
 100x slower.
 
-With --peak, the report also gives each workload's memory: the tracemalloc
-peak of one untraced call on its first seed-101 input, whole (--limit does
-not cut it), in bytes per element. That is perfbench's
-`peak_bytes_per_elem`, so a memory claim can be checked without a timed
-run.
+The report also gives each workload's memory: the tracemalloc peak of one
+untraced call on its first seed-101 input, whole (--limit does not cut it),
+in bytes per element. That is perfbench's `peak_bytes_per_elem`, so a
+memory claim can be checked without a timed run.
 
 The inputs come from `perfbench/corpus.py`, imported as is; nothing under
 `perfbench/` is written. Usage:
@@ -30,7 +29,6 @@ The inputs come from `perfbench/corpus.py`, imported as is; nothing under
     python tools/opcount.py                      # all workloads
     python tools/opcount.py --src /tmp/other/src --workload markov-k1
     python tools/opcount.py --limit 200 --json   # small inputs, JSON out
-    python tools/opcount.py --peak               # with peak memory
 """
 
 from __future__ import annotations
@@ -109,10 +107,9 @@ def peak_per_elem(sorter, seq) -> float:
     return peak / len(seq)
 
 
-def measure(entsort, corpus, workload: str, limit: int | None,
-            peak: bool) -> dict:
-    """Per-element counts of one workload: totals and per function, and
-    with *peak* its peak memory per element."""
+def measure(entsort, corpus, workload: str, limit: int | None) -> dict:
+    """Per-element counts of one workload, totals and per function, and
+    its peak memory per element."""
     spec = corpus.WORKLOADS[workload]
     whole = corpus.corpus(spec, SEED)[:SEQUENCES]
     seqs = [seq[:limit] for seq in whole]
@@ -132,13 +129,11 @@ def measure(entsort, corpus, workload: str, limit: int | None,
     functions = {name: {"ops": ops[name] / elems, "calls": calls[name] / elems}
                  for name in sorted(ops.keys() | calls.keys(),
                                     key=lambda n: (-ops[n], n))}
-    report = {"elements": elems,
-              "ops": sum(ops.values()) / elems,
-              "calls": sum(calls.values()) / elems,
-              "functions": functions}
-    if peak:
-        report["peak_bytes_per_elem"] = peak_per_elem(sorter, whole[0])
-    return report
+    return {"elements": elems,
+            "ops": sum(ops.values()) / elems,
+            "calls": sum(calls.values()) / elems,
+            "peak_bytes_per_elem": peak_per_elem(sorter, whole[0]),
+            "functions": functions}
 
 
 def main(argv=None) -> int:
@@ -151,9 +146,6 @@ def main(argv=None) -> int:
                         help="cut each sequence to its first N elements")
     parser.add_argument("--json", action="store_true",
                         help="print one JSON object instead of tables")
-    parser.add_argument("--peak", action="store_true",
-                        help="also report the tracemalloc peak (B/elem) "
-                             "of one call on the first whole input")
     args = parser.parse_args(argv)
     if args.limit is not None and args.limit < 1:
         parser.error("--limit must be positive")
@@ -165,8 +157,7 @@ def main(argv=None) -> int:
         parser.error(f"unknown workload {unknown[0]!r}")
     report = {"python": platform.python_version(),
               "src": str(args.src.resolve()),
-              "workloads": {w: measure(entsort, corpus, w, args.limit,
-                                       args.peak)
+              "workloads": {w: measure(entsort, corpus, w, args.limit)
                             for w in workloads}}
     if args.json:
         print(json.dumps(report, indent=1))
@@ -176,9 +167,8 @@ def main(argv=None) -> int:
         print(f"\n{w}: {r['elements']} elements, "
               f"{r['ops']:.1f} bytecodes and {r['calls']:.2f} calls "
               "per element")
-        if "peak_bytes_per_elem" in r:
-            print(f"  peak {r['peak_bytes_per_elem']:.1f} B/elem "
-                  "(one call on the first whole input)")
+        print(f"  peak {r['peak_bytes_per_elem']:.1f} B/elem "
+              "(one call on the first whole input)")
         print(f"  {'function':<40}{'ops/elem':>10}{'calls/elem':>12}")
         for name, f in r["functions"].items():
             print(f"  {name:<40}{f['ops']:>10.1f}{f['calls']:>12.3f}")
