@@ -39,7 +39,9 @@ builds a tree from given keys and weights.
 one node store, and a context is an int id, so it costs five list slots
 rather than an object. A forest of one context serves as a single tree.
 A recorded position costs one 4-byte slot of the forest's position chain
-and no Python object.
+and no Python object. `read_back`, which reads index lists off that chain
+by their tails, is a function of the chain alone, so a read-off can drop
+the forest's other lists before it builds its output.
 
 The AVL rules live once, in `_FlatAVL`: rotations, the height update
 `_fix`, the single-or-double rebalance, `_attach`, which hangs a new leaf
@@ -209,11 +211,12 @@ class StatsTree(_FlatAVL):
     The index lists are threaded through `_chain`, one array of 32-bit
     unsigned ints indexed by sequence position: `_chain[i]` is the position
     before i in i's leaf, and 0 marks a leaf's first. A leaf's list is read
-    by following the chain back from its tail (`read_back`), so callers
-    name lists by their tails and never see the chain. Sequence positions
-    are >= 1 and strictly increase across the forest, in the order `append`
-    and `insert` record them; each refuses any other position with
-    ValueError before it changes anything. So the chain only grows at its
+    by following the chain back from its tail (`read_back`, given the
+    chain), so callers name lists by their tails and never read the chain's
+    entries themselves. Sequence positions are >= 1 and strictly increase
+    across the forest, in the order `append` and `insert` record them;
+    each refuses any other position with ValueError before it changes
+    anything. So the chain only grows at its
     end, and a position never recorded (a warm-up position of the order-k
     sorter) links to 0, whether it was skipped over or lies past the end.
     The chain's memory is 4 bytes per position up to the largest recorded
@@ -368,7 +371,7 @@ class StatsTree(_FlatAVL):
     def _indices(self, v: int) -> list:
         """Node v's index list, read back from its tail and reversed."""
         out: list = []
-        self.read_back([self._tail[v]], out)
+        read_back(self._chain, [self._tail[v]], out)
         out.reverse()
         return out
 
@@ -647,25 +650,27 @@ class StatsTree(_FlatAVL):
         parallel iterables in allocation order, for every context."""
         return islice(self._tail, 1, None), islice(self._next, 1, None)
 
-    def read_back(self, groups, out: list) -> None:
-        """Append to *out*, for each group (a bare tail, or a list of tails)
-        the positions of the index lists ending there, highest first: one
-        list is read from its tail back, several are merged by index. A
-        position that no `append` or `insert` recorded is a list of its own."""
-        chain = self._chain
-        end = len(chain)
-        append = out.append
-        for i in groups:
-            if i.__class__ is not int:
-                start = len(out)
-                self.read_back(i, out)
-                out[start:] = sorted(out[start:], reverse=True)
-            elif i < end:
-                while i:
-                    append(i)
-                    i = chain[i]
-            else:
+
+def read_back(chain, groups, out: list) -> None:
+    """Append to *out*, for each group (a bare tail, or a list of tails)
+    the positions of the index lists ending there in the position chain
+    *chain* (a forest's `_chain`), highest first: one list is read from its
+    tail back, several are merged by index. A position that no `append` or
+    `insert` recorded is a list of its own. It needs the chain alone, so a
+    caller may drop the forest first."""
+    end = len(chain)
+    append = out.append
+    for i in groups:
+        if i.__class__ is not int:
+            start = len(out)
+            read_back(chain, i, out)
+            out[start:] = sorted(out[start:], reverse=True)
+        elif i < end:
+            while i:
                 append(i)
+                i = chain[i]
+        else:
+            append(i)
 
 
 def available_kernels() -> tuple[str, ...]:

@@ -21,15 +21,16 @@ that runs before the element loop (`budget_breakdown`): it compares
 nothing, and its tables are freed before the forest is built.
 
 The read-off compares no elements. The forest keeps each leaf's index
-list as a chain of positions in one array of machine ints, and reads it
-from the leaf's last position back (`StatsTree.read_back`). At order 0
-the one tree is already in key order, and its index lists are
-concatenated (`flatten`). Above it, one pass over the forest's node store
-files each leaf's list under its key's B1 rank, and B1's in-order walk,
-which is the sorted alphabet, gives the order of the ranks (`_read_off`).
-Both hand the lists over last key first and reverse the permutation once.
-The sort ends with the permutation; `SortOutcome.inverse` is computed
-from it when first read.
+list as a chain of positions in one array of machine ints, which
+`kernel.read_back` reads from the leaf's last position back. The
+read-off takes, in turn, B1's in-order rank list (the sorted alphabet),
+the node store's (tail, handle) pairs filed into one slot per rank, and
+the position chain, and drops B1, B2, the rank tuples and the forest as
+it goes, so the permutation is built beside the chain alone. Order 0
+differs only in its groups: its one tree is already in key order, so its
+tails are taken in positional order. The groups go over last key first,
+and the permutation is reversed once. The sort ends with the
+permutation; `SortOutcome.inverse` is computed from it when first read.
 """
 
 from __future__ import annotations
@@ -39,12 +40,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice, repeat
 from math import log2
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from . import entropy
 from .bst import CodeDictionary, RankDictionary, avl_height_bound
 from .comparator import ComparisonLedger, CountingComparator, delta
-from .kernel import EQUAL, PREDECESSOR, get_kernel
+from .kernel import EQUAL, PREDECESSOR, StatsTree, get_kernel, read_back
 
 # Not called here: perfbench/spans.py, their only reader, wraps these two
 # module attributes by name when it traces a run.
@@ -112,6 +114,13 @@ class BudgetBreakdown:
         return self.context_total + self.b1
 
 
+class _Successors(dict):
+    """One context's successor -> count map in `budget_breakdown`'s table,
+    with the context's number of successors so far in the slot p."""
+
+    __slots__ = ("p",)
+
+
 def budget_breakdown(seq: Sequence, order: int) -> BudgetBreakdown:
     """Budgets, H_order, H0 and n: one pass over the elements, the same at
     every order, and above order 0 one `Counter` of them.
@@ -134,26 +143,27 @@ def budget_breakdown(seq: Sequence, order: int) -> BudgetBreakdown:
     each; order 0 makes no B1 lookup. H_order is the size-weighted mean of
     the contexts' H0.
 
-    The pass keeps each context's running length and count map, keyed by
-    the k-tuple (the bare element at order 1, which saves a tuple per
-    element; the one context () at order 0), so the cost is per element,
-    not per context. A context whose successors are one value costs no H0
-    sum: its H0 is exactly 0.0, and leaving an exact 0.0 out of the sum
-    changes no bit. The +3 charges are added at the end, one per successor
-    after its context's first. At order 0 the one context's count map
-    gives n and H0, and H_order is H0 as is (m * H0 / m can differ from it
-    in the last bit); above it, n and H0 come from a `Counter`, built once
-    the context table is freed, so that the two never share the peak.
-    Every sum keeps the order of the reference table
-    `entropy.context_sequences`, so all fields equal the per-context
-    definitions bit for bit.
+    The pass keeps one table entry per context, keyed by the k-tuple (the
+    bare element at order 1, which saves a tuple per element; the one
+    context () at order 0): its successor -> count dict, which holds the
+    context's running length in a slot (`_Successors`), so a context costs
+    one object, and the cost is per element, not per context. A context
+    whose successors are one value costs no H0 sum: its H0 is exactly 0.0,
+    and leaving an exact 0.0 out of the sum changes no bit. The +3 charges
+    are added at the end, one per successor after its context's first. At
+    order 0 the one context's count map gives n and H0, and H_order is H0
+    as is (m * H0 / m can differ from it in the last bit); above it, n and
+    H0 come from a `Counter`, built once the context table is freed, so
+    that the two never share the peak. Every sum keeps the order of the
+    reference table `entropy.context_sequences`, so all fields equal the
+    per-context definitions bit for bit.
     """
     m = len(seq)
     if m == 0:
         raise ValueError("sequence must be non-empty")
     if order < 0:
         raise ValueError("order must be >= 0")
-    state: dict = {}  # context -> [successors so far, successor -> count]
+    state: dict = {}  # context -> its `_Successors`
     logs = 0
     if order < m:
         if order == 0:
@@ -164,25 +174,27 @@ def budget_breakdown(seq: Sequence, order: int) -> BudgetBreakdown:
             pairs = zip(zip(*(islice(seq, j, None) for j in range(order))),
                         islice(seq, order, None))
         for ctx, s in pairs:
-            st = state.get(ctx)
-            if st is None:
-                state[ctx] = [1, {s: 1}]
+            counts = state.get(ctx)
+            if counts is None:
+                counts = state[ctx] = _Successors()
+                counts[s] = counts.p = 1
             else:
-                p, counts = st
-                st[0] = p + 1
+                p = counts.p
+                counts.p = p + 1
                 c = counts.get(s, 0)
                 counts[s] = c + 1
                 logs += ((p - 1) // c if c else p - 1).bit_length()
     new_tuples = 0
     terms = []  # |part| * H0(part) of each context with two values or more
-    for size, counts in state.values():
+    for counts in state.values():
         new_tuples += len(counts)
         if order and len(counts) > 1:
+            size = counts.p
             terms.append(size * entropy.h0_bits(counts.values(), size))
     contexts = len(state)
     if order:
         state = None  # freed before the Counter: the two never share the peak
-    counts0 = Counter(seq) if order else state[()][1]
+    counts0 = Counter(seq) if order else state[()]
     n = len(counts0)
     h0 = entropy.h0_bits(counts0.values(), m)
     b1_ops = min(order, m) + new_tuples if order else 0
@@ -209,61 +221,6 @@ def premise_holds(n: int, m: int, order: int) -> bool:
     return (n ** (order + 1)) * log2(n) <= m
 
 
-def flatten(forest) -> list[int]:
-    """Context 0's index lists in positional (key) order, concatenated.
-
-    The forest reads each list from its last position back, so the leaves
-    go to it last first, each as a group of one tail, and the whole is
-    reversed once."""
-    permutation: list[int] = []
-    forest.read_back(reversed(forest.tails(0)), permutation)
-    permutation.reverse()
-    return permutation
-
-
-def _read_off(b1: RankDictionary, forest, ranks_of, order) -> list[int]:
-    """The stable permutation at order >= 1, with no comparison.
-
-    Every index list goes to its key's rank: each warm-up position, a list
-    of one, to its rank in context 0's rank tuple, and each leaf in the
-    forest's node store to the last rank of its next context: at order 1
-    its handle is that rank, and above it *ranks_of* maps the handle, a
-    context id, to its rank tuple. One pass over the store reads every
-    tree, whose nodes it holds, without walking any. A list is named by
-    its last position, its tail. Each rank has one slot for its first
-    leaf's tail; a rank that gets several lists (one key in several
-    contexts, or a warm-up position) keeps them all in *shared*.
-
-    B1's in-order walk, taken backwards, then visits the ranks from the
-    largest key down, and the forest reads each rank's lists as one group,
-    highest position first: one list from its tail back, several merged
-    by index, so the permutation is stable. The whole is reversed once at
-    the end.
-    """
-    slots = [0] * (len(b1) + 1)  # rank -> the tail of its first leaf
-    shared: dict[int, list] = {}  # rank -> the tails of all its lists
-    for k, rank in enumerate(ranks_of[0], start=1):
-        shared.setdefault(rank, []).append(k)
-    tails, ranks = forest.store_entries()
-    if order > 1:  # handles are context ids, not ranks
-        ranks = [ranks_of[c][-1] for c in ranks]
-    for tail, rank in zip(tails, ranks):
-        if rank in shared:
-            shared[rank].append(tail)
-        elif slots[rank]:
-            shared[rank] = [slots[rank], tail]
-        else:
-            slots[rank] = tail
-    ranks = list(b1.ranks())
-    ranks.reverse()
-    # Each rank's group is its shared list, or else its slot's bare tail.
-    groups = map(shared.get, ranks, map(slots.__getitem__, ranks))
-    permutation: list[int] = []
-    forest.read_back(groups, permutation)
-    permutation.reverse()
-    return permutation
-
-
 def sortk(seq: Sequence, order: int = 0,
           comparator: Optional[CountingComparator] = None,
           kernel_name: Optional[str] = None) -> SortOutcome:
@@ -280,7 +237,20 @@ def sortk(seq: Sequence, order: int = 0,
     id is the element's B1 rank (a new rank adds a context; context 0
     stays empty), above it B2 maps the rank tuple to it (a new tuple adds
     a context), and at order 0 it is context 0.
-    The permutation is then read off with no comparison.
+
+    The permutation is then read off with no comparison. Every index list,
+    named by its last position (its tail), goes to its key's B1 rank: each
+    warm-up position, a list of one, to its rank in context 0's rank tuple,
+    and each leaf of the node store to the last rank of its next context
+    (at order 1 its handle is that rank). A rank keeps its first leaf's
+    tail in a slot, and a rank with several lists (one key in several
+    contexts, or a warm-up position) keeps them all in *shared*. B1's
+    in-order walk, taken backwards, visits the ranks from the largest key
+    down, and `read_back` reads each rank's lists as one group, highest
+    position first: one list from its tail back, several merged by index,
+    so the permutation is stable. At order 0 each leaf of the one tree is
+    a group, last first. When `read_back` starts, the call holds no
+    reference to B1, B2, the rank tuples or the forest.
     """
     m = len(seq)
     if order < 0:
@@ -288,7 +258,8 @@ def sortk(seq: Sequence, order: int = 0,
     cmp = comparator if comparator is not None else CountingComparator()
     breakdown = budget_breakdown(seq, order)
     before = cmp.snapshot()
-    forest = get_kernel(kernel_name).StatsTree()
+    get_kernel(kernel_name)  # refuses an unknown name
+    forest = StatsTree()
     b1 = RankDictionary(cmp)
     b2 = CodeDictionary() if order > 1 else None
     boot = tuple(b1.lookup_or_insert(seq[k])[0]
@@ -319,8 +290,37 @@ def sortk(seq: Sequence, order: int = 0,
                           current)
             current = nxt
 
-    permutation = (_read_off(b1, forest, ranks_of, order) if order
-                   else flatten(forest))
+    # Each structure is dropped once the read-off has taken what it needs,
+    # never emptied: a caller may still hold it (perfbench's tracer reads
+    # every forest after the call).
+    ranks = list(b1.ranks())
+    ranks.reverse()  # the largest key first
+    b1 = b2 = None
+    if order:
+        slots = [0] * (len(ranks) + 1)  # rank -> the tail of its first leaf
+        shared: dict[int, list] = {}  # rank -> the tails of all its lists
+        for k, rank in enumerate(ranks_of[0], start=1):
+            shared.setdefault(rank, []).append(k)
+        tails, handles = forest.store_entries()
+        if order > 1:  # handles are context ids, not ranks
+            handles = map(itemgetter(-1), map(ranks_of.__getitem__, handles))
+        for tail, rank in zip(tails, handles):
+            if rank in shared:
+                shared[rank].append(tail)
+            elif slots[rank]:
+                shared[rank] = [slots[rank], tail]
+            else:
+                slots[rank] = tail
+        ranks_of = tails = handles = None
+        # Each rank's group is its shared list, or else its slot's bare tail.
+        groups = map(shared.get, ranks, map(slots.__getitem__, ranks))
+    else:
+        groups = reversed(forest.tails(0))
+    chain = forest._chain
+    forest = None
+    permutation: list[int] = []
+    read_back(chain, groups, permutation)
+    permutation.reverse()
     warnings: tuple[str, ...] = ()
     n = breakdown.n
     if not premise_holds(n, m, order):

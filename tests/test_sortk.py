@@ -6,6 +6,8 @@ import random
 import subprocess
 import sys
 import tracemalloc
+import types
+import weakref
 from collections import Counter
 
 import pytest
@@ -537,18 +539,26 @@ def test_every_context_within_its_own_avl_bound(kernel, monkeypatch):
 
 
 def test_peak_memory_per_element():
-    """The tracemalloc peak of sortk at order 1 stays below 190 bytes per
-    element on 20,000 seeded random bytes, and below 185 on BIGALPHA,
-    where about half of the elements start a context. Set on CPython
-    3.11.7. On the random bytes it reads about 157 with positions threaded
-    through the forest's position chain, and about 219 with a Python list
-    of positions per leaf; about 143 with order-1 contexts numbered by B1
-    rank and 4-byte position arrays. On BIGALPHA it reads about 153 with a
-    context per B1 rank, 4-byte position arrays and the budget pass's
-    Counter built after its context table is freed, and about 217 with a
-    rank tuple and a B2 entry per context and 8-byte position arrays."""
+    """The tracemalloc peak of sortk at order 1, in bytes per element,
+    stays below 190 on 20,000 seeded random bytes and below 185 on
+    BIGALPHA, where about half of the elements start a context, and below
+    137 and 130 on inputs of the same two kinds from other seeds. Set on
+    CPython 3.11.7. On the random bytes it reads about 219 with a Python
+    list of positions per leaf, 157 with the forest's position chain, 143
+    with order-1 contexts numbered by B1 rank and 4-byte position arrays,
+    and 130 (both seeds) with the permutation built once the forest and B1
+    are dropped. On BIGALPHA it reads about 217 with a rank tuple and a B2
+    entry per context and 8-byte position arrays, 153 with a context per
+    B1 rank, 4-byte arrays and the budget pass's Counter built after its
+    table is freed, and 121 (120 on the other seed) with that read-off and
+    one dict per context in the budget pass, whose peak then sets the
+    call's."""
     random_bytes = list(random.Random(2022).randbytes(20_000))
-    for seq, bound in ((random_bytes, 190), (BIGALPHA, 185)):
+    other_bytes = list(random.Random(2023).randbytes(20_000))
+    other_bigalpha = generate(SourceSpec(kind="markov", n=4096, m=8192,
+                                         noise=0.1, seed=8))
+    for seq, bound in ((random_bytes, 190), (BIGALPHA, 185),
+                       (other_bytes, 137), (other_bigalpha, 130)):
         sortk(seq[:100], 1)
         gc.collect()
         tracemalloc.start()
@@ -593,6 +603,45 @@ def test_order_one_contexts_are_b1_ranks(monkeypatch):
     assert b2_calls == []
     sortk(TORONTO, 2)
     assert "get" in b2_calls and "insert" in b2_calls
+
+
+def test_read_off_starts_after_the_search_structures_are_gone(monkeypatch):
+    """When the permutation is first read back, no statistics forest and
+    no rank dictionary made by the call is alive: the read-off runs on the
+    position chain alone. Slotless subclasses make both weakly referable."""
+    module = sys.modules["entsort.sortk"]
+    made = []
+    for name in ("StatsTree", "RankDictionary"):
+        class Watched(getattr(module, name)):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(weakref.ref(self))
+        monkeypatch.setattr(module, name, Watched)
+    alive = []
+
+    def read_back(chain, groups, out, _original=module.read_back):
+        if not out:
+            alive.append([ref() is not None for ref in made])
+        _original(chain, groups, out)
+
+    monkeypatch.setattr(module, "read_back", read_back)
+    for seq in (TORONTO, MARKOV, BIGALPHA):
+        for order in (0, 1, 2):
+            made.clear()
+            alive.clear()
+            out = sortk(seq, order)
+            assert out.permutation == stable_perm(seq)
+            assert alive == [[False, False]]
+
+
+def test_sortk_builds_the_forest_of_its_own_kernel(monkeypatch):
+    """sortk uses the StatsTree it imported, not whatever module is
+    registered as `entsort.kernel` when it runs, so a second copy of the
+    package imported under the same name cannot swap its kernel."""
+    monkeypatch.setitem(sys.modules, "entsort.kernel",
+                        types.ModuleType("entsort.kernel"))
+    for order in (0, 1, 2):
+        assert sortk(MARKOV, order).permutation == stable_perm(MARKOV)
 
 
 def test_no_cyclic_garbage_after_a_call():

@@ -21,7 +21,10 @@ probes, the garbage collector) is not weighed. Tracing makes a call about
 The report also gives each workload's memory: the tracemalloc peak of one
 untraced call on its first seed-101 input, whole (--limit does not cut it),
 in bytes per element. That is perfbench's `peak_bytes_per_elem`, so a
-memory claim can be checked without a timed run.
+memory claim can be checked without a timed run. Beside it,
+`budget_peak_bytes_per_elem` is the peak of the call's accounting pass,
+`budget_breakdown(seq, order)`, alone on the same input, so that a claim
+can see which phase sets the peak.
 
 The inputs come from `perfbench/corpus.py`, imported as is; nothing under
 `perfbench/` is written. Usage:
@@ -133,6 +136,9 @@ def measure(entsort, corpus, workload: str, limit: int | None) -> dict:
             "ops": sum(ops.values()) / elems,
             "calls": sum(calls.values()) / elems,
             "peak_bytes_per_elem": peak_per_elem(sorter, whole[0]),
+            "budget_peak_bytes_per_elem": peak_per_elem(
+                lambda seq: entsort.budget_breakdown(seq, spec.order),
+                whole[0]),
             "functions": functions}
 
 
@@ -168,7 +174,8 @@ def main(argv=None) -> int:
               f"{r['ops']:.1f} bytecodes and {r['calls']:.2f} calls "
               "per element")
         print(f"  peak {r['peak_bytes_per_elem']:.1f} B/elem "
-              "(one call on the first whole input)")
+              "(one call on the first whole input), "
+              f"{r['budget_peak_bytes_per_elem']:.1f} in its budget pass")
         print(f"  {'function':<40}{'ops/elem':>10}{'calls/elem':>12}")
         for name, f in r["functions"].items():
             print(f"  {name:<40}{f['ops']:>10.1f}{f['calls']:>12.3f}")
