@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -176,6 +177,27 @@ def test_corpora_reproducible():
     names_b = [name for name, _ in correctness_corpus()]
     assert names_a == names_b
     assert envelope_corpus() == envelope_corpus()
+
+
+def corpus_digest(items) -> str:
+    """SHA-256 over the repr of each item, one line per item."""
+    h = hashlib.sha256()
+    for item in items:
+        h.update(repr(item).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def test_corpora_pinned():
+    """The frozen corpora are byte-identical to those the acceptance
+    criteria were calibrated on: criterion 3's 10,000 specs, criterion 4's
+    named sequences and criterion 9's (name, sequence, order) triples."""
+    assert corpus_digest(bounds_corpus(10_000)) == (
+        "3bf69bd2d9c807595751a65e13b4791d40996c57024dc4f4f925581d620ac3de")
+    assert corpus_digest(correctness_corpus()) == (
+        "fcd32be0747fb90c494604aaea1abdbf28631806b03cd720a6716fc54d1bd6d7")
+    assert corpus_digest(envelope_corpus()) == (
+        "fb7b42fc118f2aba4be5f5a6ae1d8b6373566bb0f4764470be3192c36cf79542")
 
 
 def test_bounds_corpus_constraints():
