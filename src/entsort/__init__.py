@@ -26,15 +26,6 @@ __all__ = [
     "KERNEL_NAME", "available_kernels", "get_kernel",
     "SortOutcome", "sort0", "sortk", "comparison_budget",
     "budget_breakdown", "invert",
-    "from_pairs",
     "__version__",
 ]
 
-
-def __getattr__(name: str):
-    # from_pairs lives with the oracles in entsort.lbst, which no sorter
-    # imports; it is loaded when first asked for.
-    if name == "from_pairs":
-        from .lbst import from_pairs
-        return from_pairs
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -31,9 +31,10 @@ settle the leaf's relation to s; the leaf then asks only what is still open.
 The walk tracks the leaf range under the current node, skips chains of
 one-child nodes by arithmetic on the range's end codes, and pays one AVL
 walk per counted comparison and none to find the end leaves, whose nodes the
-tree keeps. The single-node queries that the tests check it against
-(`sigma`, `classify`) live in `entsort.lbst`, with `from_pairs`, which
-builds a tree from given keys and weights.
+tree keeps. The oracles that the tests check it against live with the
+tests, in `tests/oracles.py`: the single-node queries `sigma` and
+`classify`, the positional queries they are built on, and `from_pairs`,
+which builds a tree from given keys and weights.
 
 `StatsTree` is a forest: the order-k sorter keeps one tree per context in
 one node store, and a context is an int id, so it costs five list slots
@@ -258,6 +259,7 @@ class StatsTree(_FlatAVL):
         return len(self._root) - 1
 
     # -- basic accessors ---------------------------------------------------
+    # `len` and `height` are read by perfbench/run.py's traced pass.
 
     def __len__(self) -> int:
         return len(self._keys) - 1
@@ -265,10 +267,6 @@ class StatsTree(_FlatAVL):
     @property
     def height(self) -> int:
         return max(self._height[r] for r in self._root)
-
-    @property
-    def total_weight(self) -> int:
-        return sum(self._total)
 
     def _check_pos(self, j: int, ctx: int = 0) -> None:
         if not 1 <= j <= self._len[ctx]:
@@ -289,91 +287,13 @@ class StatsTree(_FlatAVL):
 
     def handle_at(self, j: int, ctx: int = 0):
         """The j-th next-context handle, read without recording a hit. No
-        sorter calls it (`append` returns the handle on a hit); it is kept
-        for the layer tracer."""
+        sorter calls it (`append` returns the handle on a hit). Its one
+        reader is the layer tracer, `perfbench/spans.py`, which wraps it by
+        name; ROADMAP item 2 removes it with the tracer's list."""
         self._check_pos(j, ctx)
         return self._next[self._node_at(j, ctx)]
 
-    # -- the six positional operations ------------------------------------
-
-    def search(self, num: int, den: int = 1, ctx: int = 0) -> int:
-        """Smallest position j with den * (w_1 + ... + w_j) >= num.
-
-        The rational threshold num/den generalizes an integer threshold;
-        comparisons are by cross-multiplication in exact integers.
-        """
-        if den <= 0:
-            raise ValueError("den must be positive")
-        if num < 0:
-            raise ValueError("num must be non-negative")
-        if self._len[ctx] == 0:
-            raise ValueError("search on empty tree")
-        total = self._total[ctx]
-        if den.bit_length() + total.bit_length() > 126:
-            raise OverflowError("threshold exceeds configured word width")
-        if den * total < num:
-            raise ValueError("threshold exceeds total weight")
-        if num == 0:
-            return 1
-        left, right, rank_of = self._left, self._right, self._rank
-        weight, off = self._weight, self._off
-        num2 = 2 * num  # F - w_j = 2*S_{j-1} and F + w_j = 2*S_j
-        v = self._root[ctx]
-        base = 0  # twice the weight before v's subtree; den*base < num2
-        pos = 0  # positions before v's subtree
-        while True:
-            f = base + off[v]
-            w = weight[v]
-            if den * (f - w) >= num2:
-                v = left[v]
-            elif den * (f + w) >= num2:
-                return pos + rank_of[v]
-            else:
-                base = f + w
-                pos += rank_of[v]
-                v = right[v]
-
-    def sum(self, j: int, ctx: int = 0) -> int:
-        """Prefix weight sum w_1 + ... + w_j."""
-        self._check_pos(j, ctx)
-        left, right, rank_of = self._left, self._right, self._rank
-        weight, off = self._weight, self._off
-        v = self._root[ctx]
-        base = 0  # twice the weight before v's subtree
-        while True:
-            r = rank_of[v]
-            if j < r:
-                v = left[v]
-            else:
-                base += off[v] + weight[v]
-                if j == r:
-                    return base // 2
-                j -= r
-                v = right[v]
-
-    def leaf(self, j: int, ctx: int = 0) -> tuple:
-        """The j-th leaf's key and weight, read without its index list."""
-        self._check_pos(j, ctx)
-        v = self._node_at(j, ctx)
-        return (self._keys[v], self._weight[v])
-
-    def triple(self, j: int, ctx: int = 0) -> tuple:
-        """The j-th quadruple (key, weight, indices, next handle).
-
-        The index list is a new list read off the position chain, so it
-        costs a step per index; `leaf` reads the key and weight alone.
-        """
-        self._check_pos(j, ctx)
-        v = self._node_at(j, ctx)
-        return (self._keys[v], self._weight[v], self._indices(v),
-                self._next[v])
-
-    def _indices(self, v: int) -> list:
-        """Node v's index list, read back from its tail and reversed."""
-        out: list = []
-        read_back(self._chain, [self._tail[v]], out)
-        out.reverse()
-        return out
+    # -- the positional updates --------------------------------------------
 
     def _skip_to(self, i: int) -> None:
         """Refuse sequence position i unless it lies above every position
@@ -390,7 +310,9 @@ class StatsTree(_FlatAVL):
 
     def increment(self, j: int, ctx: int = 0) -> None:
         """Add 1 to w_j, and nothing else: the positional weight bump. The
-        sorters record a hit with `append`, which also bumps w_j."""
+        sorters record a hit with `append`, which also bumps w_j. Its one
+        reader is the layer tracer, `perfbench/spans.py`, which wraps it by
+        name; ROADMAP item 2 removes it with the tracer's list."""
         self._check_pos(j, ctx)
         if self._total[ctx] + 1 > MAX_TOTAL_WEIGHT:
             raise OverflowError("total weight exceeds configured word width")
@@ -631,13 +553,6 @@ class StatsTree(_FlatAVL):
             counts[VERIFY] += nverify
 
     # -- whole-structure helpers -------------------------------------------
-
-    def quadruples(self, ctx: int = 0) -> list:
-        """All quadruples of context *ctx* in positional order, each index
-        list read off the chain (test and oracle support)."""
-        keys, weight, nxt = self._keys, self._weight, self._next
-        return [(keys[v], weight[v], self._indices(v), nxt[v])
-                for v in self._inorder(self._root[ctx])]
 
     def tails(self, ctx: int = 0) -> list:
         """The last sequence position of each leaf of context *ctx*, in

@@ -14,16 +14,18 @@ from math import log2
 import pytest
 
 from conftest import Spy, stable_perm
-from entsort.bench import (TORONTO, baseline_mergesort, bounds_corpus,
-                           correctness_corpus, envelope_corpus, generate)
+from corpora import (TORONTO, bounds_corpus, correctness_corpus,
+                     envelope_corpus)
+from entsort.bench import baseline_mergesort, generate
 from entsort.comparator import PHASE_B1, PHASE_MERGE, CountingComparator
 from entsort.entropy import h_order, profile
 from entsort.gamma import encode_tuple, gamma_decode, gamma_encode
-from entsort.intmath import ceil_div, ceil_log2
 from entsort.kernel import KERNEL_NAME, get_kernel
-from entsort.lbst import build_explicit, classify, from_pairs, sigma
 from entsort.sort0 import sort0
 from entsort.sortk import premise_holds, sortk
+from oracles import (build_explicit, ceil_div, ceil_log2, classify,
+                     from_pairs, leaf, prefix_sum, search, sigma,
+                     total_weight, triple)
 
 
 def report(num, name, detail):
@@ -196,14 +198,14 @@ def test_criterion_7_zero_comparison_audit():
             next_index += 1
         elif action < 0.8:
             j = rng.randrange(1, t + 1)
-            tree.sum(j)
-            tree.triple(j)
-            tree.leaf(j)
+            prefix_sum(tree, j)
+            triple(tree, j)
+            leaf(tree, j)
             sigma(tree, j)
         else:
-            total = tree.total_weight
+            total = total_weight(tree)
             den = rng.randrange(1, 4)
-            tree.search(rng.randrange(0, den * total + 1), den)
+            search(tree, rng.randrange(0, den * total + 1), den)
     tree_ops_delta = cmp.snapshot().binary_count - before.binary_count
     assert tree_ops_delta == 0
     assert Spy.order_comparisons == 0

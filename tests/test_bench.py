@@ -4,11 +4,11 @@ import random
 import pytest
 
 from conftest import stable_perm
+from corpora import (TORONTO, bounds_corpus, correctness_corpus,
+                     envelope_corpus)
 from entsort import entropy
-from entsort.bench import (SourceSpec, TORONTO, baseline_mergesort,
-                           bounds_corpus, correctness_corpus, default_suite,
-                           envelope_corpus, generate,
-                           outcome_checks, run_spec, sort_report,
+from entsort.bench import (SourceSpec, baseline_mergesort, default_suite,
+                           generate, outcome_checks, run_spec, sort_report,
                            stable_sort_oracle)
 from entsort.comparator import PHASE_BASELINE, CountingComparator
 from entsort.sort0 import comparison_budget, sort0

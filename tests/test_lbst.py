@@ -3,14 +3,13 @@ import random
 
 import pytest
 
-from conftest import FlatStatsTree
 from entsort.comparator import (PHASE_SEARCH, PHASE_VERIFY,
                                 CountingComparator)
 from entsort.errors import NavigationError
-from entsort.intmath import ceil_div, ceil_log2
 from entsort import kernel as kernel_module
-from entsort.lbst import (build_explicit, classify, from_pairs, leaf_code,
-                          sigma)
+# `leaf` is also a local name in _classify_descend.
+from oracles import (FlatStatsTree, build_explicit, ceil_div, ceil_log2,
+                     classify, from_pairs, leaf as leaf_at, leaf_code, sigma)
 
 TORONTO_KEYS = list("NORT")
 TORONTO_WEIGHTS = [1, 3, 1, 2]
@@ -292,8 +291,8 @@ def _classify_descend(tree, kernel, s, comparator):
             break
         if has_left and has_right:
             nsearch += 1
-            pred_key, pred_weight = tree.leaf(split)
-            succ_key, succ_weight = tree.leaf(split + 1)
+            pred_key, pred_weight = leaf_at(tree, split)
+            succ_key, succ_weight = leaf_at(tree, split + 1)
             if succ_weight > pred_weight:
                 bit = 1 if comparator.leq(succ_key, s, PHASE_SEARCH) else 0
                 if bit:
@@ -309,7 +308,7 @@ def _classify_descend(tree, kernel, s, comparator):
         else:
             bit = 0 if has_left else 1
         sig, depth = 2 * sig + bit, depth + 1
-    a = tree.leaf(j)[0]
+    a = leaf_at(tree, j)[0]
     if knows_le and knows_ge:
         return (j, kernel.EQUAL, nsearch, 0)
     if knows_ge:

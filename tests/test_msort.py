@@ -2,8 +2,8 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from entsort.intmath import ceil_log2
 from entsort.msort import mergesort_perm
+from oracles import ceil_log2
 
 
 def run(items):

@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 from conftest import sort0_budget, stable_perm
 from entsort.comparator import (PHASE_SEARCH, PHASE_VERIFY,
                                 CountingComparator)
-from entsort.intmath import ceil_log2
 from entsort.kernel import available_kernels, get_kernel
 from entsort.sort0 import comparison_budget, sort0
 from entsort.sortk import invert
+from oracles import ceil_log2
 
 TORONTO = list("TORONTO")
 

