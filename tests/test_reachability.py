@@ -19,7 +19,7 @@ from entsort import cli
 from entsort.bench import KINDS, SourceSpec, generate
 from entsort.sortk import sortk
 
-PACKAGE = Path(entsort.__file__).resolve().parent
+PACKAGE = Path(entsort.__file__).parent  # as the code objects name it
 
 # "module:qualname" -> why the function stays although no run reaches it.
 # A nested function or comprehension is covered by its enclosing entry.
@@ -57,15 +57,15 @@ ALLOWED = {
 AT_IMPORT = ("<listcomp>", "<dictcomp>", "<setcomp>", "<genexpr>")
 
 
-def function_codes():
-    """{(module, qualname, first line): code} for every function,
-    method, lambda and comprehension compiled from the package's files."""
-    found = {}
+def defined_functions():
+    """(module, qualname, first line) of every function, method, lambda
+    and comprehension compiled from the package's files."""
+    found = set()
 
     def visit(code, module):
         if (code.co_flags & inspect.CO_NEWLOCALS
                 and code.co_qualname not in AT_IMPORT):
-            found[(module, code.co_qualname, code.co_firstlineno)] = code
+            found.add((module, code.co_qualname, code.co_firstlineno))
         for const in code.co_consts:
             if inspect.iscode(const):
                 visit(const, module)
@@ -126,7 +126,7 @@ def run_everything(tmp_path):
 
 
 def test_every_package_function_runs_or_is_listed(tmp_path):
-    defined = function_codes()
+    defined = defined_functions()
     called = run_everything(tmp_path)
 
     def allowed(module, qualname):
