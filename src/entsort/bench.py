@@ -22,6 +22,12 @@ from .sortk import SortOutcome, sortk
 
 KINDS = ("uniform", "zipf", "markov", "periodic")
 
+# Largest markov memory length. The generator keeps one k-tuple per state
+# it meets, so its memory grows as k * (m - k). Past 64, the premise
+# n^(k+1) * log2(n) <= m fails for every n >= 2 and m < 2^64, so no
+# sequence of such a source can show the order-k bound.
+MAX_MARKOV_ORDER = 64
+
 
 @dataclass(frozen=True)
 class SourceSpec:
@@ -43,8 +49,9 @@ class SourceSpec:
             raise ValueError("m must be >= 1")
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if self.kind == "markov" and self.order < 1:
-            raise ValueError("markov order must be >= 1")
+        if self.kind == "markov" and not 1 <= self.order <= MAX_MARKOV_ORDER:
+            raise ValueError(
+                f"markov order must be in 1..{MAX_MARKOV_ORDER}")
         if self.kind == "zipf" and not self.skew > 0:  # NaN fails too
             raise ValueError("zipf skew must be positive")
         if not 0.0 <= self.noise <= 1.0:

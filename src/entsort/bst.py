@@ -31,8 +31,8 @@ class RankDictionary(_FlatAVL):
     """Elements seen so far, each with its first-appearance rank.
 
     An element's rank is the number of distinct elements in the sequence up
-    to and including its first occurrence; ranks are a bijection onto
-    1..len(self). Lookups walk down keeping the smallest key >= s as a
+    to and including its first occurrence; the ranks of t elements are a
+    bijection onto 1..t. Lookups walk down keeping the smallest key >= s as a
     candidate (one comparison per node), then spend one comparison to decide
     equality — at most height + 1 comparisons per operation. They are the
     elements' own `<=`; a lookup counts them as it goes and adds the count
@@ -53,13 +53,6 @@ class RankDictionary(_FlatAVL):
         self._right = [0]
         self._height = [0]
         self._root = 0
-
-    def __len__(self) -> int:
-        return len(self._keys) - 1
-
-    @property
-    def height(self) -> int:
-        return self._height[self._root]
 
     def lookup_or_insert(self, elem) -> tuple[int, bool]:
         """(rank, was_new) for elem, inserting it with the next rank if new."""

@@ -6,7 +6,8 @@ and `get_kernel` name it for run reports and for callers that still pass
 
 The statistics tree is an AVL tree over a positional list of quadruples
 (key, weight, index list, next-context handle); a leaf's index list is
-threaded through one forest-wide array of machine ints (see `StatsTree`).
+not stored as a list: one forest-wide array of machine ints names the
+leaf of each sequence position (see `StatsTree`).
 Each node is augmented with what lies on its left, as in the RANK field of
 Knuth's order-statistics trees (TAOCP vol. 3, 6.2.3): its rank within its
 own subtree, and its offset there of F_j = 2*S_{j-1} + w_j, the scaled
@@ -39,10 +40,11 @@ which builds a tree from given keys and weights.
 `StatsTree` is a forest: the order-k sorter keeps one tree per context in
 one node store, and a context is an int id, so it costs five list slots
 rather than an object. A forest of one context serves as a single tree.
-A recorded position costs one 4-byte slot of the forest's position chain
-and no Python object. `read_back`, which reads index lists off that chain
-by their tails, is a function of the chain alone, so a read-off can drop
-the forest's other lists before it builds its output.
+A recorded position costs one 4-byte slot of the forest's position -> leaf
+array and no Python object. A read-off needs that array and one key slot
+per node (`sortk.sortk` sorts the positions by slot with a stable counting
+sort), so it can drop the forest's other lists before it builds its
+output.
 
 The AVL rules live once, in `_FlatAVL`: rotations, the height update
 `_fix`, the single-or-double rebalance, `_attach`, which hangs a new leaf
@@ -56,7 +58,7 @@ from __future__ import annotations
 
 import sys
 from array import array
-from itertools import islice, repeat
+from itertools import repeat
 from types import ModuleType
 
 from .comparator import SEARCH, VERIFY
@@ -73,10 +75,11 @@ SUCCESSOR = 2  # found leaf key > searched element
 # product to 126 bits, so inputs past it fail loudly with OverflowError.
 MAX_TOTAL_WEIGHT = 1 << 60
 
-# Largest sequence position that a forest skips ahead to. The position
-# chain takes 4 bytes per position up to the largest recorded, 8 GiB at
-# this cap, so a stray huge position is refused with ValueError rather
-# than allocated. It fits the chain's 32-bit unsigned entries.
+# Largest sequence position that a forest skips ahead to. The position ->
+# leaf array takes 4 bytes per position up to the largest recorded, 8 GiB
+# at this cap, so a stray huge position is refused with ValueError rather
+# than allocated. It, and so every node id, fits the array's 32-bit
+# unsigned entries.
 MAX_POSITION = 1 << 31
 
 
@@ -193,10 +196,9 @@ class StatsTree(_FlatAVL):
     responsible for inserting keys in sorted positional order; the tree
     never checks (it cannot compare keys).
 
-    The nodes of every context live in nine parallel lists, `_left` to
+    The nodes of every context live in eight parallel lists, `_left` to
     `_next`, the node store. Besides its key, weight and next handle, a
-    node v keeps its index list's last sequence position, `_tail[v]`, and
-    two fields about its left subtree L only:
+    node v keeps two fields about its left subtree L only:
 
     - `_rank[v]` = size(L) + 1, v's position within its own subtree;
     - `_off[v]` = 2 * wsum(L) + weight[v], v's F offset within its own
@@ -209,24 +211,22 @@ class StatsTree(_FlatAVL):
     nodes, length and total weight; no operation links a node of one tree
     into another.
 
-    The index lists are threaded through `_chain`, one array of 32-bit
-    unsigned ints indexed by sequence position: `_chain[i]` is the position
-    before i in i's leaf, and 0 marks a leaf's first. A leaf's list is read
-    by following the chain back from its tail (`read_back`, given the
-    chain), so callers name lists by their tails and never read the chain's
-    entries themselves. Sequence positions are >= 1 and strictly increase
-    across the forest, in the order `append` and `insert` record them;
-    each refuses any other position with ValueError before it changes
-    anything. So the chain only grows at its
-    end, and a position never recorded (a warm-up position of the order-k
-    sorter) links to 0, whether it was skipped over or lies past the end.
-    The chain's memory is 4 bytes per position up to the largest recorded
-    one, recorded or skipped, so a position that skips ahead past
-    MAX_POSITION is refused too. `_tail` is an array of the same ints.
+    The index lists are one array, `_leaf`, of 32-bit unsigned ints
+    indexed by sequence position: `_leaf[i]` is the id of the node whose
+    index list holds i, and 0 marks a position that no leaf holds. A
+    leaf's list is the positions that name it, in increasing order.
+    Sequence positions are >= 1 and strictly increase across the forest,
+    in the order `append` and `insert` record them; each refuses any other
+    position with ValueError before it changes anything. So the array only
+    grows at its end, and a position never recorded (a warm-up position of
+    the order-k sorter) reads 0, whether it was skipped over or lies past
+    the end. The array's memory is 4 bytes per position up to the largest
+    recorded one, recorded or skipped, so a position that skips ahead past
+    MAX_POSITION is refused too.
     """
 
-    __slots__ = ("_rank", "_weight", "_off", "_keys", "_tail", "_next",
-                 "_root", "_first", "_last", "_len", "_total", "_chain")
+    __slots__ = ("_rank", "_weight", "_off", "_keys", "_next",
+                 "_root", "_first", "_last", "_len", "_total", "_leaf")
 
     def __init__(self):
         """A forest of one empty context, 0."""
@@ -237,7 +237,6 @@ class StatsTree(_FlatAVL):
         self._weight = [0]
         self._off = [0]
         self._keys = [None]
-        self._tail = array("I", (0,))
         self._next = [None]
         # Per context. An end node is 0 while empty; rotations keep node
         # ids, so only an insert at either end moves it.
@@ -246,8 +245,8 @@ class StatsTree(_FlatAVL):
         self._last = [0]
         self._len = [0]
         self._total = [0]
-        # Forest-wide, by sequence position; position 0 is the terminator.
-        self._chain = array("I", (0,))
+        # Forest-wide, by sequence position; no leaf holds position 0.
+        self._leaf = array("I", (0,))
 
     def add_context(self) -> int:
         """Add an empty context and return its id."""
@@ -297,16 +296,17 @@ class StatsTree(_FlatAVL):
 
     def _skip_to(self, i: int) -> None:
         """Refuse sequence position i unless it lies above every position
-        recorded so far and at most MAX_POSITION; otherwise pad the chain
-        with zeros up to i, so that i's link is the next slot appended.
-        `append` and `insert` call it only when i is not the next slot."""
-        chain = self._chain
-        if not len(chain) <= i <= MAX_POSITION:
+        recorded so far and at most MAX_POSITION; otherwise pad the leaf
+        array with zeros up to i, so that i's leaf is the next slot
+        appended. `append` and `insert` call it only when i is not the next
+        slot."""
+        leaf = self._leaf
+        if not len(leaf) <= i <= MAX_POSITION:
             raise ValueError(
                 f"position {i} refused: positions are recorded in "
-                f"increasing order, from {len(chain)} here, up to "
+                f"increasing order, from {len(leaf)} here, up to "
                 f"MAX_POSITION = {MAX_POSITION}")
-        chain.extend(repeat(0, i - len(chain)))
+        leaf.extend(repeat(0, i - len(leaf)))
 
     def increment(self, j: int, ctx: int = 0) -> None:
         """Add 1 to w_j, and nothing else: the positional weight bump. The
@@ -341,14 +341,14 @@ class StatsTree(_FlatAVL):
         checked first, and a refused append changes nothing. Then one
         root-to-leaf walk finds the node and adds 2 to the F offset of
         every ancestor where it turns left; it keeps no path. Position i
-        links to the leaf's old tail in the chain and becomes its tail."""
+        then names the leaf's node in the leaf array."""
         if not 1 <= j <= self._len[ctx]:
             raise IndexError(f"position {j} out of range 1..{self._len[ctx]}")
         total = self._total[ctx]
         if total + 1 > MAX_TOTAL_WEIGHT:
             raise OverflowError("total weight exceeds configured word width")
-        chain = self._chain
-        if i != len(chain):
+        leaf = self._leaf
+        if i != len(leaf):
             self._skip_to(i)
         left, right, rank_of, off = \
             self._left, self._right, self._rank, self._off
@@ -363,9 +363,7 @@ class StatsTree(_FlatAVL):
             else:
                 j -= r
                 v = right[v]
-        tail = self._tail
-        chain.append(tail[v])
-        tail[v] = i
+        leaf.append(v)
         self._weight[v] += 1
         off[v] += 1
         self._total[ctx] = total + 1
@@ -376,14 +374,14 @@ class StatsTree(_FlatAVL):
         positions >= j right by one. The checks are `append`'s. One walk
         down to the insert point counts the new node in the rank and the F
         offset of each ancestor where it turns left, then `_attach` hangs
-        it there and rebalances. Position i starts a chain of its own."""
+        it there and rebalances. Position i names the new node."""
         t = self._len[ctx]
         if not 1 <= j <= t + 1:
             raise IndexError(f"insert position {j} out of range 1..{t + 1}")
         if self._total[ctx] + 1 > MAX_TOTAL_WEIGHT:
             raise OverflowError("total weight exceeds configured word width")
-        chain = self._chain
-        if i != len(chain):
+        leaf = self._leaf
+        if i != len(leaf):
             self._skip_to(i)
         left, right, rank_of, off = \
             self._left, self._right, self._rank, self._off
@@ -402,8 +400,8 @@ class StatsTree(_FlatAVL):
             else:
                 pos -= r
                 v = right[v]
-        chain.append(0)
-        u = self._new_node(a, 1, i, next)
+        u = self._new_node(a, 1, next)
+        leaf.append(u)
         self._len[ctx] = t + 1
         self._total[ctx] += 1
         self._root[ctx] = self._attach(path, u, leftward)
@@ -412,9 +410,9 @@ class StatsTree(_FlatAVL):
         if j == t + 1:
             self._last[ctx] = u
 
-    def _new_node(self, a, w: int, tail: int, next) -> int:
-        """Append a childless node holding key a, weight w, the tail of its
-        index list and next to the node store; return its id."""
+    def _new_node(self, a, w: int, next) -> int:
+        """Append a childless node holding key a, weight w and next to the
+        node store; return its id."""
         self._left.append(0)
         self._right.append(0)
         self._height.append(1)
@@ -422,7 +420,6 @@ class StatsTree(_FlatAVL):
         self._weight.append(w)
         self._off.append(w)
         self._keys.append(a)
-        self._tail.append(tail)
         self._next.append(next)
         return len(self._keys) - 1
 
@@ -551,41 +548,6 @@ class StatsTree(_FlatAVL):
             counts = comparator.counts
             counts[SEARCH] += nsearch
             counts[VERIFY] += nverify
-
-    # -- whole-structure helpers -------------------------------------------
-
-    def tails(self, ctx: int = 0) -> list:
-        """The last sequence position of each leaf of context *ctx*, in
-        positional order."""
-        tail = self._tail
-        return [tail[v] for v in self._inorder(self._root[ctx])]
-
-    def store_entries(self) -> tuple:
-        """(tails, next handles) of every node in the node store, as two
-        parallel iterables in allocation order, for every context."""
-        return islice(self._tail, 1, None), islice(self._next, 1, None)
-
-
-def read_back(chain, groups, out: list) -> None:
-    """Append to *out*, for each group (a bare tail, or a list of tails)
-    the positions of the index lists ending there in the position chain
-    *chain* (a forest's `_chain`), highest first: one list is read from its
-    tail back, several are merged by index. A position that no `append` or
-    `insert` recorded is a list of its own. It needs the chain alone, so a
-    caller may drop the forest first."""
-    end = len(chain)
-    append = out.append
-    for i in groups:
-        if i.__class__ is not int:
-            start = len(out)
-            read_back(chain, i, out)
-            out[start:] = sorted(out[start:], reverse=True)
-        elif i < end:
-            while i:
-                append(i)
-                i = chain[i]
-        else:
-            append(i)
 
 
 def available_kernels() -> tuple[str, ...]:

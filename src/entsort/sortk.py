@@ -20,25 +20,27 @@ The accounting (budgets, H_order, H_0 and n) is one pass over the input
 that runs before the element loop (`budget_breakdown`): it compares
 nothing, and its tables are freed before the forest is built.
 
-The read-off compares no elements. The forest keeps each leaf's index
-list as a chain of positions in one array of machine ints, which
-`kernel.read_back` reads from the leaf's last position back. The
-read-off takes, in turn, B1's in-order rank list (the sorted alphabet),
-the node store's (tail, handle) pairs filed into one slot per rank, and
-the position chain, and drops B1, B2, the rank tuples and the forest as
-it goes, so the permutation is built beside the chain alone. Order 0
-differs only in its groups: its one tree is already in key order, so its
-tails are taken in positional order. The groups go over last key first,
-and the permutation is reversed once. The sort ends with the
-permutation; `SortOutcome.inverse` is computed from it when first read.
+The read-off compares no elements. The forest names the leaf of each
+sequence position in one array of machine ints, and the read-off is one
+stable counting sort of the positions by their keys' slots, the same at
+every order: each node gets its key's slot in key order (at order 0 its
+place in the one tree's in-order walk, above it its key's place in B1's
+in-order rank walk), the node weights and the warm-up ranks give each
+slot's run, and positions 1..m go to their runs in increasing order, so
+equal keys keep their order with no merge. B1, B2, the rank tuples and
+the forest are dropped before the positions are placed, so the
+permutation is built beside the leaf array and the slots alone. The sort
+ends with the permutation; `SortOutcome.inverse` is computed from it when
+first read.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice, repeat
+from itertools import accumulate, chain, islice, repeat
 from math import log2
 from operator import itemgetter
 from typing import Optional, Sequence
@@ -46,7 +48,7 @@ from typing import Optional, Sequence
 from . import entropy
 from .bst import CodeDictionary, RankDictionary, avl_height_bound
 from .comparator import ComparisonLedger, CountingComparator, delta
-from .kernel import EQUAL, PREDECESSOR, StatsTree, get_kernel, read_back
+from .kernel import EQUAL, PREDECESSOR, StatsTree, get_kernel
 
 # Not called here: perfbench/spans.py, their only reader, wraps these two
 # module attributes by name when it traces a run.
@@ -221,6 +223,19 @@ def premise_holds(n: int, m: int, order: int) -> bool:
     return (n ** (order + 1)) * log2(n) <= m
 
 
+def place(slots, starts: array, m: int) -> list[int]:
+    """The stable counting sort's last pass: the m positions 1, 2, ...,
+    whose key slots *slots* gives in that order, each to the next free
+    place of its slot's run in the result. starts[s] is where slot s's run
+    begins (0-based); it moves up as the run fills."""
+    out = [0] * m
+    for i, slot in enumerate(slots, 1):
+        p = starts[slot]
+        out[p] = i
+        starts[slot] = p + 1
+    return out
+
+
 def sortk(seq: Sequence, order: int = 0,
           comparator: Optional[CountingComparator] = None,
           kernel_name: Optional[str] = None) -> SortOutcome:
@@ -238,18 +253,17 @@ def sortk(seq: Sequence, order: int = 0,
     stays empty), above it B2 maps the rank tuple to it (a new tuple adds
     a context), and at order 0 it is context 0.
 
-    The permutation is then read off with no comparison. Every index list,
-    named by its last position (its tail), goes to its key's B1 rank: each
-    warm-up position, a list of one, to its rank in context 0's rank tuple,
-    and each leaf of the node store to the last rank of its next context
-    (at order 1 its handle is that rank). A rank keeps its first leaf's
-    tail in a slot, and a rank with several lists (one key in several
-    contexts, or a warm-up position) keeps them all in *shared*. B1's
-    in-order walk, taken backwards, visits the ranks from the largest key
-    down, and `read_back` reads each rank's lists as one group, highest
-    position first: one list from its tail back, several merged by index,
-    so the permutation is stable. At order 0 each leaf of the one tree is
-    a group, last first. When `read_back` starts, the call holds no
+    The permutation is then read off with no comparison, by a stable
+    counting sort of the positions by key slot. A slot is a key's place in
+    key order: at order 0 a node's place in the one tree's in-order walk;
+    above it the place, in B1's in-order rank walk, of the last rank of
+    the node's next context (at order 1 its handle is that rank), and the
+    place of its rank for a warm-up position. The map from ranks to slots
+    is sized from that walk. The node weights and one per warm-up position
+    count each slot's positions, prefix sums turn the counts into the
+    starts of the slots' runs, and `place` puts positions 1..m, in
+    increasing order, each at the next free place of its slot's run, so
+    equal keys keep their order. When `place` starts, the call holds no
     reference to B1, B2, the rank tuples or the forest.
     """
     m = len(seq)
@@ -292,35 +306,34 @@ def sortk(seq: Sequence, order: int = 0,
 
     # Each structure is dropped once the read-off has taken what it needs,
     # never emptied: a caller may still hold it (perfbench's tracer reads
-    # every forest after the call).
-    ranks = list(b1.ranks())
-    ranks.reverse()  # the largest key first
+    # every forest after the call). Key order is B1's in-order rank walk,
+    # or at order 0 the one tree's in-order walk.
+    walk = list(b1.ranks() if order else forest._inorder(forest._root[0]))
     b1 = b2 = None
+    size = len(walk)
+    slot_of = [0] * (size + 1)  # a rank (at order 0 a node) -> its slot
+    for slot, x in enumerate(walk):
+        slot_of[x] = slot
+    warm = [slot_of[rank] for rank in ranks_of[0]]  # none at order 0
+    node_slot = slot_of
     if order:
-        slots = [0] * (len(ranks) + 1)  # rank -> the tail of its first leaf
-        shared: dict[int, list] = {}  # rank -> the tails of all its lists
-        for k, rank in enumerate(ranks_of[0], start=1):
-            shared.setdefault(rank, []).append(k)
-        tails, handles = forest.store_entries()
+        handles = islice(forest._next, 1, None)
         if order > 1:  # handles are context ids, not ranks
             handles = map(itemgetter(-1), map(ranks_of.__getitem__, handles))
-        for tail, rank in zip(tails, handles):
-            if rank in shared:
-                shared[rank].append(tail)
-            elif slots[rank]:
-                shared[rank] = [slots[rank], tail]
-            else:
-                slots[rank] = tail
-        ranks_of = tails = handles = None
-        # Each rank's group is its shared list, or else its slot's bare tail.
-        groups = map(shared.get, ranks, map(slots.__getitem__, ranks))
-    else:
-        groups = reversed(forest.tails(0))
-    chain = forest._chain
+        node_slot = [0]
+        node_slot += map(slot_of.__getitem__, handles)
+    ranks_of = walk = slot_of = handles = None
+    starts = array("I", bytes(4 * size))  # slot -> its number of positions
+    for slot, w in zip(node_slot, forest._weight):  # node 0 weighs 0
+        starts[slot] += w
+    for slot in warm:
+        starts[slot] += 1
+    starts = array("I", accumulate(starts, initial=0))  # -> its run's start
+    leaf = forest._leaf
     forest = None
-    permutation: list[int] = []
-    read_back(chain, groups, permutation)
-    permutation.reverse()
+    permutation = place(chain(warm, map(node_slot.__getitem__,
+                                        islice(leaf, len(warm) + 1, None))),
+                        starts, m)
     warnings: tuple[str, ...] = ()
     n = breakdown.n
     if not premise_holds(n, m, order):

@@ -24,6 +24,8 @@ No sorter needs anything here; the tests check the kernel against it.
   keys and weights, the given-frequencies case that these oracles are
   checked on. Codes are extracted with exact integer arithmetic: f_j may be
   a non-terminating binary fraction, so floating point is unsound.
+- `dictionary_size` and `dictionary_height`: a `bst.RankDictionary`'s
+  number of elements and the height of its tree.
 - `FlatStatsTree`, a brute-force flat-list twin of one statistics tree,
   `validate`, which checks a context's stored invariants, and
   `random_op_mix`, which drives a forest and its twin with one random op
@@ -36,8 +38,8 @@ from __future__ import annotations
 
 import itertools
 import random
-import struct
-from itertools import accumulate, repeat
+from collections import Counter
+from itertools import repeat
 from typing import Optional
 
 from entsort import kernel
@@ -132,8 +134,9 @@ def leaf(tree, j: int, ctx: int = 0) -> tuple:
 def triple(tree, j: int, ctx: int = 0) -> tuple:
     """The j-th quadruple (key, weight, indices, next handle).
 
-    The index list is a new list read off the position chain, so it
-    costs a step per index; `leaf` reads the key and weight alone.
+    The index list is a new list of the positions that name the leaf in
+    the position -> leaf array, so it costs a scan of that array; `leaf`
+    reads the key and weight alone.
     """
     tree._check_pos(j, ctx)
     v = tree._node_at(j, ctx)
@@ -142,18 +145,26 @@ def triple(tree, j: int, ctx: int = 0) -> tuple:
 
 
 def _indices(tree, v: int) -> list:
-    """Node v's index list, read back from its tail and reversed."""
-    out: list = []
-    kernel.read_back(tree._chain, [tree._tail[v]], out)
-    out.reverse()
-    return out
+    """Node v's index list: the positions whose leaf is v, increasing."""
+    return [i for i, u in enumerate(tree._leaf) if u == v]
+
+
+def _index_lists(tree) -> dict:
+    """Node id -> its index list, for every node that holds a position,
+    from one scan of the position -> leaf array."""
+    lists: dict = {}
+    for i, v in enumerate(tree._leaf):
+        if v:
+            lists.setdefault(v, []).append(i)
+    return lists
 
 
 def quadruples(tree, ctx: int = 0) -> list:
     """All quadruples of context *ctx* in positional order, each index
-    list read off the chain."""
+    list read off the position -> leaf array."""
     keys, weight, nxt = tree._keys, tree._weight, tree._next
-    return [(keys[v], weight[v], _indices(tree, v), nxt[v])
+    lists = _index_lists(tree)
+    return [(keys[v], weight[v], lists.get(v, []), nxt[v])
             for v in tree._inorder(tree._root[ctx])]
 
 
@@ -321,14 +332,14 @@ def from_pairs(keys, weights, indices=None) -> kernel.StatsTree:
     (key, weight) lists.
 
     When *indices* is omitted, leaf j gets the next w_j positions from 1
-    on, so the weight == len(indices) invariant holds, and one packed run
-    of machine ints links them all (each position to the one before it; a
-    leaf's first to 0).
+    on, so the weight == len(indices) invariant holds, and the position ->
+    leaf array is one run of w_j copies of each leaf's node id.
     Given index lists may interleave, as the lists [1, 3] and [2, 4] of the
     sequence "abab" do; each must increase, and no position may appear
-    twice or lie outside 1..MAX_POSITION, else ValueError. The position
-    chain then spans the largest position given, at 4 bytes per position,
-    and a later `append` or `insert` must record a position above it.
+    twice or lie outside 1..MAX_POSITION, else ValueError. The leaf array
+    then spans the largest position given, at 4 bytes per position, with 0
+    at each position that no list holds, and a later `append` or `insert`
+    must record a position above it.
     """
     keys = list(keys)
     weights = [int(w) for w in weights]
@@ -339,16 +350,10 @@ def from_pairs(keys, weights, indices=None) -> kernel.StatsTree:
     if sum(weights) > kernel.MAX_TOTAL_WEIGHT:
         raise OverflowError("total weight exceeds configured word width")
     tree = kernel.StatsTree()
-    chain = tree._chain
     if indices is None:
-        tails = list(accumulate(weights))
-        total = tails[-1] if tails else 0
+        total = sum(weights)
         if total > kernel.MAX_POSITION:
             raise ValueError(f"positions 1..{total} pass MAX_POSITION")
-        # struct packs the run about twice as fast as array.extend.
-        chain.frombytes(struct.pack(f"{total}I", *range(total)))
-        for end, w in zip(tails, weights):
-            chain[end - w + 1] = 0
     else:
         if len(indices) != len(keys):
             raise ValueError("keys and indices must have equal length")
@@ -356,9 +361,7 @@ def from_pairs(keys, weights, indices=None) -> kernel.StatsTree:
         top = max((i for ix in indices for i in ix), default=0)
         if top > kernel.MAX_POSITION:
             raise ValueError(f"position {top} is past MAX_POSITION")
-        chain.extend(repeat(0, top))
         linked: set = set()
-        tails = []
         for ix in indices:
             prev = 0
             for i in ix:
@@ -366,10 +369,8 @@ def from_pairs(keys, weights, indices=None) -> kernel.StatsTree:
                     raise ValueError(
                         f"position {i} refused: each index list increases "
                         "from 1 on, and no position is in two lists")
-                chain[i] = prev
                 linked.add(i)
                 prev = i
-            tails.append(prev)
     if not keys:
         return tree
 
@@ -378,7 +379,7 @@ def from_pairs(keys, weights, indices=None) -> kernel.StatsTree:
         if lo > hi:
             return 0, 0
         mid = (lo + hi) // 2
-        u = tree._new_node(keys[mid], weights[mid], tails[mid], None)
+        u = nodes[mid] = tree._new_node(keys[mid], weights[mid], None)
         tree._left[u], lw = build(lo, mid - 1)
         tree._right[u], rw = build(mid + 1, hi)
         tree._rank[u] = mid - lo + 1
@@ -386,11 +387,33 @@ def from_pairs(keys, weights, indices=None) -> kernel.StatsTree:
         tree._fix(u)
         return u, lw + weights[mid] + rw
 
+    nodes = [0] * len(keys)  # key index -> its node id
     tree._root[0], tree._total[0] = build(0, len(keys) - 1)
+    leaf = tree._leaf
+    if indices is None:
+        for u, w in zip(nodes, weights):
+            leaf.extend(repeat(u, w))
+    else:
+        leaf.extend(repeat(0, top))
+        for u, ix in zip(nodes, indices):
+            for i in ix:
+                leaf[i] = u
     tree._len[0] = len(keys)
     tree._first[0] = tree._node_at(1)
     tree._last[0] = tree._node_at(len(keys))
     return tree
+
+
+# -- the rank dictionary ----------------------------------------------------
+
+def dictionary_size(d) -> int:
+    """The number of elements in the `bst.RankDictionary` *d*."""
+    return len(d._keys) - 1
+
+
+def dictionary_height(d) -> int:
+    """The height of *d*'s AVL tree; 0 while it is empty."""
+    return d._height[d._root]
 
 
 # -- the flat twin and the invariant checks ----------------------------------
@@ -492,22 +515,14 @@ class FlatStatsTree:
 
 
 def validate(tree, ctx: int = 0) -> None:
-    """Check the AVL, augmentation and position-chain invariants of
+    """Check the AVL, augmentation and position -> leaf invariants of
     context *ctx* of the statistics forest *tree*."""
-    chain = tree._chain
-    seen: set = set()  # positions in the context's leaves so far
-
-    def indices(v: int) -> int:
-        """The length of v's index list, checked on the way back: each
-        position in the chain, new to the context and above the next."""
-        count, i = 0, tree._tail[v]
-        while i:
-            if not 0 < i < len(chain) or i in seen or chain[i] >= i:
-                raise AssertionError(f"index chain broken at {i}")
-            seen.add(i)
-            count += 1
-            i = chain[i]
-        return count
+    leaf = tree._leaf
+    if leaf[0] != 0:
+        raise AssertionError("position 0 names a leaf")
+    if max(leaf) >= len(tree._keys):
+        raise AssertionError("a position names no node")
+    lengths = Counter(leaf)  # node id -> the length of its index list
 
     def walk(v: int) -> tuple:
         if v == 0:
@@ -523,7 +538,7 @@ def validate(tree, ctx: int = 0) -> None:
             raise AssertionError("stored rank wrong")
         if tree._weight[v] < 1:
             raise AssertionError("non-positive weight")
-        if tree._weight[v] != indices(v):
+        if tree._weight[v] != lengths[v]:
             raise AssertionError("weight != len(indices)")
         if tree._off[v] != 2 * lw + tree._weight[v]:
             raise AssertionError("stored F offset wrong")

@@ -6,6 +6,7 @@ import pytest
 from conftest import Spy
 from entsort.bst import (CodeDictionary, RankDictionary, avl_height_bound)
 from entsort.comparator import PHASE_B1, CountingComparator
+from oracles import dictionary_height, dictionary_size
 
 
 def test_rank_dictionary_assigns_first_appearance_ranks():
@@ -21,7 +22,7 @@ def test_rank_dictionary_assigns_first_appearance_ranks():
             assert new
             ranks[s] = rank
     assert ranks == {"T": 1, "O": 2, "R": 3, "N": 4}
-    assert len(d) == 4
+    assert dictionary_size(d) == 4
     assert sorted(ranks.values()) == [1, 2, 3, 4]  # bijection onto 1..n
 
 
@@ -44,11 +45,11 @@ def test_rank_dictionary_cost_bound():
         before = cmp.phase_count(PHASE_B1)
         d.lookup_or_insert(rng.randrange(500))
         spent = cmp.phase_count(PHASE_B1) - before
-        assert spent <= avl_height_bound(len(d)) + 1
-        assert d.height <= avl_height_bound(len(d))
+        assert spent <= avl_height_bound(dictionary_size(d)) + 1
+        assert dictionary_height(d) <= avl_height_bound(dictionary_size(d))
         if step % 50 == 0:
             checked_height(d, d._root)
-    assert checked_height(d, d._root) == d.height
+    assert checked_height(d, d._root) == dictionary_height(d)
 
 
 def test_rank_dictionary_only_b1_phase():

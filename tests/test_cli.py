@@ -234,6 +234,24 @@ def test_gen_nan_skew_exit_2():
     assert len(run.stdout) == 10
 
 
+def test_gen_markov_order_past_64_exit_2(tmp_path, capsys):
+    """--markov-order above 64 is a usage error: exit 2 with a one-line
+    message and no output, before the generator keeps a k-tuple per state
+    (at order 40000 and m = 80000 that would take about 13 GB). Order 64
+    is generated."""
+    for k in ("65", "40000"):
+        code, out, err = run_cli(capsys, "gen", "--kind", "markov",
+                                 "--markov-order", k, "--length", "80000")
+        assert code == 2 and out == ""
+        assert err == "error: markov order must be in 1..64\n"
+    path = tmp_path / "markov.txt"
+    code, _, err = run_cli(capsys, "gen", "--kind", "markov",
+                           "--markov-order", "64", "--length", "200",
+                           "--out", str(path))
+    assert code == 0, err
+    assert len(path.read_bytes()) == 200
+
+
 def test_tokens_mode(tmp_path, capsys):
     f = tmp_path / "words.txt"
     f.write_text("pear apple pear fig")

@@ -47,10 +47,6 @@ ALLOWED = {
     "comparator:ComparisonLedger.count": "public API (the ledger)",
     "comparator:CountingComparator.binary_count":
         "public API (the ledger); perfbench/run.py reads it",
-    "bst:RankDictionary.__len__":
-        "tests/test_bst.py reads it; bst.py is left as it is (ROADMAP 13)",
-    "bst:RankDictionary.height":
-        "tests/test_bst.py reads it; bst.py is left as it is (ROADMAP 13)",
 }
 
 # Comprehensions at module level run at import, before any run is traced.

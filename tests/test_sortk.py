@@ -21,7 +21,7 @@ from entsort.comparator import (PHASE_B1, PHASE_MERGE, PHASE_SEARCH,
 from entsort.kernel import StatsTree
 from entsort.sort0 import comparison_budget, sort0
 from entsort.sortk import BudgetBreakdown, budget_breakdown, sortk
-from oracles import validate
+from oracles import dictionary_size, validate
 
 TORONTO = list("TORONTO")
 
@@ -513,7 +513,7 @@ def test_context_forest_shares_one_node_store(kernel, monkeypatch):
 
 def test_every_context_within_its_own_avl_bound(kernel, monkeypatch):
     """Each context of a sortk call's forest is a valid AVL tree, position
-    chain included, and no taller than the AVL bound of its own leaf count.
+    leaf array included, and no taller than the AVL bound of its own leaf count.
     The bound of the forest's leaf total, which perfbench's
     `kernel.height_bound` reports, is far looser than any context's."""
     built = []
@@ -540,12 +540,14 @@ def test_peak_memory_per_element():
     """The tracemalloc peak of sortk at order 1, in bytes per element,
     stays below 190 on 20,000 seeded random bytes and below 185 on
     BIGALPHA, where about half of the elements start a context, and below
-    137 and 130 on inputs of the same two kinds from other seeds. Set on
+    115 and 130 on inputs of the same two kinds from other seeds. Set on
     CPython 3.11.7. On the random bytes it reads about 219 with a Python
     list of positions per leaf, 157 with the forest's position chain, 143
     with order-1 contexts numbered by B1 rank and 4-byte position arrays,
-    and 130 (both seeds) with the permutation built once the forest and B1
-    are dropped. On BIGALPHA it reads about 217 with a rank tuple and a B2
+    130 (both seeds) with the permutation built once the forest and B1 are
+    dropped, and 102 (both seeds) with a position -> leaf array and a
+    counting sort by key slot, which file no Python list per rank. On
+    BIGALPHA it reads about 217 with a rank tuple and a B2
     entry per context and 8-byte position arrays, 153 with a context per
     B1 rank, 4-byte arrays and the budget pass's Counter built after its
     table is freed, and 121 (120 on the other seed) with that read-off and
@@ -556,7 +558,7 @@ def test_peak_memory_per_element():
     other_bigalpha = generate(SourceSpec(kind="markov", n=4096, m=8192,
                                          noise=0.1, seed=8))
     for seq, bound in ((random_bytes, 190), (BIGALPHA, 185),
-                       (other_bytes, 137), (other_bigalpha, 130)):
+                       (other_bytes, 115), (other_bigalpha, 130)):
         sortk(seq[:100], 1)
         gc.collect()
         tracemalloc.start()
@@ -592,8 +594,8 @@ def test_order_one_contexts_are_b1_ranks(monkeypatch):
         out = sortk(seq, 1)
         assert out.permutation == stable_perm(seq)
         forest, b1 = made[StatsTree], made[RankDictionary]
-        rank_of = {b1._keys[r]: r for r in range(1, len(b1) + 1)}
-        assert len(forest._root) == len(b1) + 1
+        rank_of = {b1._keys[r]: r for r in range(1, dictionary_size(b1) + 1)}
+        assert len(forest._root) == dictionary_size(b1) + 1
         assert forest._len[0] == 0
         assert len(forest) > 0
         for v in range(1, len(forest) + 1):
@@ -604,9 +606,10 @@ def test_order_one_contexts_are_b1_ranks(monkeypatch):
 
 
 def test_read_off_starts_after_the_search_structures_are_gone(monkeypatch):
-    """When the permutation is first read back, no statistics forest and
-    no rank dictionary made by the call is alive: the read-off runs on the
-    position chain alone. Slotless subclasses make both weakly referable."""
+    """When the positions are first placed, no statistics forest and no
+    rank dictionary made by the call is alive: the counting sort's last
+    pass runs on the position -> leaf array and the key slots alone.
+    Slotless subclasses make both weakly referable."""
     module = sys.modules["entsort.sortk"]
     made = []
     for name in ("StatsTree", "RankDictionary"):
@@ -617,12 +620,11 @@ def test_read_off_starts_after_the_search_structures_are_gone(monkeypatch):
         monkeypatch.setattr(module, name, Watched)
     alive = []
 
-    def read_back(chain, groups, out, _original=module.read_back):
-        if not out:
-            alive.append([ref() is not None for ref in made])
-        _original(chain, groups, out)
+    def place(slots, starts, m, _original=module.place):
+        alive.append([ref() is not None for ref in made])
+        return _original(slots, starts, m)
 
-    monkeypatch.setattr(module, "read_back", read_back)
+    monkeypatch.setattr(module, "place", place)
     for seq in (TORONTO, MARKOV, BIGALPHA):
         for order in (0, 1, 2):
             made.clear()

@@ -277,26 +277,25 @@ def test_refused_append_leaves_tree_unchanged(kernel):
 
 
 def test_position_arrays_take_four_bytes(kernel):
-    """The position chain and the tails are arrays of 4-byte unsigned
-    ints, and MAX_POSITION fits them. A position past it, or past what 32
-    bits hold, is still refused with ValueError, before the forest, its
-    chain or its tails change."""
+    """The position -> leaf array is an array of 4-byte unsigned ints, and
+    MAX_POSITION fits it. A position past it, or past what 32 bits hold, is
+    still refused with ValueError, before the forest or its leaf array
+    change."""
     forest = from_pairs(list("ab"), [2, 1])
     other = forest.add_context()
     forest.insert("x", 5, 1, None, other)
-    for store in (forest._chain, forest._tail):
-        assert store.typecode == "I" and store.itemsize == 4
-        assert kernel.MAX_POSITION < 1 << (8 * store.itemsize)
+    store = forest._leaf
+    assert store.typecode == "I" and store.itemsize == 4
+    assert kernel.MAX_POSITION < 1 << (8 * store.itemsize)
     before = [snapshot(forest, ctx) for ctx in (0, other)]
-    chain, tails = forest._chain.tolist(), forest._tail.tolist()
+    leaf = forest._leaf.tolist()
     for i in (kernel.MAX_POSITION + 1, 1 << 32, (1 << 32) + 6):
         with pytest.raises(ValueError, match="MAX_POSITION"):
             forest.append(i, 1, other)
         with pytest.raises(ValueError, match="MAX_POSITION"):
             forest.insert("c", i, 3)
     assert [snapshot(forest, ctx) for ctx in (0, other)] == before
-    assert forest._chain.tolist() == chain
-    assert forest._tail.tolist() == tails
+    assert forest._leaf.tolist() == leaf
     forest.append(6, 1, other)
     assert triple(forest, 1, other) == ("x", 2, [5, 6], None)
     validate(forest, 0)
@@ -307,10 +306,10 @@ def test_refused_positions_leave_the_forest_unchanged(kernel):
     """Sequence positions are >= 1 and strictly increase across the forest.
     `append` and `insert` refuse position 0, a negative position, a
     position already used, whether by the same leaf, another leaf or
-    another context, and a skip past MAX_POSITION (the chain would take 4
-    bytes per position up to it), with ValueError; the forest, its
-    position chain included, stays as it was, and the next valid position
-    is taken."""
+    another context, and a skip past MAX_POSITION (the leaf array would
+    take 4 bytes per position up to it), with ValueError; the forest, its
+    position -> leaf array included, stays as it was, and the next valid
+    position is taken."""
     forest = kernel.StatsTree()
     other = forest.add_context()
     forest.insert("a", 1, 1)
@@ -318,7 +317,7 @@ def test_refused_positions_leave_the_forest_unchanged(kernel):
     forest.append(3, 1)
     forest.insert("x", 5, 1, None, other)  # position 4 is skipped
     before = [snapshot(forest, ctx) for ctx in (0, other)]
-    chain = forest._chain.tolist()
+    leaf = forest._leaf.tolist()
     for i in (0, -1, -6, 1, 2, 3, 4, 5, kernel.MAX_POSITION + 1, 10 ** 10):
         for ctx in (0, other):
             with pytest.raises(ValueError, match="increasing order"):
@@ -326,7 +325,7 @@ def test_refused_positions_leave_the_forest_unchanged(kernel):
             with pytest.raises(ValueError, match="increasing order"):
                 forest.insert("c", i, 2, None, ctx)
         assert [snapshot(forest, ctx) for ctx in (0, other)] == before
-        assert forest._chain.tolist() == chain
+        assert forest._leaf.tolist() == leaf
     validate(forest, 0)
     validate(forest, other)
     forest.append(6, 2)

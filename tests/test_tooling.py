@@ -1,7 +1,9 @@
-"""The test suite's own settings, run on a scratch test file."""
+"""The test suite's own settings, run on a scratch test file, and the
+scripts under tools/."""
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -69,3 +71,47 @@ def test_opcount_is_deterministic():
         assert report["peak_bytes_per_elem"] > 0
         assert (0 < report["budget_peak_bytes_per_elem"]
                 <= report["peak_bytes_per_elem"])
+
+
+AB = os.path.join(os.path.dirname(PYPROJECT), "tools", "ab.py")
+SRC = os.path.join(os.path.dirname(PYPROJECT), "src")
+
+
+def test_ab_runs_one_tree_against_itself(tmp_path):
+    """tools/ab.py with the same src/ tree on both sides and cut inputs
+    reports, per workload, identical ledgers and a median time ratio
+    between its quartiles; a side whose permutations differ stops it with
+    exit status 1 and an error line."""
+    argv = [sys.executable, AB, "--rounds", "2", "--limit", "200", "--json",
+            "--base", SRC]
+    run = subprocess.run(argv + ["--new", SRC], capture_output=True,
+                         text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    workloads = json.loads(run.stdout)["workloads"]
+    assert set(workloads) == {"zipf-k0", "markov-k1", "bigalpha-k1"}
+    for report in workloads.values():
+        assert report["elements"] == 8 * 200 and report["rounds"] == 2
+        assert report["ledgers_identical"]
+        assert 0 < report["q1"] <= report["median"] <= report["q3"]
+        assert 0 <= report["new_faster"] <= 2
+    broken = tmp_path / "src"
+    shutil.copytree(SRC, broken,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(broken / "entsort" / "__init__.py", "a") as init:
+        init.write(textwrap.dedent("""
+            _sortk = sortk
+
+
+            def sortk(seq, order=0, **kwargs):
+                out = _sortk(seq, order, **kwargs)
+                out.permutation.reverse()
+                return out
+
+
+            def sort0(seq, **kwargs):
+                return sortk(seq, 0, **kwargs)
+        """))
+    run = subprocess.run(argv + ["--new", str(broken)], capture_output=True,
+                         text=True, timeout=300)
+    assert run.returncode == 1
+    assert run.stderr.startswith("error: zipf-k0: the permutations")
