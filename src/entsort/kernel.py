@@ -18,24 +18,30 @@ positions, never keys: the tree performs zero element comparisons.
 Height is at most 1.4405 * log2(t + 2) (classic AVL bound; asserted in
 tests).
 
-The sorters need two things from it: the positional updates (`append`
-records a hit in one walk; `insert` adds a leaf), and `descend`, a counted
-search of the weighted leaf-oriented search tree that the weight vector
-induces. Leaf j of that tree sits at the code formed by the first
-ceil(log2(W/w_j)) + 1 fraction bits of f_j = (2*S_{j-1} + w_j) / (2W),
-computed in exact integers. `descend` walks the implicit tree for an
-element, spending one counted comparison per two-child node and 0, 1 or 2
-verification comparisons at the leaf. Each split between leaves j and j+1
-asks either `s <= key[j]` or `key[j+1] <= s`, whichever names the heavier
-leaf, so that the answer which moves an end of the leaf range can also
-settle the leaf's relation to s; the leaf then asks only what is still open.
+The sorter needs two things from it: `scan`, which runs the element loop
+until the next miss, and `insert`, which adds the missed element's leaf.
+`scan` searches each element with a counted descent of the weighted
+leaf-oriented search tree that the weight vector induces, and records each
+hit inline, in one walk, so that a hit, the paper's common case on
+low-entropy input, costs no Python call. Leaf j of that tree sits at the
+code formed by the first ceil(log2(W/w_j)) + 1 fraction bits of
+f_j = (2*S_{j-1} + w_j) / (2W), computed in exact integers. The descent
+walks the implicit tree for an element, spending one counted comparison
+per two-child node and 0, 1 or 2 verification comparisons at the leaf.
+Each split between leaves j and j+1 asks either `s <= key[j]` or
+`key[j+1] <= s`, whichever names the heavier leaf, so that the answer
+which moves an end of the leaf range can also settle the leaf's relation
+to s; the leaf then asks only what is still open.
 The walk tracks the leaf range under the current node, skips chains of
 one-child nodes by arithmetic on the range's end codes, and pays one AVL
 walk per counted comparison and none to find the end leaves, whose nodes the
 tree keeps. The oracles that the tests check it against live with the
 tests, in `tests/oracles.py`: the single-node queries `sigma` and
 `classify`, the positional queries they are built on, and `from_pairs`,
-which builds a tree from given keys and weights.
+which builds a tree from given keys and weights. The tests also use
+`descend`, `scan`'s one-element form that records nothing, and `append`,
+the hit as a positional update; `scan` writes `append`'s walk out again,
+since a call per hit from it would cost about half of what it saves.
 
 `StatsTree` is a forest: the order-k sorter keeps one tree per context in
 one node store, and a context is an int id, so it costs five list slots
@@ -66,7 +72,7 @@ from .errors import NavigationError
 
 KERNEL_NAME = "python"
 
-# Relations reported by descend().
+# Relations reported by scan() and descend().
 EQUAL = 0
 PREDECESSOR = 1  # found leaf key < searched element
 SUCCESSOR = 2  # found leaf key > searched element
@@ -216,13 +222,13 @@ class StatsTree(_FlatAVL):
     index list holds i, and 0 marks a position that no leaf holds. A
     leaf's list is the positions that name it, in increasing order.
     Sequence positions are >= 1 and strictly increase across the forest,
-    in the order `append` and `insert` record them; each refuses any other
-    position with ValueError before it changes anything. So the array only
-    grows at its end, and a position never recorded (a warm-up position of
-    the order-k sorter) reads 0, whether it was skipped over or lies past
-    the end. The array's memory is 4 bytes per position up to the largest
-    recorded one, recorded or skipped, so a position that skips ahead past
-    MAX_POSITION is refused too.
+    in the order `scan`, `append` and `insert` record them; each refuses
+    any other position with ValueError before it changes anything. So the
+    array only grows at its end, and a position never recorded (a warm-up
+    position of the order-k sorter) reads 0, whether it was skipped over or
+    lies past the end. The array's memory is 4 bytes per position up to the
+    largest recorded one, recorded or skipped, so a position that skips
+    ahead past MAX_POSITION is refused too.
     """
 
     __slots__ = ("_rank", "_weight", "_off", "_keys", "_next",
@@ -286,7 +292,7 @@ class StatsTree(_FlatAVL):
 
     def handle_at(self, j: int, ctx: int = 0):
         """The j-th next-context handle, read without recording a hit. No
-        sorter calls it (`append` returns the handle on a hit). Its one
+        sorter calls it (`scan` moves to the handle on a hit). Its one
         reader is the layer tracer, `perfbench/spans.py`, which wraps it by
         name; ROADMAP item 2 removes it with the tracer's list."""
         self._check_pos(j, ctx)
@@ -298,8 +304,8 @@ class StatsTree(_FlatAVL):
         """Refuse sequence position i unless it lies above every position
         recorded so far and at most MAX_POSITION; otherwise pad the leaf
         array with zeros up to i, so that i's leaf is the next slot
-        appended. `append` and `insert` call it only when i is not the next
-        slot."""
+        appended. `scan`, `append` and `insert` call it only when i is not
+        the next slot."""
         leaf = self._leaf
         if not len(leaf) <= i <= MAX_POSITION:
             raise ValueError(
@@ -310,7 +316,7 @@ class StatsTree(_FlatAVL):
 
     def increment(self, j: int, ctx: int = 0) -> None:
         """Add 1 to w_j, and nothing else: the positional weight bump. The
-        sorters record a hit with `append`, which also bumps w_j. Its one
+        sorter records a hit in `scan`, which also bumps w_j. Its one
         reader is the layer tracer, `perfbench/spans.py`, which wraps it by
         name; ROADMAP item 2 removes it with the tracer's list."""
         self._check_pos(j, ctx)
@@ -341,7 +347,11 @@ class StatsTree(_FlatAVL):
         checked first, and a refused append changes nothing. Then one
         root-to-leaf walk finds the node and adds 2 to the F offset of
         every ancestor where it turns left; it keeps no path. Position i
-        then names the leaf's node in the leaf array."""
+        then names the leaf's node in the leaf array.
+
+        The sorter records its hits in `scan`, which writes this walk out
+        again rather than call it. `append` is the hit as a positional
+        update, for the tests, their oracles and `perfbench/spans.py`."""
         if not 1 <= j <= self._len[ctx]:
             raise IndexError(f"position {j} out of range 1..{self._len[ctx]}")
         total = self._total[ctx]
@@ -440,34 +450,70 @@ class StatsTree(_FlatAVL):
     # -- virtual weighted-tree navigation ----------------------------------
 
     def descend(self, s, comparator, ctx: int = 0) -> tuple:
-        """Search for element s in the implicit weighted tree.
+        """Search for element s in context ctx's tree, and record nothing.
 
         Returns (position, relation, search_comparisons, verify_comparisons)
         where relation is EQUAL, PREDECESSOR (leaf key < s) or SUCCESSOR
-        (leaf key > s). One comparison per two-child node on the way down;
-        one-child nodes are free.
+        (leaf key > s). On an empty tree it returns (1, SUCCESSOR, 0, 0)
+        with no comparison: insertion at position 1 is then the only move.
 
-        A split between leaves j and j+1 compares s with the heavier of the
-        two (with leaf j on a tie): the left form `s <= key[j]` sends s left
-        when true, the right form `key[j+1] <= s` sends it right when true.
-        Two flags remember whether the answer that last moved hi was
-        `s <= key[hi]` and whether the one that last moved lo was
-        `key[lo] <= s`; each is reassigned whenever its bound moves. At the
-        leaf a, both flags set give EQUAL with no verification; one flag
-        set leaves one question (`a <= s` or `s <= a`) and one comparison;
-        with neither, `a <= s` then `s <= a` decide, stopping early only if
-        the first answer is strict. An inner leaf heavier than both of its
-        neighbours always gets both flags on a hit; the leftmost and the
-        rightmost leaf have one boundary split only, so a hit there costs at
-        least one verification comparison. A miss between two keys may stop
-        at either neighbour; the insert position is the same.
-        On an empty tree it returns (1, SUCCESSOR, 0, 0) without touching
-        the comparator: insertion at position 1 is then the only move.
+        This is `scan`'s one-element form: it scans the probe item (0, s).
+        No leaf ever holds position 0, so `scan` returns a hit at it rather
+        than recording it, and the tree is left as it was. The two counts
+        are what the probe added to `comparator.counts`, where `scan` adds
+        them, also when a comparison raises.
+        """
+        counts = comparator.counts
+        nsearch, nverify = counts[SEARCH], counts[VERIFY]
+        _, _, _, j, rel = self.scan(((0, s),), ctx, comparator)
+        return (j, rel, counts[SEARCH] - nsearch, counts[VERIFY] - nverify)
 
-        Every comparison is the elements' own `<=`. The two counts are
-        added to the search and verify entries of `comparator.counts` (a
-        `CountingComparator`'s counter list) once per call, in a `finally`
-        clause, so that a comparison that raises is counted.
+    def scan(self, items, ctx: int, comparator):
+        """Run the element loop from context ctx until the next miss.
+
+        *items* yields (position, element) pairs. Each element is searched
+        in the current context's tree. On a hit it is recorded as `append`
+        records one, and the scan goes on from the leaf's next-context
+        handle. On the first miss, the scan returns (i, s, ctx, position,
+        relation): the item, the context it was searched in, and the leaf
+        and relation the search reached, with relation PREDECESSOR (leaf
+        key < s) or SUCCESSOR (leaf key > s); the forest is unchanged for
+        that item. On an empty tree the miss is (1, SUCCESSOR) with no
+        comparison. When *items* runs out, the scan returns None.
+
+        A hit is recorded with `append`'s checks and walk, inline, which
+        saves two Python calls per hit: the weight cap and the position are
+        checked before anything changes, and a refused hit raises
+        OverflowError or ValueError with every earlier hit recorded. Then
+        one root-to-leaf walk adds 2 to the F offset of every ancestor
+        where it turns left, position i names the leaf's node in the leaf
+        array, and the leaf's weight, its F offset and the tree's total
+        gain 1. A hit at position 0 is `descend`'s probe: it is returned,
+        as a miss would be, with relation EQUAL, and nothing is recorded.
+
+        The search is the descent of the implicit weighted tree, one
+        counted comparison per two-child node on the way down; one-child
+        nodes are free. A split between leaves j and j+1 compares s with
+        the heavier of the two (with leaf j on a tie): the left form
+        `s <= key[j]` sends s left when true, the right form
+        `key[j+1] <= s` sends it right when true. Two flags remember
+        whether the answer that last moved hi was `s <= key[hi]` and
+        whether the one that last moved lo was `key[lo] <= s`; each is
+        reassigned whenever its bound moves. At the leaf a, both flags set
+        give EQUAL with no verification; one flag set leaves one question
+        (`a <= s` or `s <= a`) and one comparison; with neither, `a <= s`
+        then `s <= a` decide, stopping early only if the first answer is
+        strict. An inner leaf heavier than both of its neighbours always
+        gets both flags on a hit; the leftmost and the rightmost leaf have
+        one boundary split only, so a hit there costs at least one
+        verification comparison. A miss between two keys may stop at
+        either neighbour; the insert position is the same.
+
+        Every comparison is the elements' own `<=`. The search and verify
+        counts of the whole scan are added to the search and verify entries
+        of `comparator.counts` (a `CountingComparator`'s counter list) once
+        per call, in a `finally` clause, so that a comparison that raises
+        is counted.
 
         The walk keeps the leaf range [lo, hi] under the current virtual
         node and the p-bit codes c = floor(F * 2^p / 2W) of f_lo and f_hi,
@@ -479,71 +525,102 @@ class StatsTree(_FlatAVL):
         then costs a single AVL walk, which finds the first leaf on the
         right of the split together with its predecessor, the split leaf.
         """
-        t = self._len[ctx]
-        if t == 0:
-            return (1, SUCCESSOR, 0, 0)
         left, right, rank_of = self._left, self._right, self._rank
-        weight, off = self._weight, self._off
-        root = self._root[ctx]
-        two_w = 2 * self._total[ctx]
-        p = two_w.bit_length()
-        lo, hi = 1, t
-        lo_node = self._first[ctx]  # tree node holding leaf lo
-        c_lo = (weight[lo_node] << p) // two_w
-        c_hi = ((two_w - weight[self._last[ctx]]) << p) // two_w
+        weight, off, keys, nxt = \
+            self._weight, self._off, self._keys, self._next
+        lens, totals, roots = self._len, self._total, self._root
+        firsts, lasts, leaf = self._first, self._last, self._leaf
         nsearch = nverify = 0
-        lo_le = hi_ge = False  # key[lo] <= s, s <= key[hi] already answered
-        keys = self._keys
         try:
-            while lo < hi:
-                if c_hi <= c_lo:  # no split within p bits: inconsistent tree
-                    raise NavigationError("descent exceeded maximum depth")
-                # Right-hand leaves have c >= c_hi with the bits below the
-                # first difference cleared, i.e. F >= g (ceiling of the
-                # scaled value).
-                k = (c_lo ^ c_hi).bit_length() - 1
-                g = -((-(c_hi >> k << k) * two_w) >> p)
-                v = root
-                base = rank = 0  # F before v's subtree, positions before it
-                while v:
-                    f = base + off[v]
-                    if f >= g:
-                        succ, f_succ = v, f
-                        v = left[v]
+            for i, s in items:
+                t = lens[ctx]
+                if t == 0:
+                    return (i, s, ctx, 1, SUCCESSOR)
+                root = roots[ctx]
+                total = totals[ctx]
+                two_w = 2 * total
+                p = two_w.bit_length()
+                lo, hi = 1, t
+                lo_node = firsts[ctx]  # tree node holding leaf lo
+                c_lo = (weight[lo_node] << p) // two_w
+                c_hi = ((two_w - weight[lasts[ctx]]) << p) // two_w
+                lo_le = hi_ge = False  # key[lo] <= s, s <= key[hi] answered
+                while lo < hi:
+                    if c_hi <= c_lo:  # no split within p bits: inconsistent
+                        raise NavigationError("descent exceeded maximum depth")
+                    # Right-hand leaves have c >= c_hi with the bits below
+                    # the first difference cleared, i.e. F >= g (ceiling of
+                    # the scaled value).
+                    k = (c_lo ^ c_hi).bit_length() - 1
+                    g = -((-(c_hi >> k << k) * two_w) >> p)
+                    v = root
+                    base = rank = 0  # F before v's subtree, positions before
+                    while v:
+                        f = base + off[v]
+                        if f >= g:
+                            succ, f_succ = v, f
+                            v = left[v]
+                        else:
+                            pred, f_pred = v, f
+                            base = f + weight[v]
+                            rank += rank_of[v]
+                            v = right[v]
+                    if not lo <= rank < hi:
+                        raise NavigationError(
+                            "split outside the descent's leaf range")
+                    nsearch += 1
+                    # The heavier leaf beside the split is the likelier
+                    # destination.
+                    if weight[succ] > weight[pred]:
+                        if keys[succ] <= s:
+                            lo, lo_node, lo_le = rank + 1, succ, True
+                            c_lo = (f_succ << p) // two_w
+                        else:
+                            hi, c_hi, hi_ge = \
+                                rank, (f_pred << p) // two_w, False
+                    elif s <= keys[pred]:
+                        hi, c_hi, hi_ge = rank, (f_pred << p) // two_w, True
                     else:
-                        pred, f_pred = v, f
-                        base = f + weight[v]
-                        rank += rank_of[v]
-                        v = right[v]
-                if not lo <= rank < hi:
-                    raise NavigationError(
-                        "split outside the descent's leaf range")
-                nsearch += 1
-                # The heavier leaf beside the split is the likelier
-                # destination.
-                if weight[succ] > weight[pred]:
-                    if keys[succ] <= s:
-                        lo, lo_node, lo_le = rank + 1, succ, True
+                        lo, lo_node, lo_le = rank + 1, succ, False
                         c_lo = (f_succ << p) // two_w
+                # Ask only what the search left open: `a <= s`, then, if it
+                # holds, `s <= a`.
+                a = keys[lo_node]
+                if not lo_le:
+                    nverify += 1
+                    if not a <= s:
+                        return (i, s, ctx, lo, SUCCESSOR)
+                if not hi_ge:
+                    nverify += 1
+                    if not s <= a:
+                        return (i, s, ctx, lo, PREDECESSOR)
+                # A hit on leaf lo: refuse it before any change, as
+                # `append` does.
+                if total >= MAX_TOTAL_WEIGHT or i != len(leaf):
+                    if not i:
+                        return (i, s, ctx, lo, EQUAL)  # `descend`'s probe
+                    if total >= MAX_TOTAL_WEIGHT:
+                        raise OverflowError(
+                            "total weight exceeds configured word width")
+                    self._skip_to(i)
+                v = root
+                j = lo
+                while True:
+                    r = rank_of[v]
+                    if j < r:
+                        off[v] += 2
+                        v = left[v]
+                    elif j == r:
+                        break
                     else:
-                        hi, c_hi, hi_ge = rank, (f_pred << p) // two_w, False
-                elif s <= keys[pred]:
-                    hi, c_hi, hi_ge = rank, (f_pred << p) // two_w, True
-                else:
-                    lo, lo_node, lo_le = rank + 1, succ, False
-                    c_lo = (f_succ << p) // two_w
-            # Ask only what the search left open: `a <= s`, then, if it
-            # holds, `s <= a`.
-            a = keys[lo_node]
-            if not lo_le:
-                nverify = 1
-                lo_le = a <= s
-            if not lo_le:
-                return (lo, SUCCESSOR, nsearch, nverify)
-            if not hi_ge:
-                nverify += 1
-                hi_ge = s <= a
-            return (lo, EQUAL if hi_ge else PREDECESSOR, nsearch, nverify)
+                        j -= r
+                        v = right[v]
+                leaf.append(v)
+                weight[v] += 1
+                off[v] += 1
+                totals[ctx] = total + 1
+                ctx = nxt[v]
+            return None
         finally:
             counts = comparator.counts
             counts[SEARCH] += nsearch

@@ -10,7 +10,8 @@ the only dictionary that compares elements) and CodeDictionary (rank tuple
 -> context id, a hash map that compares no elements, used above order 1
 only: at order 1 the context after an element is its B1 rank). A repeat
 (k+1)-tuple never touches either dictionary: the quadruple found by the
-search carries the successor context's id as its handle. At order 0
+search carries the successor context's id as its handle, which the
+kernel's `scan` follows without returning to the loop. At order 0
 there is one context, 0, so there is no lookup at all, and B1 stays empty.
 
 The trees of one call are the contexts of one forest (`kernel.StatsTree`),
@@ -48,7 +49,7 @@ from typing import Optional, Sequence
 from . import entropy
 from .bst import CodeDictionary, RankDictionary, avl_height_bound
 from .comparator import ComparisonLedger, CountingComparator, delta
-from .kernel import EQUAL, PREDECESSOR, StatsTree, get_kernel
+from .kernel import PREDECESSOR, StatsTree, get_kernel
 
 # Not called here: perfbench/spans.py, their only reader, wraps these two
 # module attributes by name when it traces a run.
@@ -244,14 +245,15 @@ def sortk(seq: Sequence, order: int = 0,
     The accounting comes first (`budget_breakdown`, one pass that compares
     nothing). Then the element loop, from position order + 1 on: each
     element is searched in the current context's tree, from that of the
-    warm-up ranks on. On a hit, `append` gives the leaf the element's
-    position and one more unit of weight, and the loop moves to the leaf's
-    next-context handle, which it returns. On a miss, the element is
-    inserted next to the leaf the search reached, with the successor
-    context's id as its handle, and the loop moves there. At order 1 that
-    id is the element's B1 rank (a new rank adds a context; context 0
-    stays empty), above it B2 maps the rank tuple to it (a new tuple adds
-    a context), and at order 0 it is context 0.
+    warm-up ranks on. The hits stay in the kernel: `forest.scan` records
+    each one (the leaf gets the element's position and one more unit of
+    weight) and moves on to the leaf's next-context handle, and it returns
+    at the next miss, with the context it was searched in. The missed
+    element is inserted next to the leaf the search reached, with the
+    successor context's id as its handle, and the loop scans on from
+    there. At order 1 that id is the element's B1 rank (a new rank adds a
+    context; context 0 stays empty), above it B2 maps the rank tuple to it
+    (a new tuple adds a context), and at order 0 it is context 0.
 
     The permutation is then read off with no comparison, by a stable
     counting sort of the positions by key slot. A slot is a key's place in
@@ -265,6 +267,13 @@ def sortk(seq: Sequence, order: int = 0,
     increasing order, each at the next free place of its slot's run, so
     equal keys keep their order. When `place` starts, the call holds no
     reference to B1, B2, the rank tuples or the forest.
+
+    The read-off also checks that the elements' order and their `==`
+    agree: if its number of keys differs from the accounting's n, which
+    counts by hash and `==`, the outcome's warnings name both counts, since
+    the budget and the entropies then describe another partition. It warns
+    rather than raises, so the permutation, which the order alone decides,
+    is still returned.
     """
     m = len(seq)
     if order < 0:
@@ -282,27 +291,24 @@ def sortk(seq: Sequence, order: int = 0,
     current = forest.add_context() if order == 1 else 0  # seq[0]'s rank, 1
     if order > 1:
         b2.insert(boot, 0)
-    for i, s in enumerate(islice(seq, min(order, m), None), order + 1):
-        j, rel, _, _ = forest.descend(s, cmp, current)
-        if rel == EQUAL:
-            current = forest.append(i, j, current)
-        else:
-            nxt = current
-            if order == 1:
-                nxt, new = b1.lookup_or_insert(s)
-                if new:
-                    forest.add_context()
-            elif order:
-                rank, _ = b1.lookup_or_insert(s)
-                ranks = ranks_of[current][1:] + (rank,)
-                nxt = b2.get(ranks)
-                if nxt is None:
-                    nxt = forest.add_context()
-                    ranks_of.append(ranks)
-                    b2.insert(ranks, nxt)
-            forest.insert(s, i, j + 1 if rel == PREDECESSOR else j, nxt,
-                          current)
-            current = nxt
+    items = enumerate(islice(seq, min(order, m), None), order + 1)
+    while (miss := forest.scan(items, current, cmp)) is not None:
+        i, s, current, j, rel = miss
+        nxt = current
+        if order == 1:
+            nxt, new = b1.lookup_or_insert(s)
+            if new:
+                forest.add_context()
+        elif order:
+            rank, _ = b1.lookup_or_insert(s)
+            ranks = ranks_of[current][1:] + (rank,)
+            nxt = b2.get(ranks)
+            if nxt is None:
+                nxt = forest.add_context()
+                ranks_of.append(ranks)
+                b2.insert(ranks, nxt)
+        forest.insert(s, i, j + 1 if rel == PREDECESSOR else j, nxt, current)
+        current = nxt
 
     # Each structure is dropped once the read-off has taken what it needs,
     # never emptied: a caller may still hold it (perfbench's tracer reads
@@ -334,16 +340,19 @@ def sortk(seq: Sequence, order: int = 0,
     permutation = place(chain(warm, map(node_slot.__getitem__,
                                         islice(leaf, len(warm) + 1, None))),
                         starts, m)
-    warnings: tuple[str, ...] = ()
+    warnings = []
     n = breakdown.n
     if not premise_holds(n, m, order):
         exponent = (order + 1) * log2(n)
         lhs = (f"{(n ** (order + 1)) * log2(n):.0f}" if exponent < 1000
                else f"2^{exponent:.6g} * {log2(n):.6g}")
-        warnings = (
-            f"n^(order+1)*log2(n) = {lhs} exceeds m = {m}; "
-            "entropy bound not guaranteed",
-        )
+        warnings.append(f"n^(order+1)*log2(n) = {lhs} exceeds m = {m}; "
+                        "entropy bound not guaranteed")
+    if size != n:
+        warnings.append(
+            f"the elements' order finds {size} distinct keys but their == "
+            f"and hash find {n}; budget, h0 and h_order count by == and "
+            "may be wrong")
     return SortOutcome(
         permutation=permutation,
         ledger=delta(before, cmp.snapshot()),
@@ -352,5 +361,5 @@ def sortk(seq: Sequence, order: int = 0,
         order=order,
         context_budget=breakdown.context_total,
         h_order=breakdown.h_order,
-        warnings=warnings,
+        warnings=tuple(warnings),
     )

@@ -42,6 +42,10 @@ ALLOWED = {
     "kernel:StatsTree._check_pos": "handle_at and increment",
     "kernel:StatsTree._node_at": "handle_at",
     "kernel:StatsTree.__len__": "perfbench/run.py",
+    "kernel:StatsTree.descend":
+        "scan's one-element form; the tests and perfbench/spans.py",
+    "kernel:StatsTree.append":
+        "scan's hit, positionally; the tests, oracles and perfbench/spans.py",
     "comparator:ComparisonLedger.binary_count":
         "public API (the ledger); perfbench/gate.py and run.py read it",
     "comparator:ComparisonLedger.count": "public API (the ledger)",

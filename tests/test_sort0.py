@@ -138,19 +138,27 @@ def test_one_kernel_surface(monkeypatch):
     assert get_kernel("python") is module
     assert get_kernel("auto") is module
     # Wrapping the module's StatsTree, as the layer profiler does, must
-    # reach the forest that sort0 builds, and each descent names context 0,
-    # the only one at order 0. The first element descends the empty tree,
-    # which costs no comparison.
-    seen = []
-    descend = module.StatsTree.descend
+    # reach the forest that sort0 builds. Every scan starts in context 0,
+    # the only one at order 0, and the scans' items cover TORONTO: each
+    # element is scanned once, in order. The first element descends the
+    # empty tree, which costs no comparison.
+    contexts, scanned = [], []
+    scan = module.StatsTree.scan
 
-    def spy(tree, s, comparator, ctx):
-        seen.append((s, ctx))
-        return descend(tree, s, comparator, ctx)
+    def spy(tree, items, ctx, comparator):
+        contexts.append(ctx)
 
-    monkeypatch.setattr(module.StatsTree, "descend", spy)
+        def seen():
+            for item in items:
+                scanned.append(item)
+                yield item
+
+        return scan(tree, seen(), ctx, comparator)
+
+    monkeypatch.setattr(module.StatsTree, "scan", spy)
     sort0(TORONTO)
-    assert seen == [(s, 0) for s in TORONTO]
+    assert contexts and set(contexts) == {0}
+    assert [s for _, s in scanned] == list(TORONTO)
 
 
 def test_unknown_kernel_raises():

@@ -394,6 +394,36 @@ def test_warning_on_violated_premise(kernel):
     assert not out2.warnings
 
 
+class OrderOnly:
+    """An element with an order (`__le__`) but Python's identity `==` and
+    hash: the order sees equal keys that the accounting counts apart."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
+
+    def __le__(self, other):
+        return self.value <= other.value
+
+
+def test_equality_mismatch_warns():
+    """30 elements of 3 values whose `==` is identity: the sort is right,
+    but the accounting counts 30 distinct elements where the sorter keeps
+    3 keys, so its budget and entropies are off. The run says so, naming
+    both counts, instead of passing silently; integer keys of the same
+    pattern get no such warning."""
+    values = [(7 * i) % 3 for i in range(30)]
+    out = sortk([OrderOnly(v) for v in values], 1)
+    assert out.permutation == stable_perm(values)
+    mismatch = [w for w in out.warnings if "distinct keys" in w]
+    assert len(mismatch) == 1
+    assert "3 distinct keys" in mismatch[0] and "find 30" in mismatch[0]
+    plain = sortk(values, 1)
+    assert plain.permutation == out.permutation
+    assert not any("distinct keys" in w for w in plain.warnings)
+
+
 def test_empty_and_bad_order(kernel):
     with pytest.raises(ValueError):
         sortk([], 0, kernel_name=kernel.KERNEL_NAME)

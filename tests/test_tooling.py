@@ -67,7 +67,7 @@ def test_opcount_is_deterministic():
         assert report["ops"] == pytest.approx(sum(f["ops"] for f in functions))
         assert report["calls"] == pytest.approx(
             sum(f["calls"] for f in functions))
-        assert report["functions"]["kernel.StatsTree.descend"]["calls"] > 0
+        assert report["functions"]["kernel.StatsTree.scan"]["calls"] > 0
         assert report["peak_bytes_per_elem"] > 0
         assert (0 < report["budget_peak_bytes_per_elem"]
                 <= report["peak_bytes_per_elem"])
@@ -115,3 +115,50 @@ def test_ab_runs_one_tree_against_itself(tmp_path):
                          text=True, timeout=300)
     assert run.returncode == 1
     assert run.stderr.startswith("error: zipf-k0: the permutations")
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="git not on PATH")
+def test_ab_exports_the_base_from_a_revision(tmp_path):
+    """tools/ab.py --base-rev REV takes the base tree from REV's src/ with
+    `git archive`, in a throwaway repository that holds a copy of the
+    script, of the perfbench corpus it imports and of src/. It reports
+    the revision as the base and a sign-test p-value beside the rounds
+    won; a revision with no src/entsort, or none at all, exits 2."""
+    repo = tmp_path / "repo"
+    root = os.path.dirname(PYPROJECT)
+    for part in ("tools/ab.py", "perfbench/corpus.py"):
+        os.makedirs(repo / os.path.dirname(part), exist_ok=True)
+        shutil.copy(os.path.join(root, part), repo / part)
+    env = dict(os.environ, HOME=str(tmp_path), GIT_CONFIG_NOSYSTEM="1")
+
+    def git(*args):
+        run = subprocess.run(
+            ["git", "-c", "user.name=ab", "-c", "user.email=ab@example.com",
+             "-c", "commit.gpgsign=false", *args],
+            cwd=repo, env=env, capture_output=True, text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "tools only")
+    shutil.copytree(SRC, repo / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    git("add", "-A")
+    git("commit", "-q", "-m", "the package")
+    argv = [sys.executable, str(repo / "tools" / "ab.py"), "--rounds", "2",
+            "--limit", "100", "--workload", "markov-k1", "--json",
+            "--new", str(repo / "src")]
+    run = subprocess.run(argv + ["--base-rev", "HEAD"], capture_output=True,
+                         text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    report = json.loads(run.stdout)
+    assert report["base"] == "HEAD"
+    result = report["workloads"]["markov-k1"]
+    assert result["ledgers_identical"] and result["rounds"] == 2
+    # Two rounds: a 1-1 split has p = 1, a 2-0 split p = 2 * 1/4.
+    assert result["sign_p"] == (1.0 if result["new_faster"] == 1 else 0.5)
+    for rev in ("HEAD~1", "no-such-rev"):
+        run = subprocess.run(argv + ["--base-rev", rev], capture_output=True,
+                             text=True, timeout=300)
+        assert run.returncode == 2, (rev, run.stderr)
+        assert run.stderr.startswith(f"error: --base-rev {rev}: no src/")

@@ -25,10 +25,18 @@ For each chosen perfbench workload it sorts the eight seed-101 inputs
 
 Per workload it prints the median over rounds of new/base, the ratio of
 the two sides' summed call times in a round, with its quartiles, the
-number of rounds in which new was faster, and whether the two sides'
-ledgers were identical. A ratio below 1 means new is faster. Usage:
+number of rounds in which new was faster with the two-sided sign test's
+p-value for that count (the chance of a split at least as uneven if
+either side were as likely to win a round), and whether the two sides'
+ledgers were identical. A ratio below 1 means new is faster.
+
+The base is a `src/` directory (--base) or a revision of the repository
+that holds this script (--base-rev), whose `src/` is exported with a
+local `git archive` into a temporary directory; a revision that git does
+not know, or whose tree has no `src/entsort`, exits with status 2. Usage:
 
     python tools/ab.py --base /tmp/parent/src --new src
+    python tools/ab.py --base-rev HEAD~1 --new src --workload markov-k1
     python tools/ab.py --base src --new src --rounds 5 --limit 500 --json
 """
 
@@ -39,9 +47,14 @@ import gc
 import importlib
 import importlib.util
 import json
+import io
+import math
 import platform
 import statistics
+import subprocess
 import sys
+import tarfile
+import tempfile
 import time
 from pathlib import Path
 
@@ -60,6 +73,38 @@ def load(src: Path, name: str):
     sys.modules[name] = package
     spec.loader.exec_module(package)
     return package
+
+
+def export(rev: str, into: Path) -> Path:
+    """Extract the `src/` tree of revision *rev* of this repository under
+    *into* with `git archive`, and return its path. Exits with status 2
+    if git is missing, does not know *rev*, or finds no `src/entsort`
+    package in its tree."""
+    def refuse(why: str):
+        print(f"error: --base-rev {rev}: {why}", file=sys.stderr)
+        sys.exit(2)
+
+    def git(*args):
+        try:
+            return subprocess.run(["git", "-C", str(ROOT), *args],
+                                  capture_output=True)
+        except FileNotFoundError:
+            refuse("git is not on PATH")
+
+    if git("cat-file", "-e", f"{rev}:src/entsort/__init__.py").returncode:
+        refuse("no src/entsort in that revision, or no such revision")
+    archive = git("archive", "--format=tar", rev, "src")
+    if archive.returncode:
+        refuse(archive.stderr.decode(errors="replace").strip())
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(into, filter="data")
+    return into / "src"
+
+
+def sign_p(wins: int, n: int) -> float:
+    """Two-sided sign-test p-value of *wins* out of *n* rounds."""
+    tail = sum(math.comb(n, i) for i in range(min(wins, n - wins) + 1))
+    return min(1.0, 2 * tail / 2 ** n)
 
 
 def sorter(package, order: int):
@@ -102,19 +147,25 @@ def measure(sides: dict, spec, seqs: list, rounds: int) -> dict:
         ratios.append(spent["new"] / spent["base"])
     q1, median, q3 = (statistics.quantiles(ratios, n=4, method="inclusive")
                       if rounds > 1 else ratios * 3)
+    wins = sum(ratio < 1 for ratio in ratios)
     return {"elements": sum(len(seq) for seq in seqs),
             "rounds": rounds,
             "median": median,
             "q1": q1,
             "q3": q3,
-            "new_faster": sum(ratio < 1 for ratio in ratios),
+            "new_faster": wins,
+            "sign_p": sign_p(wins, rounds),
             "ledgers_identical": ledgers["base"] == ledgers["new"]}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--base", type=Path, required=True,
-                        help="src/ directory of the base tree")
+    base = parser.add_mutually_exclusive_group(required=True)
+    base.add_argument("--base", type=Path,
+                      help="src/ directory of the base tree")
+    base.add_argument("--base-rev", metavar="REV",
+                      help="revision whose src/ is the base tree, "
+                           "exported with git archive")
     parser.add_argument("--new", type=Path, required=True,
                         help="src/ directory of the new tree")
     parser.add_argument("--rounds", type=int, default=20,
@@ -137,16 +188,23 @@ def main(argv=None) -> int:
     unknown = sorted(set(workloads) - set(corpus.WORKLOADS))
     if unknown:
         parser.error(f"unknown workload {unknown[0]!r}")
-    sides = {"base": load(args.base, "entsort_base"),
-             "new": load(args.new, "entsort_new")}
-    report = {"python": platform.python_version(),
-              "base": str(args.base.resolve()),
-              "new": str(args.new.resolve()),
-              "workloads": {}}
-    for w in workloads:
-        spec = corpus.WORKLOADS[w]
-        seqs = [seq[:args.limit] for seq in corpus.corpus(spec, SEED)]
-        report["workloads"][w] = measure(sides, spec, seqs, args.rounds)
+    with tempfile.TemporaryDirectory(prefix="ab-base-") as scratch:
+        if args.base_rev is not None:
+            base_src = export(args.base_rev, Path(scratch))
+            base_name = args.base_rev
+        else:
+            base_src = args.base
+            base_name = str(args.base.resolve())
+        sides = {"base": load(base_src, "entsort_base"),
+                 "new": load(args.new, "entsort_new")}
+        report = {"python": platform.python_version(),
+                  "base": base_name,
+                  "new": str(args.new.resolve()),
+                  "workloads": {}}
+        for w in workloads:
+            spec = corpus.WORKLOADS[w]
+            seqs = [seq[:args.limit] for seq in corpus.corpus(spec, SEED)]
+            report["workloads"][w] = measure(sides, spec, seqs, args.rounds)
     if args.json:
         print(json.dumps(report, indent=1))
         return 0
@@ -156,7 +214,8 @@ def main(argv=None) -> int:
         ledgers = ("identical" if r["ledgers_identical"] else "DIFFERENT")
         print(f"{w}: new/base {r['median']:.3f} "
               f"[{r['q1']:.3f}, {r['q3']:.3f}], new faster in "
-              f"{r['new_faster']} of {r['rounds']} rounds; "
+              f"{r['new_faster']} of {r['rounds']} rounds "
+              f"(sign test p = {r['sign_p']:.2g}); "
               f"ledgers {ledgers}")
     return 0
 
