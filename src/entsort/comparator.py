@@ -1,7 +1,7 @@
 """The single choke point for counting element comparisons.
 
 The sorter asks `x <= y` of the elements themselves, at six sites: four in
-`kernel.StatsTree.descend` and two in `bst.RankDictionary.lookup_or_insert`.
+`kernel.StatsTree.scan` and two in `bst.RankDictionary.lookup_or_insert`.
 Each of those operations counts its comparisons as it goes and adds them,
 in a `finally` clause, to its phase's entry of
 :attr:`CountingComparator.counts`, a list in `PHASES` order indexed by

@@ -35,7 +35,15 @@ to s; the leaf then asks only what is still open.
 The walk tracks the leaf range under the current node, skips chains of
 one-child nodes by arithmetic on the range's end codes, and pays one AVL
 walk per counted comparison and none to find the end leaves, whose nodes the
-tree keeps. The oracles that the tests check it against live with the
+tree keeps. The top of each context's tree costs no code arithmetic, since
+its weights fix it (`scan` gives the proof):
+- with two leaves or more, f_1 < 1/2 <= f_t, so the root splits at F = W,
+  the stored total;
+- a lone leaf is the whole tree, and the search goes straight to
+  verification;
+- a context's first leaf is inserted as its root, with no walk.
+
+The oracles that the tests check it against live with the
 tests, in `tests/oracles.py`: the single-node queries `sigma` and
 `classify`, the positional queries they are built on, and `from_pairs`,
 which builds a tree from given keys and weights. The tests also use
@@ -384,7 +392,11 @@ class StatsTree(_FlatAVL):
         positions >= j right by one. The checks are `append`'s. One walk
         down to the insert point counts the new node in the rank and the F
         offset of each ancestor where it turns left, then `_attach` hangs
-        it there and rebalances. Position i names the new node."""
+        it there and rebalances. Position i names the new node.
+
+        A context's first leaf has no ancestor to count or rebalance: after
+        the same checks, the one new node becomes the context's root, first
+        and last node, with no path, no walk and no `_attach`."""
         t = self._len[ctx]
         if not 1 <= j <= t + 1:
             raise IndexError(f"insert position {j} out of range 1..{t + 1}")
@@ -393,6 +405,12 @@ class StatsTree(_FlatAVL):
         leaf = self._leaf
         if i != len(leaf):
             self._skip_to(i)
+        if not t:  # the context's first leaf: no ancestor to walk or fix
+            u = self._new_node(a, 1, next)
+            leaf.append(u)
+            self._len[ctx] = self._total[ctx] = 1
+            self._root[ctx] = self._first[ctx] = self._last[ctx] = u
+            return
         left, right, rank_of, off = \
             self._left, self._right, self._rank, self._off
         path = []  # the new node's ancestors, root first
@@ -524,6 +542,24 @@ class StatsTree(_FlatAVL):
         differ, so one-child chains cost nothing; each counted comparison
         then costs a single AVL walk, which finds the first leaf on the
         right of the split together with its predecessor, the split leaf.
+
+        The top of the virtual tree is read off the weights. With t >= 2
+        leaves, its root splits at F = W, the tree's stored total:
+        - every weight is at least 1, so w_1 <= W - 1 and w_t <= W - 1;
+        - so F_1 = w_1 < W <= 2W - w_t = F_t;
+        - with 2^(p-1) <= 2W < 2^p, the codes satisfy
+          c_1 < 2^(p-1) <= c_t. They first differ at bit p - 1, and the
+          split is g = ceil(2^(p-1) * 2W / 2^p) = W.
+        So only a tree of two leaves or more computes 2W, p and the end
+        codes, and the split comes from the codes from the second on. The
+        depth check `c_hi <= c_lo` runs once before the first split too,
+        where the codes already exist. A lone leaf goes straight to
+        verification: a hit costs two comparisons and a miss one or two,
+        with no search comparison. A comparator cannot break the
+        premise, since its answers only choose leaves and the weights and
+        offsets stay exact; a node store altered by hand can, and the
+        depth check or the split's range check then raises
+        NavigationError.
         """
         left, right, rank_of = self._left, self._right, self._rank
         weight, off, keys, nxt = \
@@ -538,51 +574,60 @@ class StatsTree(_FlatAVL):
                     return (i, s, ctx, 1, SUCCESSOR)
                 root = roots[ctx]
                 total = totals[ctx]
-                two_w = 2 * total
-                p = two_w.bit_length()
                 lo, hi = 1, t
                 lo_node = firsts[ctx]  # tree node holding leaf lo
-                c_lo = (weight[lo_node] << p) // two_w
-                c_hi = ((two_w - weight[lasts[ctx]]) << p) // two_w
                 lo_le = hi_ge = False  # key[lo] <= s, s <= key[hi] answered
-                while lo < hi:
+                if t > 1:
+                    two_w = 2 * total
+                    p = two_w.bit_length()
+                    c_lo = (weight[lo_node] << p) // two_w
+                    c_hi = ((two_w - weight[lasts[ctx]]) << p) // two_w
                     if c_hi <= c_lo:  # no split within p bits: inconsistent
-                        raise NavigationError("descent exceeded maximum depth")
-                    # Right-hand leaves have c >= c_hi with the bits below
-                    # the first difference cleared, i.e. F >= g (ceiling of
-                    # the scaled value).
-                    k = (c_lo ^ c_hi).bit_length() - 1
-                    g = -((-(c_hi >> k << k) * two_w) >> p)
-                    v = root
-                    base = rank = 0  # F before v's subtree, positions before
-                    while v:
-                        f = base + off[v]
-                        if f >= g:
-                            succ, f_succ = v, f
-                            v = left[v]
-                        else:
-                            pred, f_pred = v, f
-                            base = f + weight[v]
-                            rank += rank_of[v]
-                            v = right[v]
-                    if not lo <= rank < hi:
                         raise NavigationError(
-                            "split outside the descent's leaf range")
-                    nsearch += 1
-                    # The heavier leaf beside the split is the likelier
-                    # destination.
-                    if weight[succ] > weight[pred]:
-                        if keys[succ] <= s:
-                            lo, lo_node, lo_le = rank + 1, succ, True
-                            c_lo = (f_succ << p) // two_w
-                        else:
+                            "descent exceeded maximum depth")
+                    g = total  # the root splits at F = W (see above)
+                    while True:
+                        v = root
+                        base = rank = 0  # F before v's subtree, ranks before
+                        while v:
+                            f = base + off[v]
+                            if f >= g:
+                                succ, f_succ = v, f
+                                v = left[v]
+                            else:
+                                pred, f_pred = v, f
+                                base = f + weight[v]
+                                rank += rank_of[v]
+                                v = right[v]
+                        if not lo <= rank < hi:
+                            raise NavigationError(
+                                "split outside the descent's leaf range")
+                        nsearch += 1
+                        # The heavier leaf beside the split is the likelier
+                        # destination.
+                        if weight[succ] > weight[pred]:
+                            if keys[succ] <= s:
+                                lo, lo_node, lo_le = rank + 1, succ, True
+                                c_lo = (f_succ << p) // two_w
+                            else:
+                                hi, c_hi, hi_ge = \
+                                    rank, (f_pred << p) // two_w, False
+                        elif s <= keys[pred]:
                             hi, c_hi, hi_ge = \
-                                rank, (f_pred << p) // two_w, False
-                    elif s <= keys[pred]:
-                        hi, c_hi, hi_ge = rank, (f_pred << p) // two_w, True
-                    else:
-                        lo, lo_node, lo_le = rank + 1, succ, False
-                        c_lo = (f_succ << p) // two_w
+                                rank, (f_pred << p) // two_w, True
+                        else:
+                            lo, lo_node, lo_le = rank + 1, succ, False
+                            c_lo = (f_succ << p) // two_w
+                        if lo == hi:
+                            break
+                        if c_hi <= c_lo:
+                            raise NavigationError(
+                                "descent exceeded maximum depth")
+                        # Right-hand leaves have c >= c_hi with the bits
+                        # below the first difference cleared, i.e. F >= g
+                        # (ceiling of the scaled value).
+                        k = (c_lo ^ c_hi).bit_length() - 1
+                        g = -((-(c_hi >> k << k) * two_w) >> p)
                 # Ask only what the search left open: `a <= s`, then, if it
                 # holds, `s <= a`.
                 a = keys[lo_node]

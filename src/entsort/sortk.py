@@ -160,6 +160,11 @@ def budget_breakdown(seq: Sequence, order: int) -> BudgetBreakdown:
     that the two never share the peak. Every sum keeps the order of the
     reference table `entropy.context_sequences`, so all fields equal the
     per-context definitions bit for bit.
+
+    The pass and the `Counter` are the only places where the call hashes
+    an element (the sorter compares them only). An element that hashing
+    refuses, such as a list, raises one TypeError, chained from hashing's
+    own, which says that the elements must be hashable.
     """
     m = len(seq)
     if m == 0:
@@ -168,36 +173,41 @@ def budget_breakdown(seq: Sequence, order: int) -> BudgetBreakdown:
         raise ValueError("order must be >= 0")
     state: dict = {}  # context -> its `_Successors`
     logs = 0
-    if order < m:
-        if order == 0:
-            pairs = zip(repeat(()), seq)
-        elif order == 1:
-            pairs = zip(seq, islice(seq, 1, None))
-        else:
-            pairs = zip(zip(*(islice(seq, j, None) for j in range(order))),
-                        islice(seq, order, None))
-        for ctx, s in pairs:
-            counts = state.get(ctx)
-            if counts is None:
-                counts = state[ctx] = _Successors()
-                counts[s] = counts.p = 1
+    try:
+        if order < m:
+            if order == 0:
+                pairs = zip(repeat(()), seq)
+            elif order == 1:
+                pairs = zip(seq, islice(seq, 1, None))
             else:
-                p = counts.p
-                counts.p = p + 1
-                c = counts.get(s, 0)
-                counts[s] = c + 1
-                logs += ((p - 1) // c if c else p - 1).bit_length()
-    new_tuples = 0
-    terms = []  # |part| * H0(part) of each context with two values or more
-    for counts in state.values():
-        new_tuples += len(counts)
-        if order and len(counts) > 1:
-            size = counts.p
-            terms.append(size * entropy.h0_bits(counts.values(), size))
-    contexts = len(state)
-    if order:
-        state = None  # freed before the Counter: the two never share the peak
-    counts0 = Counter(seq) if order else state[()]
+                pairs = zip(zip(*(islice(seq, j, None) for j in range(order))),
+                            islice(seq, order, None))
+            for ctx, s in pairs:
+                counts = state.get(ctx)
+                if counts is None:
+                    counts = state[ctx] = _Successors()
+                    counts[s] = counts.p = 1
+                else:
+                    p = counts.p
+                    counts.p = p + 1
+                    c = counts.get(s, 0)
+                    counts[s] = c + 1
+                    logs += ((p - 1) // c if c else p - 1).bit_length()
+        new_tuples = 0
+        terms = []  # |part| * H0(part) of each context with two values or more
+        for counts in state.values():
+            new_tuples += len(counts)
+            if order and len(counts) > 1:
+                size = counts.p
+                terms.append(size * entropy.h0_bits(counts.values(), size))
+        contexts = len(state)
+        if order:
+            state = None  # freed first: it never shares the Counter's peak
+        counts0 = Counter(seq) if order else state[()]
+    except TypeError as err:
+        raise TypeError(
+            "entsort's accounting counts elements by hash and ==, so "
+            f"the elements must be hashable: {err}") from err
     n = len(counts0)
     h0 = entropy.h0_bits(counts0.values(), m)
     b1_ops = min(order, m) + new_tuples if order else 0

@@ -2,16 +2,20 @@
 replaces: `descend` per element, then `append` on a hit or `insert` on a
 miss. The two must leave the same node store, position -> leaf array and
 ledger; a scan stops at the first miss with the forest unchanged for that
-item, and a refused hit raises before it changes anything."""
+item, and a refused hit raises before it changes anything.
+
+The top of each context's tree, which the kernel reads off its weights:
+the root split at F = W, a lone leaf that is searched by verification
+alone, and a context's first leaf, inserted with no walk."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import Spy
 from entsort import kernel as kernel_module
-from entsort.comparator import CountingComparator
+from entsort.comparator import SEARCH, VERIFY, CountingComparator
 from entsort.kernel import EQUAL, PREDECESSOR, SUCCESSOR, StatsTree
-from oracles import quadruples, validate
+from oracles import from_pairs, quadruples, validate
 
 STORE = ("_left", "_right", "_height", "_rank", "_weight", "_off", "_keys",
          "_next", "_root", "_first", "_last", "_len", "_total")
@@ -171,3 +175,87 @@ def test_scan_equals_descend_then_append(pairs, per_key):
     assert by_scan.counts == by_call.counts
     for ctx in range(len(forests[0]._root)):
         validate(forests[0], ctx)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, kernel_module.MAX_TOTAL_WEIGHT // 64),
+                min_size=2, max_size=50))
+def test_the_root_split_is_the_total_weight(weights):
+    """With t >= 2 leaves, F_1 = w_1 < W <= 2W - w_t = F_t, so the p-bit
+    end codes, 2^(p-1) <= 2W < 2^p, first differ at bit p - 1, and the
+    split that `scan` derives from two codes comes out as W, with the
+    split leaf inside the range 1..t-1. So `scan` starts at F = W."""
+    total = sum(weights)
+    two_w = 2 * total
+    p = two_w.bit_length()
+    c_first = (weights[0] << p) // two_w
+    c_last = ((two_w - weights[-1]) << p) // two_w
+    k = (c_first ^ c_last).bit_length() - 1
+    assert k == p - 1
+    assert -((-(c_last >> k << k) * two_w) >> p) == total
+    f, below = 0, 0  # F_j = 2 * S_{j-1} + w_j; leaves with F_j < W
+    for w in weights:
+        below += f + w < total
+        f += 2 * w
+    assert 1 <= below < len(weights)
+
+
+@pytest.mark.parametrize("beside", [False, True])
+def test_first_insert_into_an_empty_context(beside):
+    """A context's first leaf is written with no walk, after `insert`'s
+    checks: a position other than 1, a used or zero position and one past
+    MAX_POSITION are refused with the node store and the leaf array
+    unchanged. The new node is then the context's root, first and last
+    node, and the context grows by `append` and `insert` into the tree
+    that `from_pairs` builds from its keys, weights and index lists. Both
+    in context 0 of a new forest and in a context added beside a
+    non-empty one."""
+    forest = StatsTree()
+    ctx, refused = 0, [0, kernel_module.MAX_POSITION + 1]
+    if beside:
+        forest.insert("m", 1, 1, None, 0)
+        forest.insert("q", 2, 2, None, 0)
+        ctx = forest.add_context()
+        refused.append(2)
+    before = state(forest)
+    with pytest.raises(IndexError):
+        forest.insert("k", 5, 2, None, ctx)
+    for i in refused:
+        with pytest.raises(ValueError, match="increasing order"):
+            forest.insert("k", i, 1, None, ctx)
+    assert state(forest) == before
+    forest.insert("k", 5, 1, None, ctx)
+    u = len(forest._keys) - 1
+    assert forest._root[ctx] == forest._first[ctx] == forest._last[ctx] == u
+    assert forest._leaf[5] == u
+    validate(forest, ctx)
+    forest.append(6, 1, ctx)
+    forest.insert("c", 7, 1, None, ctx)
+    if beside:
+        forest.append(8, 1, 0)
+    forest.insert("t", 9, 3, None, ctx)
+    forest.append(10, 2, ctx)
+    forest.insert("p", 11, 3, None, ctx)
+    built = from_pairs("ckpt", [1, 3, 1, 1], [[7], [5, 6, 10], [11], [9]])
+    assert quadruples(forest, ctx) == quadruples(built)
+    for c in range(len(forest._root)):
+        validate(forest, c)
+
+
+def test_scan_on_a_lone_leaf():
+    """A one-leaf context has no split: a hit costs two verify comparisons
+    and no search comparison, and a miss comes back after one (`a <= s`
+    fails) or two, with the forest unchanged for it."""
+    forest = StatsTree()
+    forest.insert("m", 1, 1, 0)
+    cmp = CountingComparator()
+    assert forest.scan(iter([(2, "m")]), 0, cmp) is None
+    assert (cmp.counts[SEARCH], cmp.counts[VERIFY]) == (0, 2)
+    assert quadruples(forest) == [("m", 2, [1, 2], 0)]
+    validate(forest)
+    before = state(forest)
+    for s, verify, rel in (("a", 1, SUCCESSOR), ("z", 2, PREDECESSOR)):
+        cmp = CountingComparator()
+        assert forest.scan(iter([(3, s)]), 0, cmp) == (3, s, 0, 1, rel)
+        assert (cmp.counts[SEARCH], cmp.counts[VERIFY]) == (0, verify)
+        assert state(forest) == before

@@ -424,6 +424,19 @@ def test_equality_mismatch_warns():
     assert not any("distinct keys" in w for w in plain.warnings)
 
 
+def test_unhashable_elements_raise_one_clear_type_error():
+    """The sorter compares elements only, but its accounting counts them
+    by hash and `==`: list elements raise one TypeError at orders 0-2 that
+    says so, chained from hashing's own."""
+    seq = [[2], [1], [2], [1], [3]]
+    for order in (0, 1, 2):
+        with pytest.raises(TypeError, match="must be hashable") as info:
+            sortk(seq, order)
+        assert "counts elements by hash and ==" in str(info.value)
+        assert isinstance(info.value.__cause__, TypeError)
+        assert "unhashable type: 'list'" in str(info.value.__cause__)
+
+
 def test_empty_and_bad_order(kernel):
     with pytest.raises(ValueError):
         sortk([], 0, kernel_name=kernel.KERNEL_NAME)

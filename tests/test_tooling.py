@@ -117,6 +117,24 @@ def test_ab_runs_one_tree_against_itself(tmp_path):
     assert run.stderr.startswith("error: zipf-k0: the permutations")
 
 
+def test_ab_adds_the_opcount_of_each_side():
+    """tools/ab.py --opcount runs tools/opcount.py on each side: one tree
+    against itself reads the same bytecodes and Python calls per element
+    on both sides, a difference of 0, on every workload."""
+    run = subprocess.run(
+        [sys.executable, AB, "--rounds", "1", "--limit", "100", "--json",
+         "--opcount", "--base", SRC, "--new", SRC],
+        capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    workloads = json.loads(run.stdout)["workloads"]
+    assert set(workloads) == {"zipf-k0", "markov-k1", "bigalpha-k1"}
+    for report in workloads.values():
+        for metric in ("ops", "calls"):
+            counts = report[metric]
+            assert counts["base"] == counts["new"] > 0
+            assert counts["delta"] == 0
+
+
 @pytest.mark.skipif(shutil.which("git") is None, reason="git not on PATH")
 def test_ab_exports_the_base_from_a_revision(tmp_path):
     """tools/ab.py --base-rev REV takes the base tree from REV's src/ with

@@ -30,6 +30,13 @@ p-value for that count (the chance of a split at least as uneven if
 either side were as likely to win a round), and whether the two sides'
 ledgers were identical. A ratio below 1 means new is faster.
 
+With --opcount, each workload's line also gives the deterministic count
+of tools/opcount.py beside the times: bytecodes and Python calls per
+element of base and new, and new minus base. Each side is counted by
+`tools/opcount.py --src <side> --json` in a subprocess of its own, with
+the same --workload and --limit, so that the tracing touches neither the
+timed calls nor the other side.
+
 The base is a `src/` directory (--base) or a revision of the repository
 that holds this script (--base-rev), whose `src/` is exported with a
 local `git archive` into a temporary directory; a revision that git does
@@ -38,6 +45,7 @@ not know, or whose tree has no `src/entsort`, exits with status 2. Usage:
     python tools/ab.py --base /tmp/parent/src --new src
     python tools/ab.py --base-rev HEAD~1 --new src --workload markov-k1
     python tools/ab.py --base src --new src --rounds 5 --limit 500 --json
+    python tools/ab.py --base-rev HEAD --new src --opcount
 """
 
 from __future__ import annotations
@@ -105,6 +113,22 @@ def sign_p(wins: int, n: int) -> float:
     """Two-sided sign-test p-value of *wins* out of *n* rounds."""
     tail = sum(math.comb(n, i) for i in range(min(wins, n - wins) + 1))
     return min(1.0, 2 * tail / 2 ** n)
+
+
+def opcount(src: Path, workloads: list, limit: int | None) -> dict:
+    """tools/opcount.py's per-workload report of the tree under *src*, run
+    in a subprocess, or SystemExit if it fails."""
+    argv = [sys.executable, str(ROOT / "tools" / "opcount.py"),
+            "--src", str(src), "--json"]
+    for w in workloads:
+        argv += ["--workload", w]
+    if limit is not None:
+        argv += ["--limit", str(limit)]
+    run = subprocess.run(argv, capture_output=True, text=True)
+    if run.returncode:
+        raise SystemExit(f"error: tools/opcount.py --src {src} failed: "
+                         f"{run.stderr.strip()}")
+    return json.loads(run.stdout)["workloads"]
 
 
 def sorter(package, order: int):
@@ -176,6 +200,9 @@ def main(argv=None) -> int:
                         help="cut each sequence to its first N elements")
     parser.add_argument("--json", action="store_true",
                         help="print one JSON object instead of lines")
+    parser.add_argument("--opcount", action="store_true",
+                        help="add tools/opcount.py's bytecodes and calls "
+                             "per element of each side")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be positive")
@@ -205,6 +232,16 @@ def main(argv=None) -> int:
             spec = corpus.WORKLOADS[w]
             seqs = [seq[:args.limit] for seq in corpus.corpus(spec, SEED)]
             report["workloads"][w] = measure(sides, spec, seqs, args.rounds)
+        if args.opcount:
+            counts = {side: opcount(src, workloads, args.limit)
+                      for side, src in (("base", base_src),
+                                        ("new", args.new))}
+            for w, r in report["workloads"].items():
+                for metric in ("ops", "calls"):
+                    base_n = counts["base"][w][metric]
+                    new_n = counts["new"][w][metric]
+                    r[metric] = {"base": base_n, "new": new_n,
+                                 "delta": new_n - base_n}
     if args.json:
         print(json.dumps(report, indent=1))
         return 0
@@ -217,6 +254,12 @@ def main(argv=None) -> int:
               f"{r['new_faster']} of {r['rounds']} rounds "
               f"(sign test p = {r['sign_p']:.2g}); "
               f"ledgers {ledgers}")
+        if args.opcount:
+            ops, calls = r["ops"], r["calls"]
+            print(f"  per element: bytecodes {ops['base']:.1f} -> "
+                  f"{ops['new']:.1f} ({ops['delta']:+.1f}), Python calls "
+                  f"{calls['base']:.2f} -> {calls['new']:.2f} "
+                  f"({calls['delta']:+.2f})")
     return 0
 
 
