@@ -1,7 +1,8 @@
 """Command-line surface: sort sequences, compute entropy, run benchmarks.
 
 Exit codes: 0 on success, 1 when --check-bounds finds a violated bound,
-2 on bad flags, unreadable input or an --order above the input length m.
+2 on bad flags, unreadable input, an --order above the input length m or
+an allocation that fails (MemoryError).
 """
 
 from __future__ import annotations
@@ -208,18 +209,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Entropy-adaptive sorting with exact comparison counts")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_order=True):
-        p.add_argument("file", nargs="?", default="-",
-                       help="input file (default: stdin)")
-        if with_order:
-            p.add_argument("--order", "-l", type=int, default=0,
-                           help="context length (default 0)")
-        p.add_argument("--mode", choices=MODES, default="bytes")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--out", default=None, help="output path")
-
     p_sort = sub.add_parser("sort", help="sort a sequence and report counts")
-    common(p_sort)
+    p_sort.add_argument("file", nargs="?", default="-",
+                        help="input file (default: stdin)")
+    p_sort.add_argument("--order", "-l", type=int, default=0,
+                        help="context length (default 0)")
+    p_sort.add_argument("--mode", choices=MODES, default="bytes")
+    p_sort.add_argument("--format", choices=("json", "csv"), default="json")
+    p_sort.add_argument("--out", default=None, help="output path")
     p_sort.add_argument("--check-bounds", action="store_true",
                         help="exit 1 if any asserted bound fails")
     p_sort.add_argument("--baseline", action="store_true",
@@ -277,6 +274,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return _cmd_bench(args)
     except (ValueError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory: the input or the requested output is "
+              "too large", file=sys.stderr)
         return 2
 
 

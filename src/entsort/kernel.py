@@ -48,8 +48,11 @@ tests, in `tests/oracles.py`: the single-node queries `sigma` and
 `classify`, the positional queries they are built on, and `from_pairs`,
 which builds a tree from given keys and weights. The tests also use
 `descend`, `scan`'s one-element form that records nothing, and `append`,
-the hit as a positional update; `scan` writes `append`'s walk out again,
-since a call per hit from it would cost about half of what it saves.
+the hit as a positional update. `append`, `increment` and `handle_at`
+find their leaf with `_node_at`, the one checked positional walk. `scan`
+is the measured exception: it writes the hit's walk out again, since a
+call per hit would give back more than a third of what keeping the hits
+in `scan` saves.
 
 `StatsTree` is a forest: the order-k sorter keeps one tree per context in
 one node store, and a context is an int id, so it costs five list slots
@@ -281,16 +284,20 @@ class StatsTree(_FlatAVL):
     def height(self) -> int:
         return max(self._height[r] for r in self._root)
 
-    def _check_pos(self, j: int, ctx: int = 0) -> None:
+    def _node_at(self, j: int, ctx: int = 0, bump: int = 0) -> int:
+        """The node of leaf j of context ctx: the one checked positional
+        walk. IndexError unless 1 <= j <= the context's length; then one
+        walk from the root adds *bump* to the F offset of each ancestor
+        where it turns left, 0 to read and 2 for a hit."""
         if not 1 <= j <= self._len[ctx]:
             raise IndexError(f"position {j} out of range 1..{self._len[ctx]}")
-
-    def _node_at(self, j: int, ctx: int = 0) -> int:
-        left, right, rank_of = self._left, self._right, self._rank
+        left, right, rank_of, off = \
+            self._left, self._right, self._rank, self._off
         v = self._root[ctx]
         while True:
             r = rank_of[v]
             if j < r:
+                off[v] += bump
                 v = left[v]
             elif j == r:
                 return v
@@ -299,11 +306,10 @@ class StatsTree(_FlatAVL):
                 v = right[v]
 
     def handle_at(self, j: int, ctx: int = 0):
-        """The j-th next-context handle, read without recording a hit. No
-        sorter calls it (`scan` moves to the handle on a hit). Its one
+        """The j-th next-context handle, read by `_node_at` with no hit.
+        No sorter calls it (`scan` moves to the handle on a hit). Its one
         reader is the layer tracer, `perfbench/spans.py`, which wraps it by
         name; ROADMAP item 2 removes it with the tracer's list."""
-        self._check_pos(j, ctx)
         return self._next[self._node_at(j, ctx)]
 
     # -- the positional updates --------------------------------------------
@@ -323,28 +329,16 @@ class StatsTree(_FlatAVL):
         leaf.extend(repeat(0, i - len(leaf)))
 
     def increment(self, j: int, ctx: int = 0) -> None:
-        """Add 1 to w_j, and nothing else: the positional weight bump. The
-        sorter records a hit in `scan`, which also bumps w_j. Its one
-        reader is the layer tracer, `perfbench/spans.py`, which wraps it by
-        name; ROADMAP item 2 removes it with the tracer's list."""
-        self._check_pos(j, ctx)
+        """Add 1 to w_j, and nothing else: the positional weight bump,
+        after the weight cap, by `_node_at(j, ctx, 2)`. The sorter records
+        a hit in `scan`, which also bumps w_j. Its one reader is the layer
+        tracer, `perfbench/spans.py`, which wraps it by name; ROADMAP item
+        2 removes it with the tracer's list."""
         if self._total[ctx] + 1 > MAX_TOTAL_WEIGHT:
             raise OverflowError("total weight exceeds configured word width")
-        left, right, rank_of, off = \
-            self._left, self._right, self._rank, self._off
-        v = self._root[ctx]
-        while True:
-            r = rank_of[v]
-            if j < r:
-                off[v] += 2
-                v = left[v]
-            elif j == r:
-                break
-            else:
-                j -= r
-                v = right[v]
+        v = self._node_at(j, ctx, 2)
         self._weight[v] += 1
-        off[v] += 1
+        self._off[v] += 1
         self._total[ctx] += 1
 
     def append(self, i: int, j: int, ctx: int = 0):
@@ -352,14 +346,14 @@ class StatsTree(_FlatAVL):
         index list, add 1 to w_j, and return the j-th next-context handle.
 
         The leaf position, the weight cap and the sequence position are
-        checked first, and a refused append changes nothing. Then one
-        root-to-leaf walk finds the node and adds 2 to the F offset of
-        every ancestor where it turns left; it keeps no path. Position i
-        then names the leaf's node in the leaf array.
+        checked first, in that order, and a refused append changes nothing.
+        Then `_node_at(j, ctx, 2)` finds the node, and position i names it
+        in the leaf array.
 
-        The sorter records its hits in `scan`, which writes this walk out
-        again rather than call it. `append` is the hit as a positional
-        update, for the tests, their oracles and `perfbench/spans.py`."""
+        The sorter records its hits in `scan`, which writes `_node_at`'s
+        walk out again rather than call this. `append` is the hit as a
+        positional update, for the tests, their oracles and
+        `perfbench/spans.py`."""
         if not 1 <= j <= self._len[ctx]:
             raise IndexError(f"position {j} out of range 1..{self._len[ctx]}")
         total = self._total[ctx]
@@ -368,22 +362,10 @@ class StatsTree(_FlatAVL):
         leaf = self._leaf
         if i != len(leaf):
             self._skip_to(i)
-        left, right, rank_of, off = \
-            self._left, self._right, self._rank, self._off
-        v = self._root[ctx]
-        while True:
-            r = rank_of[v]
-            if j < r:
-                off[v] += 2
-                v = left[v]
-            elif j == r:
-                break
-            else:
-                j -= r
-                v = right[v]
+        v = self._node_at(j, ctx, 2)
         leaf.append(v)
         self._weight[v] += 1
-        off[v] += 1
+        self._off[v] += 1
         self._total[ctx] = total + 1
         return self._next[v]
 
@@ -499,15 +481,18 @@ class StatsTree(_FlatAVL):
         that item. On an empty tree the miss is (1, SUCCESSOR) with no
         comparison. When *items* runs out, the scan returns None.
 
-        A hit is recorded with `append`'s checks and walk, inline, which
-        saves two Python calls per hit: the weight cap and the position are
-        checked before anything changes, and a refused hit raises
-        OverflowError or ValueError with every earlier hit recorded. Then
-        one root-to-leaf walk adds 2 to the F offset of every ancestor
-        where it turns left, position i names the leaf's node in the leaf
-        array, and the leaf's weight, its F offset and the tree's total
-        gain 1. A hit at position 0 is `descend`'s probe: it is returned,
-        as a miss would be, with relation EQUAL, and nothing is recorded.
+        A hit is recorded with `append`'s checks and the walk of
+        `_node_at(j, ctx, 2)`, written out inline: the one measured
+        exception to `_node_at` as the positional walk, since the call per
+        hit would give back more than a third of what keeping the hits
+        here saves. The weight cap and the position are checked before
+        anything changes, and a refused hit raises OverflowError or
+        ValueError with every earlier hit recorded. Then one root-to-leaf
+        walk adds 2 to the F offset of every ancestor where it turns left,
+        position i names the leaf's node in the leaf array, and the leaf's
+        weight, its F offset and the tree's total gain 1. A hit at position
+        0 is `descend`'s probe: it is returned, as a miss would be, with
+        relation EQUAL, and nothing is recorded.
 
         The search is the descent of the implicit weighted tree, one
         counted comparison per two-child node on the way down; one-child

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from array import array
 from collections import Counter
 from itertools import repeat
 from typing import Optional
@@ -107,7 +108,7 @@ def search(tree, num: int, den: int = 1, ctx: int = 0) -> int:
 
 def prefix_sum(tree, j: int, ctx: int = 0) -> int:
     """Prefix weight sum w_1 + ... + w_j."""
-    tree._check_pos(j, ctx)
+    tree._node_at(j, ctx)  # IndexError unless 1 <= j <= t
     left, right, rank_of = tree._left, tree._right, tree._rank
     weight, off = tree._weight, tree._off
     v = tree._root[ctx]
@@ -126,7 +127,6 @@ def prefix_sum(tree, j: int, ctx: int = 0) -> int:
 
 def leaf(tree, j: int, ctx: int = 0) -> tuple:
     """The j-th leaf's key and weight, read without its index list."""
-    tree._check_pos(j, ctx)
     v = tree._node_at(j, ctx)
     return (tree._keys[v], tree._weight[v])
 
@@ -138,15 +138,29 @@ def triple(tree, j: int, ctx: int = 0) -> tuple:
     the position -> leaf array, so it costs a scan of that array; `leaf`
     reads the key and weight alone.
     """
-    tree._check_pos(j, ctx)
     v = tree._node_at(j, ctx)
     return (tree._keys[v], tree._weight[v], _indices(tree, v),
             tree._next[v])
 
 
 def _indices(tree, v: int) -> list:
-    """Node v's index list: the positions whose leaf is v, increasing."""
-    return [i for i, u in enumerate(tree._leaf) if u == v]
+    """Node v's index list: the positions whose leaf is v, increasing.
+
+    It searches the array's bytes for v's entry and keeps the matches at
+    entry boundaries, which is much faster than a loop over the entries.
+    """
+    store = tree._leaf
+    size = store.itemsize
+    data, entry = store.tobytes(), array(store.typecode, (v,)).tobytes()
+    found = []
+    k = data.find(entry)
+    while k >= 0:
+        if k % size:
+            k = data.find(entry, k + 1)
+        else:
+            found.append(k // size)
+            k = data.find(entry, k + size)
+    return found
 
 
 def _index_lists(tree) -> dict:

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import random
 import sys
 
@@ -218,6 +219,20 @@ def test_gen_empty_pattern_exit_2(mode, pattern):
     assert run.returncode == 2, run.stderr
     assert run.stdout == ""
     assert run.stderr == f"error: --pattern {pattern!r} names no element\n"
+
+
+def test_out_of_memory_exit_2():
+    """An allocation that fails is reported, not raised: under a 256 MiB
+    address-space cap, a ten-billion-element corpus ends in one `error:`
+    line and exit 2, with no traceback and no output."""
+    run = run_capped("-m", "entsort.cli", "gen", "--kind", "periodic",
+                     "--n", "3", "--length", "10000000000", "--out",
+                     os.devnull, limit=1 << 28)
+    assert run.returncode == 2, run.stderr
+    assert run.stdout == ""
+    lines = run.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), run.stderr
+    assert "Traceback" not in run.stderr
 
 
 def test_gen_nan_skew_exit_2():

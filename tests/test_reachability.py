@@ -39,8 +39,7 @@ ALLOWED = {
     "kernel:StatsTree.height": "perfbench/run.py",
     "kernel:StatsTree.handle_at": "perfbench/spans.py",
     "kernel:StatsTree.increment": "perfbench/spans.py",
-    "kernel:StatsTree._check_pos": "handle_at and increment",
-    "kernel:StatsTree._node_at": "handle_at",
+    "kernel:StatsTree._node_at": "handle_at, increment and append",
     "kernel:StatsTree.__len__": "perfbench/run.py",
     "kernel:StatsTree.descend":
         "scan's one-element form; the tests and perfbench/spans.py",

@@ -87,6 +87,20 @@ def test_increment_and_append(kernel):
     validate(tree)
 
 
+def test_out_of_range_reads_and_increments_change_nothing():
+    """handle_at and increment refuse positions 0 and t + 1 with
+    IndexError before their walk moves any offset."""
+    tree = from_pairs("abcdefg", [2, 1, 3, 1, 1, 2, 1])
+    t = len(tree)
+    before = snapshot(tree)
+    for j in (0, t + 1):
+        for update in (tree.handle_at, tree.increment):
+            with pytest.raises(IndexError, match=f"position {j} out of"):
+                update(j)
+            assert snapshot(tree) == before
+            validate(tree)
+
+
 def test_append_and_handle_at_return_inserted_handle():
     tree = kernel_module.StatsTree()
     handles = {}
