@@ -26,17 +26,27 @@ def _read_raw(path: str) -> bytes:
         return fh.read()
 
 
-def read_elements(path: str, mode: str) -> list:
-    data = _read_raw(path)
+def parse_elements(data: bytes, mode: str) -> list:
+    """The elements that *data* holds in input mode *mode*."""
     if mode == "bytes":
         return list(data)
     text = data.decode("utf-8")
     if mode == "chars":
-        # One trailing newline is a file convention, not an element.
-        return list(text[:-1] if text.endswith("\n") else text)
+        return list(text)
     if mode == "tokens":
         return text.split()
     return [int(tok) for tok in text.split()]
+
+
+def read_elements(path: str, mode: str) -> list:
+    """The elements of the file *path* ("-": stdin); ValueError if none."""
+    seq = parse_elements(_read_raw(path), mode)
+    if mode == "chars" and seq[-1:] == ["\n"]:
+        # One trailing newline is a file convention, not an element.
+        seq.pop()
+    if not seq:
+        raise ValueError("empty input")
+    return seq
 
 
 def _encode_symbols(seq: Sequence, mode: str) -> bytes:
@@ -102,9 +112,6 @@ def _cmd_sort(args) -> int:
               "--zero-based, --baseline or --format csv", file=sys.stderr)
         return 2
     seq = read_elements(args.file, args.mode)
-    if not seq:
-        print("error: empty input", file=sys.stderr)
-        return 2
     report, outcome = bench.sort_report(seq, args.order, args.baseline)
     if args.sorted_output:
         _write_out(_encode_symbols(outcome.sorted_values(seq), args.mode),
@@ -123,9 +130,6 @@ def _cmd_sort(args) -> int:
 
 def _cmd_entropy(args) -> int:
     seq = read_elements(args.file, args.mode)
-    if not seq:
-        print("error: empty input", file=sys.stderr)
-        return 2
     prof = entropy.profile(seq, args.order)
     if args.format == "plain":
         _write_out("\n".join(f"{v:.10g}" for v in prof.h).encode(), args.out)
@@ -138,14 +142,8 @@ def _cmd_entropy(args) -> int:
 def _cmd_gen(args) -> int:
     pattern: tuple = ()
     if args.pattern is not None:
-        if args.mode == "bytes":
-            pattern = tuple(args.pattern.encode("utf-8"))
-        elif args.mode == "chars":
-            pattern = tuple(args.pattern)
-        elif args.mode == "ints":
-            pattern = tuple(int(t) for t in args.pattern.split())
-        else:
-            pattern = tuple(args.pattern.split())
+        pattern = tuple(parse_elements(args.pattern.encode("utf-8"),
+                                       args.mode))
         if not pattern:
             raise ValueError(f"--pattern {args.pattern!r} names no element")
     n = args.n if not pattern else len(set(pattern))
@@ -153,11 +151,7 @@ def _cmd_gen(args) -> int:
                             order=args.markov_order, skew=args.skew,
                             noise=args.noise, seed=args.seed,
                             pattern=pattern)
-    try:
-        seq = bench.generate(spec)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    seq = bench.generate(spec)
     _write_out(_encode_symbols(seq, args.mode), args.out,
                binary=args.mode == "bytes")
     return 0

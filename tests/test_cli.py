@@ -315,10 +315,16 @@ def test_bad_data_exit_2(tmp_path, capsys):
 
 
 def test_empty_input_exit_2(tmp_path, capsys):
-    f = tmp_path / "empty"
+    """`sort` and `entropy` refuse an input with no element through
+    `main`'s one error line: an empty file, and a lone newline in chars
+    mode, which a reader strips."""
+    f, newline = tmp_path / "empty", tmp_path / "newline"
     f.write_bytes(b"")
-    code, _, _ = run_cli(capsys, "sort", str(f))
-    assert code == 2
+    newline.write_bytes(b"\n")
+    for command in ("sort", "entropy"):
+        for argv in ([str(f)], [str(newline), "--mode", "chars"]):
+            code, out, err = run_cli(capsys, command, *argv)
+            assert (code, out, err) == (2, "", "error: empty input\n"), argv
 
 
 def test_check_bounds_violation_exit_1(tmp_path, capsys, monkeypatch):

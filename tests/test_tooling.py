@@ -118,9 +118,11 @@ def test_ab_runs_one_tree_against_itself(tmp_path):
 
 
 def test_ab_adds_the_opcount_of_each_side():
-    """tools/ab.py --opcount runs tools/opcount.py on each side: one tree
-    against itself reads the same bytecodes and Python calls per element
-    on both sides, a difference of 0, on every workload."""
+    """tools/ab.py --opcount counts each side in process with
+    tools/opcount.py's `measure`: one tree against itself reads the same
+    bytecodes and Python calls per element on both sides, a difference of
+    0, on every workload, and each side reads what a fresh
+    tools/opcount.py run reads on the same tree."""
     run = subprocess.run(
         [sys.executable, AB, "--rounds", "1", "--limit", "100", "--json",
          "--opcount", "--base", SRC, "--new", SRC],
@@ -128,23 +130,29 @@ def test_ab_adds_the_opcount_of_each_side():
     assert run.returncode == 0, run.stderr
     workloads = json.loads(run.stdout)["workloads"]
     assert set(workloads) == {"zipf-k0", "markov-k1", "bigalpha-k1"}
-    for report in workloads.values():
+    fresh = subprocess.run(
+        [sys.executable, OPCOUNT, "--src", SRC, "--limit", "100", "--json"],
+        capture_output=True, text=True, timeout=300)
+    assert fresh.returncode == 0, fresh.stderr
+    fresh = json.loads(fresh.stdout)["workloads"]
+    for w, report in workloads.items():
         for metric in ("ops", "calls"):
             counts = report[metric]
-            assert counts["base"] == counts["new"] > 0
+            assert counts["base"] == counts["new"] == fresh[w][metric] > 0
             assert counts["delta"] == 0
 
 
 @pytest.mark.skipif(shutil.which("git") is None, reason="git not on PATH")
 def test_ab_exports_the_base_from_a_revision(tmp_path):
     """tools/ab.py --base-rev REV takes the base tree from REV's src/ with
-    `git archive`, in a throwaway repository that holds a copy of the
-    script, of the perfbench corpus it imports and of src/. It reports
-    the revision as the base and a sign-test p-value beside the rounds
-    won; a revision with no src/entsort, or none at all, exits 2."""
+    `git archive`, in a throwaway repository that holds copies of the
+    script, of tools/opcount.py (which it imports), of the perfbench
+    corpus and of src/. It reports the revision as the base and a
+    sign-test p-value beside the rounds won; a revision with no
+    src/entsort, or none at all, exits 2."""
     repo = tmp_path / "repo"
     root = os.path.dirname(PYPROJECT)
-    for part in ("tools/ab.py", "perfbench/corpus.py"):
+    for part in ("tools/ab.py", "tools/opcount.py", "perfbench/corpus.py"):
         os.makedirs(repo / os.path.dirname(part), exist_ok=True)
         shutil.copy(os.path.join(root, part), repo / part)
     env = dict(os.environ, HOME=str(tmp_path), GIT_CONFIG_NOSYSTEM="1")

@@ -1,17 +1,18 @@
 #!/usr/bin/env python3
 """Paired in-process A/B of two `src/` trees: the time ratio new/base.
 
-A companion to tools/opcount.py for wall time. Separate processes run at
-different speeds on a shared machine, so two trees are compared inside one
-process, on the same inputs, call by call. The script imports the
-`entsort` package under --base and under --new as two distinct packages
-(`entsort_base` and `entsort_new`). Their modules import each other only
-by relative imports, so each copy keeps its own kernel, even where
-`get_kernel` looks itself up in `sys.modules`.
+A companion to tools/opcount.py for wall time, built on its loader, its
+timed call and its workload check. Separate processes run at different
+speeds on a shared machine, so two trees are compared inside one process,
+on the same inputs, call by call. The script imports the `entsort`
+package under --base and under --new as two distinct packages
+(`entsort_base` and `entsort_new`) with `opcount.load`. Their modules
+import each other only by relative imports, so each copy keeps its own
+kernel, even where `get_kernel` looks itself up in `sys.modules`.
 
 For each chosen perfbench workload it sorts the eight seed-101 inputs
 (`perfbench/corpus.py`, imported as is) with the call that perfbench times
-(`sort0` at order 0, `sortk` above it):
+(`opcount.sorter`: `sort0` at order 0, `sortk` above it):
 
 - one untimed call per side and input first, whose permutation is the
   reference; every later call of either side must return it, or the
@@ -28,14 +29,20 @@ the two sides' summed call times in a round, with its quartiles, the
 number of rounds in which new was faster with the two-sided sign test's
 p-value for that count (the chance of a split at least as uneven if
 either side were as likely to win a round), and whether the two sides'
-ledgers were identical. A ratio below 1 means new is faster.
+ledgers were identical. A ratio below 1 means new is faster. Identical
+code has read 0.89-1.09, with a small p-value, right after long perfbench
+runs or beside other commands on the same machine; before trusting a
+ratio, re-run it with the sides swapped.
 
 With --opcount, each workload's line also gives the deterministic count
 of tools/opcount.py beside the times: bytecodes and Python calls per
-element of base and new, and new minus base. Each side is counted by
-`tools/opcount.py --src <side> --json` in a subprocess of its own, with
-the same --workload and --limit, so that the tracing touches neither the
-timed calls nor the other side.
+element of base and new, and new minus base. Each side is counted in this
+process by `opcount.measure`, with the same --workload and --limit, after
+the timed rounds of every workload, so that the tracing touches no timed
+call. The counts are exact: the bytecodes a call executes do not depend
+on how warm the interpreter is, and only frames run from the counted
+side's files, during its own calls, are counted, so each side reads what
+a fresh `tools/opcount.py --src` run of its tree reads.
 
 The base is a `src/` directory (--base) or a revision of the repository
 that holds this script (--base-rev), whose `src/` is exported with a
@@ -52,10 +59,8 @@ from __future__ import annotations
 
 import argparse
 import gc
-import importlib
-import importlib.util
-import json
 import io
+import json
 import math
 import platform
 import statistics
@@ -66,21 +71,9 @@ import tempfile
 import time
 from pathlib import Path
 
+import opcount
+
 ROOT = Path(__file__).resolve().parent.parent
-SEED = 101
-
-
-def load(src: Path, name: str):
-    """The entsort package under *src*, imported as package *name*."""
-    init = src / "entsort" / "__init__.py"
-    if not init.is_file():
-        raise SystemExit(f"error: no entsort package under {src}")
-    spec = importlib.util.spec_from_file_location(
-        name, init, submodule_search_locations=[str(init.parent)])
-    package = importlib.util.module_from_spec(spec)
-    sys.modules[name] = package
-    spec.loader.exec_module(package)
-    return package
 
 
 def export(rev: str, into: Path) -> Path:
@@ -115,33 +108,10 @@ def sign_p(wins: int, n: int) -> float:
     return min(1.0, 2 * tail / 2 ** n)
 
 
-def opcount(src: Path, workloads: list, limit: int | None) -> dict:
-    """tools/opcount.py's per-workload report of the tree under *src*, run
-    in a subprocess, or SystemExit if it fails."""
-    argv = [sys.executable, str(ROOT / "tools" / "opcount.py"),
-            "--src", str(src), "--json"]
-    for w in workloads:
-        argv += ["--workload", w]
-    if limit is not None:
-        argv += ["--limit", str(limit)]
-    run = subprocess.run(argv, capture_output=True, text=True)
-    if run.returncode:
-        raise SystemExit(f"error: tools/opcount.py --src {src} failed: "
-                         f"{run.stderr.strip()}")
-    return json.loads(run.stdout)["workloads"]
-
-
-def sorter(package, order: int):
-    """perfbench's timed call for *order*, on *package*."""
-    if order == 0:
-        return package.sort0
-    return lambda seq: package.sortk(seq, order)
-
-
 def measure(sides: dict, spec, seqs: list, rounds: int) -> dict:
     """Time ratios and ledger agreement of one workload, or SystemExit if
     a call's permutation differs from the reference."""
-    calls = {side: sorter(package, spec.order)
+    calls = {side: opcount.sorter(package, spec.order)
              for side, package in sides.items()}
     refs, ledgers = [], {side: [] for side in calls}
     for seq in seqs:
@@ -209,12 +179,7 @@ def main(argv=None) -> int:
     if args.limit is not None and args.limit < 1:
         parser.error("--limit must be positive")
 
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    corpus = importlib.import_module("corpus")
-    workloads = args.workload or list(corpus.WORKLOADS)
-    unknown = sorted(set(workloads) - set(corpus.WORKLOADS))
-    if unknown:
-        parser.error(f"unknown workload {unknown[0]!r}")
+    corpus, workloads = opcount.workloads(parser, args.workload)
     with tempfile.TemporaryDirectory(prefix="ab-base-") as scratch:
         if args.base_rev is not None:
             base_src = export(args.base_rev, Path(scratch))
@@ -222,24 +187,24 @@ def main(argv=None) -> int:
         else:
             base_src = args.base
             base_name = str(args.base.resolve())
-        sides = {"base": load(base_src, "entsort_base"),
-                 "new": load(args.new, "entsort_new")}
+        sides = {"base": opcount.load(base_src, "entsort_base"),
+                 "new": opcount.load(args.new, "entsort_new")}
         report = {"python": platform.python_version(),
                   "base": base_name,
                   "new": str(args.new.resolve()),
                   "workloads": {}}
         for w in workloads:
             spec = corpus.WORKLOADS[w]
-            seqs = [seq[:args.limit] for seq in corpus.corpus(spec, SEED)]
+            seqs = [seq[:args.limit]
+                    for seq in corpus.corpus(spec, opcount.SEED)]
             report["workloads"][w] = measure(sides, spec, seqs, args.rounds)
         if args.opcount:
-            counts = {side: opcount(src, workloads, args.limit)
-                      for side, src in (("base", base_src),
-                                        ("new", args.new))}
             for w, r in report["workloads"].items():
+                counts = {side: opcount.measure(package, corpus, w, args.limit)
+                          for side, package in sides.items()}
                 for metric in ("ops", "calls"):
-                    base_n = counts["base"][w][metric]
-                    new_n = counts["new"][w][metric]
+                    base_n = counts["base"][metric]
+                    new_n = counts["new"][metric]
                     r[metric] = {"base": base_n, "new": new_n,
                                  "delta": new_n - base_n}
     if args.json:

@@ -27,7 +27,11 @@ memory claim can be checked without a timed run. Beside it,
 can see which phase sets the peak.
 
 The inputs come from `perfbench/corpus.py`, imported as is; nothing under
-`perfbench/` is written. Usage:
+`perfbench/` is written. The script is also the one home of what
+tools/ab.py shares with it: `load` imports a package by file location,
+`sorter` is perfbench's timed call, `workloads` checks --workload, and
+`measure` is the count that `tools/ab.py --opcount` takes in process.
+Usage:
 
     python tools/opcount.py                      # all workloads
     python tools/opcount.py --src /tmp/other/src --workload markov-k1
@@ -39,6 +43,7 @@ from __future__ import annotations
 import argparse
 import gc
 import importlib
+import importlib.util
 import json
 import platform
 import sys
@@ -51,15 +56,40 @@ SEED = 101
 SEQUENCES = 2  # the first two inputs of each workload's corpus
 
 
-def load(src: Path):
-    """(entsort, corpus): the package under *src* and perfbench's corpus."""
-    sys.path[:0] = [str(src), str(ROOT / "perfbench")]
-    entsort = importlib.import_module("entsort")
-    package = Path(entsort.__file__).resolve().parent
-    if package.parent != src.resolve():
-        raise SystemExit(f"error: imported entsort from {package}, "
-                         f"not from {src}")
-    return entsort, importlib.import_module("corpus")
+def load(src: Path, name: str = "entsort"):
+    """The entsort package under *src*, imported as package *name* by file
+    location, so that two trees can be loaded side by side under two
+    names. Its modules import each other only by relative imports, so
+    each copy keeps its own kernel."""
+    init = src.resolve() / "entsort" / "__init__.py"
+    if not init.is_file():
+        raise SystemExit(f"error: no entsort package under {src}")
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return package
+
+
+def workloads(parser: argparse.ArgumentParser, chosen: list | None):
+    """(corpus, names): perfbench's corpus module and the workloads named
+    by --workload (default all); an unknown name is a usage error."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    corpus = importlib.import_module("corpus")
+    names = chosen or list(corpus.WORKLOADS)
+    unknown = sorted(set(names) - set(corpus.WORKLOADS))
+    if unknown:
+        parser.error(f"unknown workload {unknown[0]!r}")
+    return corpus, names
+
+
+def sorter(package, order: int):
+    """perfbench's timed call for *order* on *package*: `sort0` at order
+    0, `sortk(seq, order)` above it."""
+    if order == 0:
+        return package.sort0
+    return lambda seq: package.sortk(seq, order)
 
 
 def count(call, package: str) -> tuple[Counter, Counter]:
@@ -116,16 +146,12 @@ def measure(entsort, corpus, workload: str, limit: int | None) -> dict:
     spec = corpus.WORKLOADS[workload]
     whole = corpus.corpus(spec, SEED)[:SEQUENCES]
     seqs = [seq[:limit] for seq in whole]
-    package = str(Path(entsort.__file__).resolve().parent) + "/"
-    if spec.order == 0:
-        sorter = entsort.sort0
-    else:
-        def sorter(seq):
-            return entsort.sortk(seq, spec.order)
+    package = str(Path(entsort.__file__).parent) + "/"
+    call = sorter(entsort, spec.order)
     ops: Counter = Counter()
     calls: Counter = Counter()
     for seq in seqs:
-        o, c = count(lambda: sorter(seq), package)
+        o, c = count(lambda: call(seq), package)
         ops.update(o)
         calls.update(c)
     elems = sum(len(seq) for seq in seqs)
@@ -135,7 +161,7 @@ def measure(entsort, corpus, workload: str, limit: int | None) -> dict:
     return {"elements": elems,
             "ops": sum(ops.values()) / elems,
             "calls": sum(calls.values()) / elems,
-            "peak_bytes_per_elem": peak_per_elem(sorter, whole[0]),
+            "peak_bytes_per_elem": peak_per_elem(call, whole[0]),
             "budget_peak_bytes_per_elem": peak_per_elem(
                 lambda seq: entsort.budget_breakdown(seq, spec.order),
                 whole[0]),
@@ -156,15 +182,12 @@ def main(argv=None) -> int:
     if args.limit is not None and args.limit < 1:
         parser.error("--limit must be positive")
 
-    entsort, corpus = load(args.src)
-    workloads = args.workload or list(corpus.WORKLOADS)
-    unknown = sorted(set(workloads) - set(corpus.WORKLOADS))
-    if unknown:
-        parser.error(f"unknown workload {unknown[0]!r}")
+    corpus, names = workloads(parser, args.workload)
+    entsort = load(args.src)
     report = {"python": platform.python_version(),
               "src": str(args.src.resolve()),
               "workloads": {w: measure(entsort, corpus, w, args.limit)
-                            for w in workloads}}
+                            for w in names}}
     if args.json:
         print(json.dumps(report, indent=1))
         return 0
