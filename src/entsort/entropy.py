@@ -34,8 +34,9 @@ def context_sequences(seq: Sequence, order: int) -> dict[tuple, list]:
     """Successor sequence per order-tuple context, in occurrence order.
 
     This is the reference definition of the per-context split and of the
-    summation order of H_k: the tests check `profile` and the sorter's
-    one-pass accounting (`sortk.budget_breakdown`) against it bit for bit. A
+    summation order of H_k, by hash and `==`: `sortk.budget_breakdown` is
+    computed from it, and `profile` and the accounting that a sort reads
+    off its forest by the order (hashing nothing) equal it bit for bit. A
     context that only occurs as the sequence's suffix has no entry, so an
     order >= len(seq) gives an empty table, and no slice is built for it.
     """

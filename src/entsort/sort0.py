@@ -3,7 +3,8 @@
 `sort0(seq)` is `sortk.sortk(seq, 0)`: all elements share one statistics
 tree, whose index lists in key order are the stable permutation. Its
 comparison count never exceeds `comparison_budget`, the order-0 case of
-`sortk.budget_breakdown`, computed exactly.
+`sortk.budget_breakdown`, computed exactly from the input before a sort;
+the sort accounts by its own order and hashes nothing.
 """
 
 from __future__ import annotations

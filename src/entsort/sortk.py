@@ -1,7 +1,7 @@
 """The sorter: one statistics tree per context, chained by context ids.
 
 This is the one sorter; `sort0.sort0` is `sortk(seq, 0)`, and `sortk` reads
-top to bottom: the accounting, the element loop, the read-off. It maintains
+top to bottom: the element loop, then the read-off. It maintains
 a statistics tree per distinct k-tuple of preceding elements. Each element
 is searched only in its context's tree, so search costs track the order-k
 entropy rather than the order-0 entropy. Two dictionaries realize the
@@ -17,9 +17,10 @@ there is one context, 0, so there is no lookup at all, and B1 stays empty.
 The trees of one call are the contexts of one forest (`kernel.StatsTree`),
 so a context costs five list slots, not an object. That matters where an
 input breaks the premise n^(k+1) log n in O(m) and the contexts are many.
-The accounting (budgets, H_order, H_0 and n) is one pass over the input
-that runs before the element loop (`budget_breakdown`): it compares
-nothing, and its tables are freed before the forest is built.
+A sort asks its elements nothing but `<=`: its accounting (budgets,
+H_order, H_0 and n) is read off the forest after the loop, and hashes
+nothing. `budget_breakdown` gives the same fields by definition, before
+a sort and as the tests' reference.
 
 The read-off compares no elements. The forest names the leaf of each
 sequence position in one array of machine ints, and the read-off is one
@@ -41,7 +42,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, chain, islice
 from math import log2
 from operator import itemgetter
 from typing import Optional, Sequence
@@ -98,10 +99,10 @@ def invert(permutation: list[int]) -> list[int]:
 class BudgetBreakdown:
     """Exactly computable comparison bounds for one (sequence, order) run.
 
-    All fields are derived from the input alone, independent of the sorter
-    (`budget_breakdown`). total = context_total + b1 bounds binary_count;
-    h_order and h0 are the input's order-k and order-0 entropies; n is its
-    number of distinct elements.
+    `budget_breakdown` derives every field from the input alone, and
+    `sortk` reads the same fields off its forest. total = context_total
+    + b1 bounds binary_count; h_order and h0 are the input's order-k and
+    order-0 entropies; n is its number of distinct elements.
     """
 
     order: int
@@ -117,16 +118,10 @@ class BudgetBreakdown:
         return self.context_total + self.b1
 
 
-class _Successors(dict):
-    """One context's successor -> count map in `budget_breakdown`'s table,
-    with the context's number of successors so far in the slot p."""
-
-    __slots__ = ("p",)
-
-
 def budget_breakdown(seq: Sequence, order: int) -> BudgetBreakdown:
-    """Budgets, H_order, H0 and n: one pass over the elements, the same at
-    every order, and above order 0 one `Counter` of them.
+    """Budgets, H_order, H0 and n of *seq* at *order*, by definition: from
+    `entropy.context_sequences`, counting elements by hash and `==`. A
+    sort reads the same fields off its forest, by the elements' order.
 
     The budgets are those of the order-0 sorter in each context's tree:
     the p-th successor of a context (p >= 1 before it), with c of those p
@@ -143,83 +138,82 @@ def budget_breakdown(seq: Sequence, order: int) -> BudgetBreakdown:
 
     Each distinct successor of a context is a new (order+1)-tuple and one
     B1 lookup, and the min(order, m) warm-up elements are one B1 lookup
-    each; order 0 makes no B1 lookup. H_order is the size-weighted mean of
-    the contexts' H0.
-
-    The pass keeps one table entry per context, keyed by the k-tuple (the
-    bare element at order 1, which saves a tuple per element; the one
-    context () at order 0): its successor -> count dict, which holds the
-    context's running length in a slot (`_Successors`), so a context costs
-    one object, and the cost is per element, not per context. A context
-    whose successors are one value costs no H0 sum: its H0 is exactly 0.0,
-    and leaving an exact 0.0 out of the sum changes no bit. The +3 charges
-    are added at the end, one per successor after its context's first. At
-    order 0 the one context's count map gives n and H0, and H_order is H0
-    as is (m * H0 / m can differ from it in the last bit); above it, n and
-    H0 come from a `Counter`, built once the context table is freed, so
-    that the two never share the peak. Every sum keeps the order of the
-    reference table `entropy.context_sequences`, so all fields equal the
-    per-context definitions bit for bit.
-
-    The pass and the `Counter` are the only places where the call hashes
-    an element (the sorter compares them only). An element that hashing
-    refuses, such as a list, raises one TypeError, chained from hashing's
-    own, which says that the elements must be hashable.
+    each; order 0 makes no B1 lookup.
     """
     m = len(seq)
     if m == 0:
         raise ValueError("sequence must be non-empty")
     if order < 0:
         raise ValueError("order must be >= 0")
-    state: dict = {}  # context -> its `_Successors`
-    logs = 0
-    try:
-        if order < m:
-            if order == 0:
-                pairs = zip(repeat(()), seq)
-            elif order == 1:
-                pairs = zip(seq, islice(seq, 1, None))
-            else:
-                pairs = zip(zip(*(islice(seq, j, None) for j in range(order))),
-                            islice(seq, order, None))
-            for ctx, s in pairs:
-                counts = state.get(ctx)
-                if counts is None:
-                    counts = state[ctx] = _Successors()
-                    counts[s] = counts.p = 1
-                else:
-                    p = counts.p
-                    counts.p = p + 1
-                    c = counts.get(s, 0)
-                    counts[s] = c + 1
-                    logs += ((p - 1) // c if c else p - 1).bit_length()
-        new_tuples = 0
-        terms = []  # |part| * H0(part) of each context with two values or more
-        for counts in state.values():
-            new_tuples += len(counts)
-            if order and len(counts) > 1:
-                size = counts.p
-                terms.append(size * entropy.h0_bits(counts.values(), size))
-        contexts = len(state)
-        if order:
-            state = None  # freed first: it never shares the Counter's peak
-        counts0 = Counter(seq) if order else state[()]
-    except TypeError as err:
-        raise TypeError(
-            "entsort's accounting counts elements by hash and ==, so "
-            f"the elements must be hashable: {err}") from err
-    n = len(counts0)
-    h0 = entropy.h0_bits(counts0.values(), m)
+    total = new_tuples = 0
+    parts = []
+    for successors in entropy.context_sequences(seq, order).values():
+        counts = Counter()
+        for p, s in enumerate(successors):
+            c = counts[s]
+            if p:
+                total += ((p - 1) // c if c else p - 1).bit_length() + 3
+            counts[s] = c + 1
+        new_tuples += len(counts)
+        if len(counts) > 1:
+            parts.append(list(counts.values()))
+    return _breakdown(order, m, list(Counter(seq).values()), total,
+                      new_tuples, parts)
+
+
+def _breakdown(order: int, m: int, counts: list[int], context_total: int,
+               new_tuples: int, parts) -> BudgetBreakdown:
+    """The `BudgetBreakdown` from what both callers count: each distinct
+    element's count, the context budget, the number of distinct (context,
+    successor) pairs, and the successor counts of each context with two
+    values or more. Counts and contexts come in first-occurrence order,
+    the summation order of `entropy.context_sequences`, so all floats agree
+    bit for bit. H_order is the size-weighted mean of the contexts' H0 (a
+    context of one value adds an exact 0.0, so it may be left out), and
+    at order 0 H0 as is (m * H0 / m can differ from it in the last bit)."""
+    n = len(counts)
+    h0 = entropy.h0_bits(counts, m)
+    h_order = (sum(sum(part) * entropy.h0_bits(part, sum(part))
+                   for part in parts) / m if order else h0)
     b1_ops = min(order, m) + new_tuples if order else 0
     return BudgetBreakdown(
         order=order,
         n=n,
-        context_total=logs + 3 * (max(m - order, 0) - contexts),
+        context_total=context_total,
         b1_ops=b1_ops,
         b1=b1_ops * (avl_height_bound(n) + 1),
-        h_order=sum(terms) / m if order else h0,
+        h_order=h_order,
         h0=h0,
     )
+
+
+def _context_total(forest: StatsTree, start: int, ctx: int) -> int:
+    """The context budget, read off a sort's forest by replaying its leaf
+    array from position *start*, whose context is *ctx*; each later
+    position's context is the handle of the previous position's leaf. p
+    and c count the positions so far of the context and of the leaf."""
+    nxt = forest._next
+    seen = [0] * len(nxt)  # per node
+    so_far = [0] * len(forest._root)  # per context
+    total = 0
+    for v in islice(forest._leaf, start, None):
+        p = so_far[ctx]
+        c = seen[v]
+        if p:
+            total += ((p - 1) // c if c else p - 1).bit_length() + 3
+        so_far[ctx] = p + 1
+        seen[v] = c + 1
+        ctx = nxt[v]
+    return total
+
+
+def _parts(forest: StatsTree):
+    """Each context's leaf weights in node-id order, for the contexts of
+    two leaves or more."""
+    weight = forest._weight
+    for root, t in zip(forest._root, forest._len):
+        if t > 1:
+            yield [weight[v] for v in sorted(forest._inorder(root))]
 
 
 def premise_holds(n: int, m: int, order: int) -> bool:
@@ -252,10 +246,9 @@ def sortk(seq: Sequence, order: int = 0,
           kernel_name: Optional[str] = None) -> SortOutcome:
     """Stable-sort *seq* using order-*order* context trees.
 
-    The accounting comes first (`budget_breakdown`, one pass that compares
-    nothing). Then the element loop, from position order + 1 on: each
-    element is searched in the current context's tree, from that of the
-    warm-up ranks on. The hits stay in the kernel: `forest.scan` records
+    The element loop runs from position order + 1 on: each element is
+    searched in the current context's tree, from that of the warm-up
+    ranks on. The hits stay in the kernel: `forest.scan` records
     each one (the leaf gets the element's position and one more unit of
     weight) and moves on to the leaf's next-context handle, and it returns
     at the next miss, with the context it was searched in. The missed
@@ -278,18 +271,16 @@ def sortk(seq: Sequence, order: int = 0,
     equal keys keep their order. When `place` starts, the call holds no
     reference to B1, B2, the rank tuples or the forest.
 
-    The read-off also checks that the elements' order and their `==`
-    agree: if its number of keys differs from the accounting's n, which
-    counts by hash and `==`, the outcome's warnings name both counts, since
-    the budget and the entropies then describe another partition. It warns
-    rather than raises, so the permutation, which the order alone decides,
-    is still returned.
+    The accounting is read off the forest and the slots' counts, by the
+    order: ids are in order of first occurrence, so each field equals
+    `budget_breakdown`'s bit for bit, with no hash and no `==`.
     """
     m = len(seq)
     if order < 0:
         raise ValueError("order must be >= 0")
+    if m == 0:
+        raise ValueError("sequence must be non-empty")
     cmp = comparator if comparator is not None else CountingComparator()
-    breakdown = budget_breakdown(seq, order)
     before = cmp.snapshot()
     get_kernel(kernel_name)  # refuses an unknown name
     forest = StatsTree()
@@ -301,6 +292,7 @@ def sortk(seq: Sequence, order: int = 0,
     current = forest.add_context() if order == 1 else 0  # seq[0]'s rank, 1
     if order > 1:
         b2.insert(boot, 0)
+    first = current  # the context of position min(order, m) + 1
     items = enumerate(islice(seq, min(order, m), None), order + 1)
     while (miss := forest.scan(items, current, cmp)) is not None:
         i, s, current, j, rel = miss
@@ -326,6 +318,9 @@ def sortk(seq: Sequence, order: int = 0,
     # or at order 0 the one tree's in-order walk.
     walk = list(b1.ranks() if order else forest._inorder(forest._root[0]))
     b1 = b2 = None
+    # The replay's two count lists come and go before the slots are built:
+    # B2 held more than they do, and the slots will too.
+    context_total = _context_total(forest, min(order, m) + 1, first)
     size = len(walk)
     slot_of = [0] * (size + 1)  # a rank (at order 0 a node) -> its slot
     for slot, x in enumerate(walk):
@@ -338,12 +333,18 @@ def sortk(seq: Sequence, order: int = 0,
             handles = map(itemgetter(-1), map(ranks_of.__getitem__, handles))
         node_slot = [0]
         node_slot += map(slot_of.__getitem__, handles)
-    ranks_of = walk = slot_of = handles = None
+    ranks_of = walk = handles = None
     starts = array("I", bytes(4 * size))  # slot -> its number of positions
     for slot, w in zip(node_slot, forest._weight):  # node 0 weighs 0
         starts[slot] += w
     for slot in warm:
         starts[slot] += 1
+    # Each key's count, keys in first-occurrence order: a rank's (at order
+    # 0 a node's) is its slot's.
+    breakdown = _breakdown(
+        order, m, list(map(starts.__getitem__, islice(slot_of, 1, None))),
+        context_total, len(forest._weight) - 1, _parts(forest))
+    slot_of = None
     starts = array("I", accumulate(starts, initial=0))  # -> its run's start
     leaf = forest._leaf
     forest = None
@@ -358,11 +359,6 @@ def sortk(seq: Sequence, order: int = 0,
                else f"2^{exponent:.6g} * {log2(n):.6g}")
         warnings.append(f"n^(order+1)*log2(n) = {lhs} exceeds m = {m}; "
                         "entropy bound not guaranteed")
-    if size != n:
-        warnings.append(
-            f"the elements' order finds {size} distinct keys but their == "
-            f"and hash find {n}; budget, h0 and h_order count by == and "
-            "may be wrong")
     return SortOutcome(
         permutation=permutation,
         ledger=delta(before, cmp.snapshot()),

@@ -8,13 +8,12 @@ to make B1 at least 10 levels high, the result is the stable
 permutation within budget and every order query is counted; with
 elements whose `<=` answers at random or inconsistently, the result is
 still a permutation of 1..m or a clean error, never a lost index, and
-every answer was theirs. Elements that compare but cannot be hashed fail
-before the first comparison.
+every answer was theirs. A sort asks its elements nothing but their
+order: elements whose hash and `==` raise sort like their keys.
 """
 
 import random
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import Spy, stable_perm
@@ -129,13 +128,39 @@ def test_property_inconsistent_comparator_loses_no_index(raw, order, mode,
         assert out.ledger.binary_count == cmp.binary_count
 
 
-def test_unhashable_elements_fail_before_any_comparison():
-    """The accounting counts elements by hashing them, and it runs before
-    the scan: an input with an unhashable element raises TypeError from
-    either sorter before any comparison is made."""
-    seq = [[2], [1], [2]]
-    for order in (None, 0, 1, 2):
-        cmp = CountingComparator()
-        with pytest.raises(TypeError):
-            run(seq, order, cmp)
-        assert cmp.binary_count == 0, order
+class OrderOnly:
+    """Element with an order and nothing else: its `__hash__` and `__eq__`
+    raise."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
+
+    def __le__(self, other):
+        return self.value <= other.value
+
+    def __eq__(self, other):
+        raise AssertionError("== asked")
+
+    def __hash__(self):
+        raise AssertionError("hash asked")
+
+
+def test_sorts_never_hash_or_test_equality():
+    """A sort asks its elements' order and nothing else: elements whose
+    `__hash__` and `__eq__` raise sort, with either sorter at orders 0-3,
+    to the outcome of their integer keys: the same permutation, ledger,
+    budget, h0 and h_order."""
+    rng = random.Random(12)
+    for n in (1, 3, 40):
+        raw = [rng.randrange(n) for _ in range(200)]
+        for order in (None, 0, 1, 2, 3):
+            got = run([OrderOnly(v) for v in raw], order)
+            want = run(raw, order)
+            assert got.permutation == want.permutation, (n, order)
+            assert got.ledger == want.ledger, (n, order)
+            assert (got.budget, got.context_budget) == \
+                (want.budget, want.context_budget), (n, order)
+            assert (repr(got.h0), repr(got.h_order)) == \
+                (repr(want.h0), repr(want.h_order)), (n, order)

@@ -27,6 +27,7 @@ ALLOWED = {
     "sort0:sort0": "public API",
     "sort0:comparison_budget": "public API; perfbench/spans.py wraps it",
     "sortk:invert": "public API",
+    "sortk:budget_breakdown": "public API; perfbench/spans.py wraps it",
     "sortk:SortOutcome.inverse": "public API",
     "entropy:h0": "public API",
     "entropy:h_order": "public API; perfbench/run.py and spans.py read it",

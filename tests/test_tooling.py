@@ -48,8 +48,7 @@ def test_opcount_is_deterministic():
     """tools/opcount.py gives the same bytecode and call counts, function
     by function, under two hash seeds, each workload's totals are the sums
     of its per-function rows, and its peak memory per element is
-    positive, with the budget pass's own peak above 0 and at most the
-    whole call's."""
+    positive."""
     reports = []
     for hash_seed in ("1", "2"):
         env = dict(os.environ, PYTHONHASHSEED=hash_seed)
@@ -69,8 +68,6 @@ def test_opcount_is_deterministic():
             sum(f["calls"] for f in functions))
         assert report["functions"]["kernel.StatsTree.scan"]["calls"] > 0
         assert report["peak_bytes_per_elem"] > 0
-        assert (0 < report["budget_peak_bytes_per_elem"]
-                <= report["peak_bytes_per_elem"])
 
 
 AB = os.path.join(os.path.dirname(PYPROJECT), "tools", "ab.py")

@@ -66,15 +66,15 @@ def test_tracer_wraps_the_sorter_surface():
     assert tracer.unmeasured == set()
     recorded = {tracer.names[code] for code, *_ in tracer.spans}
     for name in ("StatsTree.insert", "RankDictionary.lookup_or_insert",
-                 "CodeDictionary.get", "CodeDictionary.insert",
-                 "sortk.budget_breakdown"):
+                 "CodeDictionary.get", "CodeDictionary.insert"):
         assert name in recorded, name
-    # Still patched and restored, but the sorters no longer call them:
-    # budget_breakdown gives H0 as well, so `account` is recorded through
-    # it alone, and the element loop searches and records hits in
+    # Still patched and restored, but the sorters no longer call them: a
+    # sort reads its accounting off the forest, so `account` records
+    # nothing, and the element loop searches and records hits in
     # `StatsTree.scan`, which the tracer does not wrap.
     assert not recorded & {"StatsTree.descend", "StatsTree.append",
                            "sortk.encode_tuple", "sortk.mergesort_perm",
+                           "sortk.budget_breakdown",
                            "sort0.comparison_budget", "entropy.h_order"}
     assert tracer.trees  # tree construction was counted
     for (owner, attr), original in zip(targets, originals):

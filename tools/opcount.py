@@ -21,10 +21,7 @@ probes, the garbage collector) is not weighed. Tracing makes a call about
 The report also gives each workload's memory: the tracemalloc peak of one
 untraced call on its first seed-101 input, whole (--limit does not cut it),
 in bytes per element. That is perfbench's `peak_bytes_per_elem`, so a
-memory claim can be checked without a timed run. Beside it,
-`budget_peak_bytes_per_elem` is the peak of the call's accounting pass,
-`budget_breakdown(seq, order)`, alone on the same input, so that a claim
-can see which phase sets the peak.
+memory claim can be checked without a timed run.
 
 The inputs come from `perfbench/corpus.py`, imported as is; nothing under
 `perfbench/` is written. The script is also the one home of what
@@ -141,11 +138,9 @@ def peak_per_elem(sorter, seq) -> float:
 
 
 def measure(entsort, corpus, workload: str, limit: int | None) -> dict:
-    """Per-element counts of one workload, totals and per function, and
-    its peak memory per element."""
+    """Per-element counts of one workload, totals and per function."""
     spec = corpus.WORKLOADS[workload]
-    whole = corpus.corpus(spec, SEED)[:SEQUENCES]
-    seqs = [seq[:limit] for seq in whole]
+    seqs = [seq[:limit] for seq in corpus.corpus(spec, SEED)[:SEQUENCES]]
     package = str(Path(entsort.__file__).parent) + "/"
     call = sorter(entsort, spec.order)
     ops: Counter = Counter()
@@ -161,10 +156,6 @@ def measure(entsort, corpus, workload: str, limit: int | None) -> dict:
     return {"elements": elems,
             "ops": sum(ops.values()) / elems,
             "calls": sum(calls.values()) / elems,
-            "peak_bytes_per_elem": peak_per_elem(call, whole[0]),
-            "budget_peak_bytes_per_elem": peak_per_elem(
-                lambda seq: entsort.budget_breakdown(seq, spec.order),
-                whole[0]),
             "functions": functions}
 
 
@@ -186,8 +177,12 @@ def main(argv=None) -> int:
     entsort = load(args.src)
     report = {"python": platform.python_version(),
               "src": str(args.src.resolve()),
-              "workloads": {w: measure(entsort, corpus, w, args.limit)
-                            for w in names}}
+              "workloads": {}}
+    for w in names:
+        spec = corpus.WORKLOADS[w]
+        report["workloads"][w] = r = measure(entsort, corpus, w, args.limit)
+        r["peak_bytes_per_elem"] = peak_per_elem(
+            sorter(entsort, spec.order), corpus.corpus(spec, SEED)[0])
     if args.json:
         print(json.dumps(report, indent=1))
         return 0
@@ -197,8 +192,7 @@ def main(argv=None) -> int:
               f"{r['ops']:.1f} bytecodes and {r['calls']:.2f} calls "
               "per element")
         print(f"  peak {r['peak_bytes_per_elem']:.1f} B/elem "
-              "(one call on the first whole input), "
-              f"{r['budget_peak_bytes_per_elem']:.1f} in its budget pass")
+              "(one call on the first whole input)")
         print(f"  {'function':<40}{'ops/elem':>10}{'calls/elem':>12}")
         for name, f in r["functions"].items():
             print(f"  {name:<40}{f['ops']:>10.1f}{f['calls']:>12.3f}")
